@@ -26,7 +26,9 @@
 // The JSON output is a flat array of rows
 //   {"engine", "ontology", "threads", "ms", "completed", "subsumptions"}
 // covering engine x ontology x threads (the cb engine is serial and is
-// recorded once per ontology with threads = 1).
+// recorded once per ontology with threads = 1). Graph rows also carry the
+// classifier's phase split, "build_graph_ms", "closure_ms" (Φ_T) and
+// "unsat_ms" (Ω_T), which the table prints as build/closure/unsat.
 
 #include <cstdio>
 #include <cstdlib>
@@ -60,6 +62,7 @@ struct JsonRow {
   double ms = 0;
   bool completed = true;
   uint64_t subsumptions = 0;
+  std::optional<olite::core::ClassificationStats> phases;  // graph rows
 };
 
 void WriteJson(const std::string& path, const std::vector<JsonRow>& rows) {
@@ -74,11 +77,18 @@ void WriteJson(const std::string& path, const std::vector<JsonRow>& rows) {
     std::fprintf(f,
                  "  {\"engine\": \"%s\", \"ontology\": \"%s\", "
                  "\"threads\": %u, \"ms\": %.3f, \"completed\": %s, "
-                 "\"subsumptions\": %llu}%s\n",
+                 "\"subsumptions\": %llu",
                  r.engine.c_str(), r.ontology.c_str(), r.threads, r.ms,
                  r.completed ? "true" : "false",
-                 static_cast<unsigned long long>(r.subsumptions),
-                 i + 1 < rows.size() ? "," : "");
+                 static_cast<unsigned long long>(r.subsumptions));
+    if (r.phases.has_value()) {
+      std::fprintf(f,
+                   ", \"build_graph_ms\": %.3f, \"closure_ms\": %.3f, "
+                   "\"unsat_ms\": %.3f",
+                   r.phases->build_graph_ms, r.phases->closure_ms,
+                   r.phases->unsat_ms);
+    }
+    std::fprintf(f, "}%s\n", i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "]\n");
   std::fclose(f);
@@ -126,12 +136,12 @@ int main(int argc, char** argv) {
         "Figure 1 reproduction: classification times (ms), scale=%.2f, "
         "timeout=%.0f ms, threads=%u\n",
         scale, timeout_ms, threads);
-    std::printf(
-        "%-15s %9s | %10s %10s %8s | %8s %29s\n", "ontology", "classes",
-        "graph", "tableau", "cb", "|paper:", "quonto/fact/hermit/pellet/cb");
+    std::printf("%-15s %9s | %10s %24s %10s %8s | %8s %29s\n", "ontology",
+                "classes", "graph", "build/closure/unsat", "tableau", "cb",
+                "|paper:", "quonto/fact/hermit/pellet/cb");
     std::printf(
         "-------------------------------------------------------------------"
-        "-------------------------------\n");
+        "-------------------------------------------------------\n");
 
     for (const auto& profile : olite::benchgen::PaperProfiles(scale)) {
       olite::dllite::Ontology onto = olite::benchgen::Generate(profile.config);
@@ -148,8 +158,13 @@ int main(int argc, char** argv) {
       double graph_ms = sw.ElapsedMillis();
       uint64_t subsumptions = graph_cls.CountNamedSubsumptions(
           count_pool.has_value() ? &*count_pool : nullptr);
+      const olite::core::ClassificationStats& phases = graph_cls.stats();
+      char phase_cell[64];
+      std::snprintf(phase_cell, sizeof(phase_cell), "%.1f/%.1f/%.1f",
+                    phases.build_graph_ms, phases.closure_ms,
+                    phases.unsat_ms);
       rows.push_back(
-          {"graph", name, threads, graph_ms, true, subsumptions});
+          {"graph", name, threads, graph_ms, true, subsumptions, phases});
 
       // Consequence-based (CB role), property hierarchy off per the paper.
       // The completion classifier is serial; record it once per ontology.
@@ -163,7 +178,7 @@ int main(int argc, char** argv) {
             onto.tbox(), onto.vocab(), cb_opts);
         double cb_ms = sw.ElapsedMillis();
         cb_cell = Cell(cb_ms, cb.completed);
-        rows.push_back({"cb", name, 1, cb_ms, cb.completed, 0});
+        rows.push_back({"cb", name, 1, cb_ms, cb.completed, 0, std::nullopt});
       }
 
       // Tableau (plays Pellet/FaCT++/HermiT).
@@ -179,12 +194,12 @@ int main(int argc, char** argv) {
         double tab_ms = sw.ElapsedMillis();
         tableau_cell = Cell(tab_ms, tab.completed);
         rows.push_back({"tableau", name, threads, tab_ms, tab.completed,
-                        tab.NumSubsumptions()});
+                        tab.NumSubsumptions(), std::nullopt});
       }
 
-      std::printf("%-15s %9u | %10.1f %10s %8s | %8s %s/%s/%s/%s/%s\n",
+      std::printf("%-15s %9u | %10.1f %24s %10s %8s | %8s %s/%s/%s/%s/%s\n",
                   name.c_str(), profile.config.num_concepts, graph_ms,
-                  tableau_cell.c_str(), cb_cell.c_str(), "",
+                  phase_cell, tableau_cell.c_str(), cb_cell.c_str(), "",
                   profile.paper.quonto, profile.paper.factpp,
                   profile.paper.hermit, profile.paper.pellet,
                   profile.paper.cb);

@@ -1,9 +1,9 @@
 #include "core/classifier.h"
 
 #include <algorithm>
+#include <array>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
@@ -12,6 +12,8 @@
 namespace olite::core {
 
 namespace {
+
+constexpr uint32_t kNoSlot = ~uint32_t{0};
 
 // Sorted predecessor set of `n` under `reverse`, made reflexive
 // (pred*(n) always contains n itself since T ⊨ S ⊑ S).
@@ -23,6 +25,26 @@ std::vector<graph::NodeId> ReflexivePredecessors(
   return preds;
 }
 
+// Raw predecessor lists of a digraph in CSR form: the predecessors of v
+// are arcs[offsets[v], offsets[v + 1]).
+struct PredecessorCsr {
+  std::vector<size_t> offsets;
+  std::vector<graph::NodeId> arcs;
+
+  explicit PredecessorCsr(const graph::Digraph& d)
+      : offsets(d.NumNodes() + 1, 0) {
+    for (graph::NodeId u = 0; u < d.NumNodes(); ++u) {
+      for (graph::NodeId v : d.Successors(u)) ++offsets[v + 1];
+    }
+    for (size_t v = 0; v < d.NumNodes(); ++v) offsets[v + 1] += offsets[v];
+    arcs.resize(offsets.back());
+    std::vector<size_t> fill(offsets.begin(), offsets.end() - 1);
+    for (graph::NodeId u = 0; u < d.NumNodes(); ++u) {
+      for (graph::NodeId v : d.Successors(u)) arcs[fill[v]++] = u;
+    }
+  }
+};
+
 }  // namespace
 
 std::vector<bool> ComputeUnsat(const TBoxGraph& g,
@@ -33,9 +55,11 @@ std::vector<bool> ComputeUnsat(const TBoxGraph& g,
 }
 
 Result<std::vector<bool>> ComputeUnsatBudgeted(
-    const TBoxGraph& g, const graph::TransitiveClosure& forward,
+    const TBoxGraph& g, const graph::TransitiveClosure& /*forward*/,
     const graph::TransitiveClosure& reverse, const ExecBudget* budget) {
   const graph::NodeId n = g.nodes.NumNodes();
+  const auto& nis = g.negative_inclusions;
+  const auto& qes = g.qualified_existentials;
   std::vector<bool> unsat(n, false);
   std::vector<graph::NodeId> worklist;
 
@@ -46,57 +70,91 @@ Result<std::vector<bool>> ComputeUnsatBudgeted(
     }
   };
 
+  // Qualified-existential successor rule (the paper's "remaining
+  // challenge"): the anonymous successor forced by B ⊑ ∃Q.A belongs to
+  // every predicate above one of its seeds A and ∃Q⁻. (The ranges ∃r⁻ of
+  // Q's super-roles r are above ∃Q⁻ already: every role arc Q1 → Q2 comes
+  // with the arc ∃Q1⁻ → ∃Q2⁻.) The successor is contradictory iff one
+  // negative inclusion S1 ⊑ ¬S2 has a seed in pred*(S1) and a seed in
+  // pred*(S2), and then B is unsatisfiable. (An *unsatisfiable* seed is
+  // handled by the fixpoint rules below.) Seed nodes get a slot; the NI
+  // pass records, per slot, the NIs whose sides lie above it. Without NIs
+  // no successor can clash.
+  const bool qe_rule = !nis.empty() && !qes.empty();
+  std::vector<uint32_t> slot_of;  // seed node -> slot
+  uint32_t num_slots = 0;
+  auto seeds_of = [&](const QualifiedExistentialAxiom& qe) {
+    return std::array<graph::NodeId, 2>{g.nodes.OfConcept(qe.filler),
+                                        g.nodes.OfExists(qe.role.Inverted())};
+  };
+  if (qe_rule) {
+    slot_of.assign(n, kNoSlot);
+    for (const auto& qe : qes) {
+      for (graph::NodeId s : seeds_of(qe)) {
+        if (slot_of[s] == kNoSlot) slot_of[s] = num_slots++;
+      }
+    }
+  }
+  // NI ids whose lhs (resp. rhs) side lies above each seed slot.
+  std::vector<std::vector<uint32_t>> under_lhs(num_slots);
+  std::vector<std::vector<uint32_t>> under_rhs(num_slots);
+
   // Seeds: for each negative inclusion S1 ⊑ ¬S2, every predicate that is
   // (transitively, reflexively) subsumed by both sides is unsatisfiable.
-  for (const auto& ni : g.negative_inclusions) {
+  for (uint32_t k = 0; k < nis.size(); ++k) {
     if (budget != nullptr && budget->Exhausted()) {
       return budget->Check("classify/unsat");
     }
-    std::vector<graph::NodeId> p1 = ReflexivePredecessors(reverse, ni.lhs);
-    std::vector<graph::NodeId> p2 = ReflexivePredecessors(reverse, ni.rhs);
+    std::vector<graph::NodeId> p1 = ReflexivePredecessors(reverse, nis[k].lhs);
+    std::vector<graph::NodeId> p2 = ReflexivePredecessors(reverse, nis[k].rhs);
     std::vector<graph::NodeId> both;
     std::set_intersection(p1.begin(), p1.end(), p2.begin(), p2.end(),
                           std::back_inserter(both));
     for (graph::NodeId x : both) mark(x);
+    if (qe_rule) {
+      for (graph::NodeId x : p1) {
+        if (slot_of[x] != kNoSlot) under_lhs[slot_of[x]].push_back(k);
+      }
+      for (graph::NodeId x : p2) {
+        if (slot_of[x] != kNoSlot) under_rhs[slot_of[x]].push_back(k);
+      }
+    }
   }
 
-  // Qualified-existential successor rule (the paper's "remaining
-  // challenge"): the anonymous successor forced by B ⊑ ∃Q.A belongs to
-  // the upward closure of {A} ∪ {∃r⁻ : Q ⊑* r}; if a negative inclusion
-  // has both sides inside that closure, the successor is contradictory
-  // and B is unsatisfiable. (An *unsatisfiable* member of the closure is
-  // handled by the fixpoint rules below.)
-  for (const auto& qe : g.qualified_existentials) {
-    if (budget != nullptr && budget->Exhausted()) {
-      return budget->Check("classify/unsat");
-    }
-    std::unordered_set<graph::NodeId> memberships;
-    auto add_up = [&](graph::NodeId m) {
-      memberships.insert(m);
-      for (graph::NodeId v : forward.ReachableFrom(m)) memberships.insert(v);
-    };
-    add_up(g.nodes.OfConcept(qe.filler));
-    add_up(g.nodes.OfExists(qe.role.Inverted()));
-    for (graph::NodeId v :
-         forward.ReachableFrom(g.nodes.OfRole(qe.role))) {
-      if (g.nodes.KindOf(v) == NodeKind::kRole) {
-        add_up(g.nodes.OfExists(g.nodes.RoleOf(v).Inverted()));
+  if (qe_rule) {
+    // One stamp per NI: stamp[k] == epoch iff a seed of the current
+    // successor lies under lhs_k.
+    std::vector<uint32_t> stamp(nis.size(), 0);
+    uint32_t epoch = 0;
+    for (const auto& qe : qes) {
+      if (budget != nullptr && budget->Exhausted()) {
+        return budget->Check("classify/unsat");
       }
-    }
-    for (const auto& ni : g.negative_inclusions) {
-      if (memberships.count(ni.lhs) > 0 && memberships.count(ni.rhs) > 0) {
-        mark(qe.lhs);
-        break;
+      if (unsat[qe.lhs]) continue;
+      ++epoch;
+      const std::array<graph::NodeId, 2> seeds = seeds_of(qe);
+      for (graph::NodeId s : seeds) {
+        for (uint32_t k : under_lhs[slot_of[s]]) stamp[k] = epoch;
       }
+      bool clash = false;
+      for (graph::NodeId s : seeds) {
+        for (uint32_t k : under_rhs[slot_of[s]]) clash |= stamp[k] == epoch;
+      }
+      if (clash) mark(qe.lhs);
     }
   }
+  if (worklist.empty()) return unsat;
 
   // Index: filler concept -> LHS nodes of qualified existentials, for the
   // rule "B ⊑ ∃Q.A and A unsatisfiable ⇒ B unsatisfiable".
   std::unordered_map<graph::NodeId, std::vector<graph::NodeId>> qe_by_filler;
-  for (const auto& qe : g.qualified_existentials) {
+  for (const auto& qe : qes) {
     qe_by_filler[g.nodes.OfConcept(qe.filler)].push_back(qe.lhs);
   }
+  // pred* is the transitive closure of the raw predecessor arcs, so
+  // marking the raw predecessors of every popped node empties all of
+  // pred*(x) for each unsatisfiable x: one multi-source reverse BFS.
+  const PredecessorCsr preds(g.digraph);
 
   // Fixpoint propagation.
   uint64_t pops = 0;
@@ -108,7 +166,9 @@ Result<std::vector<bool>> ComputeUnsatBudgeted(
     worklist.pop_back();
 
     // Everything subsumed by an unsatisfiable predicate is unsatisfiable.
-    for (graph::NodeId u : reverse.ReachableFrom(x)) mark(u);
+    for (size_t i = preds.offsets[x]; i < preds.offsets[x + 1]; ++i) {
+      mark(preds.arcs[i]);
+    }
 
     switch (g.nodes.KindOf(x)) {
       case NodeKind::kRole: {

@@ -202,7 +202,10 @@ Classification RefreshClassification(const Classification& base,
 
 /// The paper's `computeUnsat` algorithm: returns the per-node
 /// unsatisfiability flags for the TBox underlying `g`, given forward and
-/// reverse closures of its digraph.
+/// reverse closures of its digraph. Only `reverse` is read, for the
+/// negative-inclusion seeds and the qualified-existential successor test;
+/// the predecessor rule walks `g.digraph`'s raw arcs. `forward` is unused
+/// and kept so that existing callers need no change.
 std::vector<bool> ComputeUnsat(const TBoxGraph& g,
                                const graph::TransitiveClosure& forward,
                                const graph::TransitiveClosure& reverse);

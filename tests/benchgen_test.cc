@@ -3,6 +3,7 @@
 #include "benchgen/generator.h"
 #include "benchgen/profiles.h"
 #include "benchgen/workload.h"
+#include "common/exec_budget.h"
 #include "completion/completion_classifier.h"
 #include "obda/delta.h"
 #include "core/classifier.h"
@@ -106,7 +107,8 @@ TEST(ProfilesTest, AllElevenOntologiesPresent) {
 
 TEST(ProfilesTest, ScaledProfilesGenerateAndClassify) {
   // Smoke: every profile at 2% scale generates, classifies with the graph
-  // engine, and agrees with the completion engine on subsumption counts.
+  // engine, and agrees with the completion engine on subsumption counts
+  // and on the unsatisfiable concepts and roles.
   for (const auto& profile : PaperProfiles(0.02)) {
     dllite::Ontology onto = Generate(profile.config);
     core::Classification cls = core::Classify(onto.tbox(), onto.vocab());
@@ -116,7 +118,41 @@ TEST(ProfilesTest, ScaledProfilesGenerateAndClassify) {
     uint64_t graph_count = cls.CountNamedSubsumptions();
     uint64_t completion_count = cr.NumSubsumptions();
     EXPECT_EQ(graph_count, completion_count) << profile.config.name;
+    EXPECT_EQ(cls.UnsatisfiableConcepts(), cr.unsatisfiable_concepts)
+        << profile.config.name;
+    EXPECT_EQ(cls.UnsatisfiableRoles(), cr.unsatisfiable_roles)
+        << profile.config.name;
   }
+}
+
+TEST(ProfilesTest, ClassifyBudgetedOnGalenTwin) {
+  const PaperProfile* galen = nullptr;
+  auto profiles = PaperProfiles(0.02);
+  for (const auto& p : profiles) {
+    if (p.config.name == "Galen") galen = &p;
+  }
+  ASSERT_NE(galen, nullptr);
+  dllite::Ontology onto = Generate(galen->config);
+  const core::ClassificationOptions opts;
+
+  ExecBudget cancelled;
+  cancelled.Cancel();
+  auto refused =
+      core::ClassifyBudgeted(onto.tbox(), onto.vocab(), opts, &cancelled);
+  EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted);
+
+  BudgetCaps caps;
+  caps.deadline_ms = 600000;
+  ExecBudget generous(caps);
+  auto budgeted =
+      core::ClassifyBudgeted(onto.tbox(), onto.vocab(), opts, &generous);
+  ASSERT_TRUE(budgeted.ok()) << budgeted.status().message();
+  core::Classification plain = core::Classify(onto.tbox(), onto.vocab(), opts);
+  EXPECT_FALSE(plain.UnsatisfiableConcepts().empty());
+  EXPECT_EQ(budgeted->UnsatisfiableConcepts(), plain.UnsatisfiableConcepts());
+  EXPECT_EQ(budgeted->UnsatisfiableRoles(), plain.UnsatisfiableRoles());
+  EXPECT_EQ(budgeted->CountNamedSubsumptions(),
+            plain.CountNamedSubsumptions());
 }
 
 TEST(ProfilesTest, OwlConversionPreservesAxiomCount) {

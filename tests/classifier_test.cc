@@ -307,6 +307,52 @@ TEST_P(ClassifyEngineTest, QualifiedSuccessorCompatibleFillerIsFine) {
   EXPECT_TRUE(cls.UnsatisfiableConcepts().empty());
 }
 
+TEST_P(ClassifyEngineTest, QualifiedSuccessorNoCrossNiFalsePositive) {
+  // The successor's seeds F and ∃P⁻ reach the lhs side of X ⊑ ¬Y and the
+  // rhs side of Z ⊑ ¬W, but both sides of neither: B stays satisfiable.
+  Ontology onto = MustParse(
+      "concept B F X Y Z W\nrole P\n"
+      "F <= X\nX <= not Y\n"
+      "exists P- <= W\nZ <= not W\n"
+      "B <= exists P . F\n");
+  Classification cls = Classify(onto.tbox(), onto.vocab(), Opts());
+  EXPECT_TRUE(cls.UnsatisfiableConcepts().empty());
+  EXPECT_TRUE(cls.UnsatisfiableRoles().empty());
+}
+
+TEST_P(ClassifyEngineTest, QualifiedSuccessorViaSuperRoleTwoUp) {
+  // The range constraint sits two role inclusions above the qualified
+  // role: P ⊑ Q ⊑ R with ∃R⁻ ⊑ S and F ⊑ ¬S.
+  Ontology onto = MustParse(
+      "concept B F S\nrole P Q R\n"
+      "P <= Q\nQ <= R\n"
+      "exists R- <= S\n"
+      "F <= not S\n"
+      "B <= exists P . F\n");
+  Classification cls = Classify(onto.tbox(), onto.vocab(), Opts());
+  const auto& v = onto.vocab();
+  EXPECT_EQ(cls.UnsatisfiableConcepts(),
+            std::vector<dllite::ConceptId>{v.FindConcept("B").value()});
+  EXPECT_TRUE(cls.UnsatisfiableRoles().empty());
+}
+
+TEST_P(ClassifyEngineTest, UnsatPropagatesThroughCycleAndChain) {
+  // C is unsatisfiable through its qualified existential, not through an
+  // NI intersection, so only the predecessor rule reaches B (on a cycle
+  // with C) and A (below both).
+  Ontology onto = MustParse(
+      "concept A B C F G\nrole P\n"
+      "A <= B\nB <= C\nC <= B\n"
+      "C <= exists P . F\nF <= G\nF <= not G\n");
+  Classification cls = Classify(onto.tbox(), onto.vocab(), Opts());
+  const auto& v = onto.vocab();
+  EXPECT_EQ(cls.UnsatisfiableConcepts(),
+            (std::vector<dllite::ConceptId>{v.FindConcept("A").value(),
+                                            v.FindConcept("B").value(),
+                                            v.FindConcept("C").value(),
+                                            v.FindConcept("F").value()}));
+}
+
 TEST_P(ClassifyEngineTest, DisjointRolesAloneCauseNoUnsat) {
   // Disjoint roles do NOT make their domains disjoint or empty.
   Ontology onto = MustParse("role P Q\nP <= not Q\n");

@@ -456,8 +456,12 @@ TEST(RewriterComparisonTest, ModesAgreeOnDisjunctSets) {
       "givesLecture <= teaches\n"
       "Professor <= exists teaches . Course\n"
       "exists teaches- <= Course\n");
-  Rewriter pr(onto.tbox(), onto.vocab(), {RewriteMode::kPerfectRef, 100000});
-  Rewriter cl(onto.tbox(), onto.vocab(), {RewriteMode::kClassified, 100000});
+  RewriterOptions popts;
+  popts.mode = RewriteMode::kPerfectRef;
+  RewriterOptions copts;
+  copts.mode = RewriteMode::kClassified;
+  Rewriter pr(onto.tbox(), onto.vocab(), popts);
+  Rewriter cl(onto.tbox(), onto.vocab(), copts);
   for (const char* qtext :
        {"q(x) :- Person(x)", "q(x) :- teaches(x, y)",
         "q(x) :- teaches(x, y), Course(y)", "q(x, y) :- teaches(x, y)"}) {
