@@ -126,10 +126,11 @@ Professor <= delta(salary)
   }
 
   // 5. Consistency: Professor ⊑ ¬Student must hold in the virtual ABox.
-  auto consistent = (*sys)->IsConsistent();
+  auto consistent = (*sys)->CheckConsistency();
   if (consistent.ok()) {
-    std::printf("\nvirtual ABox consistent: %s\n", *consistent ? "yes" : "no");
-    for (const auto& v : (*sys)->violations()) {
+    std::printf("\nvirtual ABox consistent: %s\n",
+                consistent->consistent ? "yes" : "no");
+    for (const auto& v : consistent->violations) {
       std::printf("  violated: %s\n", v.c_str());
     }
   }

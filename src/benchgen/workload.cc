@@ -526,7 +526,8 @@ std::vector<obda::OntologyDelta> GenerateDeltaSequence(
               : lo + rng.Uniform(hi - lo + 1);
 
     // Working copies tracking what this delta has already claimed, so two
-    // removals never race for the same axiom/assertion.
+    // removals never race for the same axiom/assertion. They never gain this
+    // delta's additions: ApplyMappingDelta removes before it adds.
     auto ci = tbox.concept_inclusions();
     auto ri = tbox.role_inclusions();
     auto ai = tbox.attribute_inclusions();
@@ -575,7 +576,6 @@ std::vector<obda::OntologyDelta> GenerateDeltaSequence(
               m.predicate = static_cast<uint32_t>(rng.Uniform(na));
               break;
           }
-          asserts.push_back(m);
           delta.add_mappings.push_back(std::move(m));
         }
         continue;

@@ -230,39 +230,16 @@ Result<Classification> ClassifyBudgeted(const dllite::TBox& tbox,
   std::optional<ThreadPool> pool;
   if (threads > 1) pool.emplace(threads);
 
-  Result<std::unique_ptr<graph::TransitiveClosure>> forward_result =
-      Status::Internal("closure not computed");
-  Result<std::unique_ptr<graph::TransitiveClosure>> reverse_result =
-      Status::Internal("closure not computed");
-  if (pool.has_value()) {
-    // Forward and reverse closures are independent: run them as two
-    // concurrent tasks, each of which parallelises internally on the same
-    // pool (nested ParallelFor is safe; see common/thread_pool.h).
-    graph::Digraph reversed = g.digraph.Reversed();
-    pool->ParallelFor(0, 2, 1, [&](size_t i) {
-      if (i == 0) {
-        forward_result = graph::ComputeClosureBudgeted(g.digraph,
-                                                       options.engine, &*pool,
-                                                       budget);
-      } else {
-        reverse_result = graph::ComputeClosureBudgeted(reversed,
-                                                       options.engine, &*pool,
-                                                       budget);
-      }
-    });
-  } else {
-    forward_result = graph::ComputeClosureBudgeted(g.digraph, options.engine,
-                                                   nullptr, budget);
-    reverse_result = graph::ComputeClosureBudgeted(g.digraph.Reversed(),
-                                                   options.engine, nullptr,
-                                                   budget);
-  }
-  OLITE_RETURN_IF_ERROR(forward_result.status());
-  OLITE_RETURN_IF_ERROR(reverse_result.status());
-  std::unique_ptr<graph::TransitiveClosure> forward =
-      std::move(forward_result).value();
+  OLITE_ASSIGN_OR_RETURN(
+      std::unique_ptr<graph::TransitiveClosure> forward,
+      graph::ComputeClosureBudgeted(g.digraph, options.engine,
+                                    pool.has_value() ? &*pool : nullptr,
+                                    budget));
+  // "What is below x" (computeUnsat's NI seeds, SubConcepts, the rewriter)
+  // is a BFS over the transposed raw arcs, linear in the digraph: no second
+  // closure is materialised.
   std::unique_ptr<graph::TransitiveClosure> reverse =
-      std::move(reverse_result).value();
+      graph::OnDemandClosure(g.digraph.Reversed());
   stats.closure_ms = sw.ElapsedMillis();
   stats.num_closure_arcs = forward->NumClosureArcs();
 
@@ -295,8 +272,6 @@ Classification RefreshClassification(const Classification& base,
   const NodeTable& bn = base.tbox_graph().nodes;
   const auto* base_fwd =
       dynamic_cast<const graph::DynamicClosure*>(&base.closure());
-  const auto* base_rev =
-      dynamic_cast<const graph::DynamicClosure*>(&base.reverse_closure());
   // Node ids are pure arithmetic over (|concepts|, |roles|, |attributes|):
   // adding a concept shifts every role block, so the layout must match
   // exactly for the patch to be meaningful.
@@ -311,22 +286,22 @@ Classification RefreshClassification(const Classification& base,
     copts.threads = options.threads;
     return Classify(tbox, vocab, copts);
   };
-  if (base_fwd == nullptr || base_rev == nullptr || !layout_stable) {
+  if (base_fwd == nullptr || !layout_stable) {
     return scratch();
   }
 
   sw.Reset();
   graph::DynamicClosure::PatchOptions popts;
   popts.fallback_fraction = options.fallback_fraction;
-  graph::DynamicClosure::PatchStats fs, rs;
+  graph::DynamicClosure::PatchStats fs;
   std::unique_ptr<graph::DynamicClosure> forward =
       base_fwd->Patched(g.digraph, popts, &fs);
-  std::unique_ptr<graph::DynamicClosure> reverse =
-      base_rev->Patched(g.digraph.Reversed(), popts, &rs);
+  std::unique_ptr<graph::TransitiveClosure> reverse =
+      graph::OnDemandClosure(g.digraph.Reversed());
   if (stats != nullptr) {
-    stats->fell_back_scratch = fs.fell_back || rs.fell_back;
-    stats->patched_nodes = fs.patched_nodes + rs.patched_nodes;
-    stats->reused_components = fs.reused_components + rs.reused_components;
+    stats->fell_back_scratch = fs.fell_back;
+    stats->patched_nodes = fs.patched_nodes;
+    stats->reused_components = fs.reused_components;
   }
   cstats.closure_ms = sw.ElapsedMillis();
   cstats.num_closure_arcs = forward->NumClosureArcs();

@@ -25,8 +25,8 @@ struct ClassificationOptions {
   /// complete for TBoxes without unsatisfiable predicates. Used to measure
   /// the cost of the second phase in isolation.
   bool compute_unsat = true;
-  /// Execution width: forward/reverse closures are computed concurrently
-  /// and each closure engine parallelises internally (common/thread_pool.h).
+  /// Execution width of the one closure build: the engine parallelises
+  /// internally (common/thread_pool.h).
   /// `1` = exact serial path (the default, and the pre-parallel behaviour);
   /// `0` = hardware_concurrency. Results are identical at every width.
   unsigned threads = 1;
@@ -49,6 +49,8 @@ struct ClassificationStats {
 /// positive inclusions, materialised as the transitive closure of the
 /// digraph representation — Theorem 1) together with Ω_T (subsumptions
 /// entailed by unsatisfiable predicates, computed by `computeUnsat`).
+/// `reverse_closure()` answers "what is below x"; `Classify` makes it an
+/// on-demand BFS view over the transposed digraph, not a second closure.
 ///
 /// All query methods implement entailment of *basic* subsumptions:
 /// `Subsumes(S2, S1)` answers `T ⊨ S1 ⊑ S2` for S1, S2 of the same sort.
@@ -176,21 +178,21 @@ struct RefreshOptions {
 /// Telemetry from `RefreshClassification`, fed into `snapshot.delta_*`.
 struct RefreshStats {
   /// True when the refresh degenerated to a from-scratch classification —
-  /// node-id layout changed (vocabulary grew), the base closures are not
+  /// node-id layout changed (vocabulary grew), the base closure is not
   /// patchable, or the delta exceeded the fallback fraction.
   bool fell_back_scratch = false;
-  /// Nodes inside re-derived components, summed over forward + reverse.
+  /// Nodes inside re-derived components of the patched closure.
   uint64_t patched_nodes = 0;
-  /// Components whose reach vectors were aliased, forward + reverse.
+  /// Components whose reach vectors were aliased from the base closure.
   uint64_t reused_components = 0;
 };
 
 /// Classification of `tbox` maintained *incrementally* from `base`:
-/// rebuilds the (linear-size) TBox digraph, patches the forward and
-/// reverse closures via `graph::DynamicClosure::Patched` — additions by
-/// re-deriving from the changed arcs' frontiers, removals DRed-style over
-/// the SCC condensation — and re-runs `computeUnsat` on the patched
-/// closures. Falls back to `Classify` (with the dynamic engine, so the
+/// rebuilds the (linear-size) TBox digraph, patches the one closure via
+/// `graph::DynamicClosure::Patched` — additions by re-deriving from the
+/// changed arcs' frontiers, removals DRed-style over the SCC condensation —
+/// re-wraps the transposed digraph in an on-demand view, and re-runs
+/// `computeUnsat`. Falls back to `Classify` (with the dynamic engine, so the
 /// result stays patchable) when node ids shifted, the base is not
 /// patchable, or the delta is too large. The result is always identical
 /// to a from-scratch `Classify` of `tbox`.
@@ -202,7 +204,8 @@ Classification RefreshClassification(const Classification& base,
 
 /// The paper's `computeUnsat` algorithm: returns the per-node
 /// unsatisfiability flags for the TBox underlying `g`, given forward and
-/// reverse closures of its digraph. Only `reverse` is read, for the
+/// reverse reachability over its digraph (`reverse` may be the on-demand
+/// view `Classify` uses). Only `reverse` is read, for the
 /// negative-inclusion seeds and the qualified-existential successor test;
 /// the predecessor rule walks `g.digraph`'s raw arcs. `forward` is unused
 /// and kept so that existing callers need no change.

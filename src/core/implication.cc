@@ -1,88 +1,18 @@
 #include "core/implication.h"
 
-#include <algorithm>
-
 #include "core/classifier.h"
 
 namespace olite::core {
-
-namespace {
-
-// TransitiveClosure adapter that answers every query with a fresh BFS over
-// the underlying digraph. Used by ReachabilityMode::kOnDemand so that the
-// unsatisfiability fixpoint and all entailment queries share one code path
-// with the precomputed engines.
-class OnDemandReachability : public graph::TransitiveClosure {
- public:
-  explicit OnDemandReachability(const graph::Digraph& g) : g_(g) {}
-
-  bool Reaches(graph::NodeId from, graph::NodeId to) const override {
-    std::vector<bool> visited(g_.NumNodes(), false);
-    std::vector<graph::NodeId> queue;
-    for (graph::NodeId v : g_.Successors(from)) {
-      if (v == to) return true;
-      if (!visited[v]) {
-        visited[v] = true;
-        queue.push_back(v);
-      }
-    }
-    for (size_t head = 0; head < queue.size(); ++head) {
-      for (graph::NodeId w : g_.Successors(queue[head])) {
-        if (w == to) return true;
-        if (!visited[w]) {
-          visited[w] = true;
-          queue.push_back(w);
-        }
-      }
-    }
-    return false;
-  }
-
-  std::vector<graph::NodeId> ReachableFrom(graph::NodeId from) const override {
-    std::vector<bool> visited(g_.NumNodes(), false);
-    std::vector<graph::NodeId> queue;
-    for (graph::NodeId v : g_.Successors(from)) {
-      if (!visited[v]) {
-        visited[v] = true;
-        queue.push_back(v);
-      }
-    }
-    for (size_t head = 0; head < queue.size(); ++head) {
-      for (graph::NodeId w : g_.Successors(queue[head])) {
-        if (!visited[w]) {
-          visited[w] = true;
-          queue.push_back(w);
-        }
-      }
-    }
-    std::sort(queue.begin(), queue.end());
-    return queue;
-  }
-
-  uint64_t NumClosureArcs() const override { return 0; }
-  std::string EngineName() const override { return "on_demand_bfs"; }
-
- private:
-  const graph::Digraph& g_;
-};
-
-}  // namespace
 
 ImplicationChecker::ImplicationChecker(const dllite::TBox& tbox,
                                        const dllite::Vocabulary& vocab,
                                        ReachabilityMode mode)
     : graph_(BuildTBoxGraph(tbox, vocab)) {
-  if (mode == ReachabilityMode::kPrecomputed) {
-    forward_ =
-        graph::ComputeClosure(graph_.digraph, graph::ClosureEngine::kSccMerge);
-    reverse_ = graph::ComputeClosure(graph_.digraph.Reversed(),
-                                     graph::ClosureEngine::kSccMerge);
-  } else {
-    forward_ = std::make_unique<OnDemandReachability>(graph_.digraph);
-    // The reverse digraph must outlive the adapter; materialise it once.
-    reversed_storage_ = graph_.digraph.Reversed();
-    reverse_ = std::make_unique<OnDemandReachability>(reversed_storage_);
-  }
+  forward_ = mode == ReachabilityMode::kPrecomputed
+                 ? graph::ComputeClosure(graph_.digraph,
+                                         graph::ClosureEngine::kSccMerge)
+                 : graph::OnDemandClosure(graph_.digraph);
+  reverse_ = graph::OnDemandClosure(graph_.digraph.Reversed());
   unsat_ = ComputeUnsat(graph_, *forward_, *reverse_);
 }
 

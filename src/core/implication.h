@@ -17,6 +17,8 @@ enum class ReachabilityMode {
   /// materialised. Cheap setup, O(V+E) per query.
   kOnDemand,
   /// Precomputed transitive closure — O(closure) setup, O(log d) queries.
+  /// Only the forward closure is built: the reverse direction, which
+  /// `computeUnsat` reads, is an on-demand view in both modes.
   kPrecomputed,
 };
 
@@ -37,11 +39,6 @@ class ImplicationChecker {
   ImplicationChecker(const dllite::TBox& tbox, const dllite::Vocabulary& vocab,
                      ReachabilityMode mode = ReachabilityMode::kOnDemand);
   ~ImplicationChecker();
-
-  // Not movable: the on-demand reachability adapters hold references into
-  // the member digraphs.
-  ImplicationChecker(ImplicationChecker&&) = delete;
-  ImplicationChecker& operator=(ImplicationChecker&&) = delete;
 
   /// `T ⊨ α` for a concept inclusion (positive, negative or qualified).
   bool Entails(const dllite::ConceptInclusion& ax) const;
@@ -69,8 +66,6 @@ class ImplicationChecker {
                                    dllite::ConceptId filler) const;
 
   TBoxGraph graph_;
-  /// Owns the reversed digraph when the on-demand adapters reference it.
-  graph::Digraph reversed_storage_;
   std::unique_ptr<graph::TransitiveClosure> forward_;
   std::unique_ptr<graph::TransitiveClosure> reverse_;
   std::vector<bool> unsat_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <utility>
 
 #include "common/thread_pool.h"
 #include "graph/bitset.h"
@@ -335,6 +336,59 @@ class SccBitsetClosure : public SccClosureBase<SccBitsetClosure> {
   BuildAbort abort_;
 };
 
+// ---------------------------------------------------------------------------
+// On-demand view: one BFS per query over the owned digraph.
+// ---------------------------------------------------------------------------
+class OnDemandBfsClosure : public TransitiveClosure {
+ public:
+  explicit OnDemandBfsClosure(Digraph g) : g_(std::move(g)) {}
+
+  bool Reaches(NodeId from, NodeId to) const override {
+    bool found = false;
+    Visit(from, [&](NodeId v) {
+      found = v == to;
+      return !found;
+    });
+    return found;
+  }
+
+  std::vector<NodeId> ReachableFrom(NodeId from) const override {
+    std::vector<NodeId> out = Visit(from, [](NodeId) { return true; });
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+  uint64_t NumClosureArcs() const override { return 0; }
+  std::string EngineName() const override { return "on_demand_bfs"; }
+
+ private:
+  // Breadth-first over paths of length >= 1 from `from`, returning the
+  // nodes reached in visit order. `keep_going(v)` sees each node once and
+  // stops the search by returning false.
+  template <typename Fn>
+  std::vector<NodeId> Visit(NodeId from, Fn&& keep_going) const {
+    std::vector<bool> visited(g_.NumNodes(), false);
+    std::vector<NodeId> queue;
+    auto reach = [&](NodeId v) {
+      if (visited[v]) return true;
+      visited[v] = true;
+      queue.push_back(v);
+      return keep_going(v);
+    };
+    for (NodeId v : g_.Successors(from)) {
+      if (!reach(v)) return queue;
+    }
+    for (size_t head = 0; head < queue.size(); ++head) {
+      for (NodeId w : g_.Successors(queue[head])) {
+        if (!reach(w)) return queue;
+      }
+    }
+    return queue;
+  }
+
+  Digraph g_;
+};
+
 }  // namespace
 
 const char* ClosureEngineName(ClosureEngine engine) {
@@ -395,6 +449,10 @@ Result<std::unique_ptr<TransitiveClosure>> ComputeClosureBudgeted(
     }
   }
   return Status::InvalidArgument("unknown closure engine");
+}
+
+std::unique_ptr<TransitiveClosure> OnDemandClosure(Digraph g) {
+  return std::make_unique<OnDemandBfsClosure>(std::move(g));
 }
 
 }  // namespace olite::graph

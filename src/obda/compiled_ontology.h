@@ -41,7 +41,7 @@ struct RefreshInfo {
   /// (layout shift, unpatchable base, or delta past the fallback
   /// fraction).
   bool fell_back_scratch = false;
-  uint64_t patched_nodes = 0;      ///< closure nodes re-derived (fwd + rev)
+  uint64_t patched_nodes = 0;      ///< closure nodes re-derived
   uint64_t reused_components = 0;  ///< closure reach vectors aliased
   uint64_t reused_views = 0;       ///< constraint view evaluations skipped
   /// Of the four cacheable stages (mappings, schema+stats, closure,

@@ -20,10 +20,4 @@ Result<std::unique_ptr<ObdaSystem>> ObdaSystem::Create(
       new ObdaSystem(std::move(compiled), engine_options));
 }
 
-Result<bool> ObdaSystem::IsConsistent() const {
-  OLITE_ASSIGN_OR_RETURN(ConsistencyReport report, engine_.CheckConsistency());
-  violations_ = std::move(report.violations);
-  return report.consistent;
-}
-
 }  // namespace olite::obda

@@ -72,17 +72,6 @@ class ObdaSystem {
     return engine_.CheckConsistency();
   }
 
-  /// Deprecated: prefer CheckConsistency(). Keeps the original boolean
-  /// API, caching the violation strings for `violations()`. NOT safe to
-  /// call concurrently with itself (it writes the cached violation list);
-  /// `Answer` remains safe to call concurrently with it.
-  Result<bool> IsConsistent() const;
-
-  /// Deprecated: violations found by the last IsConsistent() call
-  /// (human-readable axiom strings). Prefer
-  /// `CheckConsistency()->violations`.
-  const std::vector<std::string>& violations() const { return violations_; }
-
   const dllite::Ontology& ontology() const { return compiled_->ontology(); }
   const mapping::MappingSet& mappings() const { return compiled_->mappings(); }
   const rdb::Database& database() const { return compiled_->database(); }
@@ -100,8 +89,6 @@ class ObdaSystem {
 
   std::shared_ptr<const CompiledOntology> compiled_;
   QueryEngine engine_;
-  /// Backing store for the deprecated violations() accessor only.
-  mutable std::vector<std::string> violations_;
 };
 
 }  // namespace olite::obda

@@ -284,5 +284,33 @@ TEST(DeltaSequenceTest, EveryDeltaChainsAndKeepsDlLiteA) {
   }
 }
 
+TEST(DeltaSequenceTest, MultiEditMappingChurnNeverRemovesItsOwnAddition) {
+  // Every edit touches the mapping layer, several per delta. A view
+  // re-targeted earlier in a delta is an addition, and ApplyMappingDelta
+  // applies removals first, so a later edit of the same delta must never
+  // pick it for removal.
+  for (uint64_t seed : {1ull, 2ull, 3ull, 4ull}) {
+    Workload w = SmallWorkload(seed);
+    DeltaSequenceConfig cfg;
+    cfg.seed = seed * 31;
+    cfg.num_deltas = 12;
+    cfg.min_changes = 6;
+    cfg.max_changes = 8;
+    cfg.mapping_change_fraction = 1.0;
+    cfg.remove_fraction = 0.5;
+    auto deltas = GenerateDeltaSequence(w, cfg);
+    ASSERT_EQ(deltas.size(), 12u);
+
+    mapping::MappingSet mappings = w.mappings;
+    for (size_t i = 0; i < deltas.size(); ++i) {
+      EXPECT_GE(deltas[i].NumChanges(), 1u) << "seed " << seed;
+      auto nm = obda::ApplyMappingDelta(mappings, deltas[i]);
+      ASSERT_TRUE(nm.ok()) << "seed " << seed << " delta " << i << ": "
+                           << nm.status().ToString();
+      mappings = *std::move(nm);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace olite::benchgen

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/classifier.h"
@@ -516,6 +518,33 @@ TEST(ClassifierParallelTest, IdenticalResultsAtEveryWidth) {
       serial_opts.threads = 1;
       Classification serial = Classify(onto.tbox(), onto.vocab(), serial_opts);
       const uint64_t serial_count = serial.CountNamedSubsumptions();
+      // "What is below x" is an on-demand view over the transposed digraph;
+      // it must agree with a materialised reverse closure, node by node and
+      // through SubConcepts (which adds every unsatisfiable concept).
+      const NodeTable& nt = serial.tbox_graph().nodes;
+      auto materialised = graph::ComputeClosure(
+          serial.tbox_graph().digraph.Reversed(), engine);
+      for (graph::NodeId v = 0; v < nt.NumNodes(); ++v) {
+        ASSERT_EQ(serial.reverse_closure().ReachableFrom(v),
+                  materialised->ReachableFrom(v))
+            << "seed " << seed << " node " << v;
+      }
+      for (uint32_t a = 0; a < onto.vocab().NumConcepts(); ++a) {
+        std::vector<dllite::ConceptId> want;
+        for (graph::NodeId v : materialised->ReachableFrom(nt.OfConcept(a))) {
+          if (nt.KindOf(v) == NodeKind::kConcept) {
+            want.push_back(nt.ConceptOf(v));
+          }
+        }
+        for (dllite::ConceptId c : serial.UnsatisfiableConcepts()) {
+          want.push_back(c);
+        }
+        std::sort(want.begin(), want.end());
+        want.erase(std::unique(want.begin(), want.end()), want.end());
+        want.erase(std::remove(want.begin(), want.end(), a), want.end());
+        ASSERT_EQ(serial.SubConcepts(a), want)
+            << "seed " << seed << " concept " << a;
+      }
       for (unsigned width : {2u, 8u}) {
         ClassificationOptions opts;
         opts.engine = engine;
@@ -550,6 +579,8 @@ void ExpectSameClassification(const Classification& got,
   for (size_t a = 0; a < vocab.NumConcepts(); ++a) {
     const auto id = static_cast<dllite::ConceptId>(a);
     EXPECT_EQ(got.SuperConcepts(id), want.SuperConcepts(id))
+        << vocab.ConceptName(id);
+    EXPECT_EQ(got.SubConcepts(id), want.SubConcepts(id))
         << vocab.ConceptName(id);
   }
   for (size_t p = 0; p < vocab.NumRoles(); ++p) {

@@ -96,26 +96,26 @@ struct ObdaFixture {
 TEST(FunctionalityTest, ObdaConsistencyDetectsViolation) {
   ObdaFixture ok("role P\nfunct P\n", /*duplicate_subject=*/false);
   ASSERT_TRUE(ok.sys != nullptr) << ok.create_status.ToString();
-  auto consistent = ok.sys->IsConsistent();
+  auto consistent = ok.sys->CheckConsistency();
   ASSERT_TRUE(consistent.ok());
-  EXPECT_TRUE(*consistent);
+  EXPECT_TRUE(consistent->consistent);
 
   ObdaFixture bad("role P\nfunct P\n", /*duplicate_subject=*/true);
   ASSERT_TRUE(bad.sys != nullptr);
-  auto inconsistent = bad.sys->IsConsistent();
+  auto inconsistent = bad.sys->CheckConsistency();
   ASSERT_TRUE(inconsistent.ok());
-  EXPECT_FALSE(*inconsistent);
-  ASSERT_EQ(bad.sys->violations().size(), 1u);
-  EXPECT_EQ(bad.sys->violations()[0], "funct P");
+  EXPECT_FALSE(inconsistent->consistent);
+  ASSERT_EQ(inconsistent->violations.size(), 1u);
+  EXPECT_EQ(inconsistent->violations[0], "funct P");
 }
 
 TEST(FunctionalityTest, InverseFunctionalityUsesObjectPosition) {
   // funct P⁻: objects must be unique. Subject duplicates are fine.
   ObdaFixture dup_subject("role P\nfunct P-\n", /*duplicate_subject=*/true);
   ASSERT_TRUE(dup_subject.sys != nullptr);
-  auto consistent = dup_subject.sys->IsConsistent();
+  auto consistent = dup_subject.sys->CheckConsistency();
   ASSERT_TRUE(consistent.ok());
-  EXPECT_TRUE(*consistent);
+  EXPECT_TRUE(consistent->consistent);
 }
 
 TEST(FunctionalityTest, CreateRejectsDlLiteAViolation) {

@@ -236,6 +236,37 @@ INSTANTIATE_TEST_SUITE_P(AllEngines, ClosureEngineTest,
                            return ClosureEngineName(pinfo.param);
                          });
 
+// The on-demand view materialises nothing but must answer exactly like the
+// engines: path length >= 1, so only cycle members and self-loops reach
+// themselves (all-pairs Reaches includes u == v), and ReachableFrom ascends.
+TEST(OnDemandClosureTest, RandomGraphAgreesWithBfsOracle) {
+  Rng rng(4242);
+  for (int trial = 0; trial < 10; ++trial) {
+    const NodeId n = 40;
+    Digraph g(n);
+    for (int e = 0; e < 120; ++e) {
+      g.AddArc(static_cast<NodeId>(rng.Uniform(n)),
+               static_cast<NodeId>(rng.Uniform(n)));
+    }
+    g.AddArc(trial, trial);  // at least one self-loop per graph
+    g.Finalize();
+    // Both directions, as classification uses the view on the transpose.
+    for (const Digraph& d : {g, g.Reversed()}) {
+      auto oracle = ComputeClosure(d, ClosureEngine::kBfs);
+      // The view owns its digraph: build it from a temporary copy.
+      auto view = OnDemandClosure(Digraph(d));
+      for (NodeId u = 0; u < n; ++u) {
+        EXPECT_EQ(view->ReachableFrom(u), oracle->ReachableFrom(u))
+            << "trial " << trial << " node " << u;
+        for (NodeId v = 0; v < n; ++v) {
+          EXPECT_EQ(view->Reaches(u, v), oracle->Reaches(u, v))
+              << "trial " << trial << " arc " << u << "->" << v;
+        }
+      }
+    }
+  }
+}
+
 // Every engine, serial and at several pool widths, must agree bit-for-bit
 // with the serial BFS oracle on random digraphs (including dense, cyclic
 // and near-empty shapes).

@@ -93,9 +93,9 @@ holds(x, y)    <- SELECT cid, contract_no FROM contracts
 
   // Consistency of the virtual ABox (Customer vs Contract disjointness:
   // contract individuals come only from holds-ranges — no overlap).
-  auto consistent = (*sys)->IsConsistent();
+  auto consistent = (*sys)->CheckConsistency();
   ASSERT_TRUE(consistent.ok()) << consistent.status().ToString();
-  EXPECT_TRUE(*consistent);
+  EXPECT_TRUE(consistent->consistent);
 
   // Certain answers: every customer holds some contract — even c2 whose
   // contract is not in the data.

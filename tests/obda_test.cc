@@ -303,18 +303,18 @@ FullProf <= not AssistantProf
 
   auto ok_sys = make_sys(false);
   ASSERT_TRUE(ok_sys.ok()) << ok_sys.status().ToString();
-  auto consistent = (*ok_sys)->IsConsistent();
+  auto consistent = (*ok_sys)->CheckConsistency();
   ASSERT_TRUE(consistent.ok()) << consistent.status().ToString();
-  EXPECT_TRUE(*consistent);
+  EXPECT_TRUE(consistent->consistent);
 
   // The broken mapping puts 'ada' in both disjoint classes.
   auto bad_sys = make_sys(true);
   ASSERT_TRUE(bad_sys.ok());
-  auto inconsistent = (*bad_sys)->IsConsistent();
+  auto inconsistent = (*bad_sys)->CheckConsistency();
   ASSERT_TRUE(inconsistent.ok()) << inconsistent.status().ToString();
-  EXPECT_FALSE(*inconsistent);
-  ASSERT_EQ((*bad_sys)->violations().size(), 1u);
-  EXPECT_EQ((*bad_sys)->violations()[0], "FullProf <= not AssistantProf");
+  EXPECT_FALSE(inconsistent->consistent);
+  ASSERT_EQ(inconsistent->violations.size(), 1u);
+  EXPECT_EQ(inconsistent->violations[0], "FullProf <= not AssistantProf");
 }
 
 TEST(ObdaConsistencyTest, InheritedDisjointnessViolation) {
@@ -341,9 +341,9 @@ TEST(ObdaConsistencyTest, InheritedDisjointnessViolation) {
           .ok());
   auto sys = ObdaSystem::Create(std::move(onto), std::move(m), std::move(db));
   ASSERT_TRUE(sys.ok());
-  auto consistent = (*sys)->IsConsistent();
+  auto consistent = (*sys)->CheckConsistency();
   ASSERT_TRUE(consistent.ok());
-  EXPECT_FALSE(*consistent);
+  EXPECT_FALSE(consistent->consistent);
 }
 
 TEST(ObdaConsistencyTest, CheckConsistencyReturnsReportByValue) {
@@ -373,11 +373,6 @@ TEST(ObdaConsistencyTest, CheckConsistencyReturnsReportByValue) {
   EXPECT_FALSE(report->consistent);
   ASSERT_EQ(report->violations.size(), 1u);
   EXPECT_EQ(report->violations[0], "A <= not C");
-  // The deprecated boolean shim agrees and repopulates violations().
-  auto consistent = (*sys)->IsConsistent();
-  ASSERT_TRUE(consistent.ok());
-  EXPECT_FALSE(*consistent);
-  EXPECT_EQ((*sys)->violations(), report->violations);
 }
 
 TEST(ObdaAnswerTest, NearEqualDoublesStayDistinctInAnswers) {
