@@ -1,6 +1,6 @@
 // Ablation of the transitive-closure engine inside the graph classifier
 // (§5: "computing the transitive closure ... constitutes the major
-// sub-task in ontology classification"). Sweeps the three engines over
+// sub-task in ontology classification"). Sweeps the four engines over
 // representative ontology shapes.
 
 #include <benchmark/benchmark.h>
@@ -22,8 +22,10 @@ using olite::benchgen::PaperProfiles;
 // 0 = hardware_concurrency). Parsed before google-benchmark's own flags.
 unsigned g_threads = 1;
 
-// Profile index in PaperProfiles(): 0 Mouse, 2 DOLCE, 4 Gene, 6 Galen.
-const size_t kProfileIndices[] = {0, 2, 4, 6};
+// Profile index in PaperProfiles(): 0 Mouse, 2 DOLCE, 4 Gene, 6 Galen,
+// 9 FMA 3.2.1 (large and sparse: the shape where scc_merge beats
+// scc_bitset).
+const size_t kProfileIndices[] = {0, 2, 4, 6, 9};
 
 void BM_ClassifyWithEngine(benchmark::State& state) {
   auto engine = static_cast<olite::graph::ClosureEngine>(state.range(0));
@@ -53,8 +55,8 @@ void BM_ClassifyWithEngine(benchmark::State& state) {
 }  // namespace
 
 BENCHMARK(BM_ClassifyWithEngine)
-    ->ArgsProduct({{0, 1, 2},      // bfs, scc_merge, scc_bitset
-                   {0, 1, 2, 3}})  // Mouse, DOLCE, Gene, Galen
+    ->ArgsProduct({{0, 1, 2, 3},      // bfs, scc_merge, scc_bitset, dynamic
+                   {0, 1, 2, 3, 4}})  // Mouse, DOLCE, Gene, Galen, FMA3.2.1
     ->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {

@@ -280,7 +280,11 @@ Classification RefreshClassification(const Classification& base,
                              bn.num_attributes() == g.nodes.num_attributes();
 
   auto scratch = [&]() {
-    if (stats != nullptr) stats->fell_back_scratch = true;
+    // Every node is re-derived, as on `Patched`'s own fallback.
+    if (stats != nullptr) {
+      stats->fell_back_scratch = true;
+      stats->patched_nodes = g.nodes.NumNodes();
+    }
     ClassificationOptions copts;
     copts.engine = graph::ClosureEngine::kDynamic;
     copts.threads = options.threads;

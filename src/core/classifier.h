@@ -181,7 +181,8 @@ struct RefreshStats {
   /// node-id layout changed (vocabulary grew), the base closure is not
   /// patchable, or the delta exceeded the fallback fraction.
   bool fell_back_scratch = false;
-  /// Nodes inside re-derived components of the patched closure.
+  /// Nodes inside re-derived components of the patched closure; every
+  /// node when the refresh fell back to scratch.
   uint64_t patched_nodes = 0;
   /// Components whose reach vectors were aliased from the base closure.
   uint64_t reused_components = 0;

@@ -1,12 +1,14 @@
 #include "graph/closure.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <utility>
 
 #include "common/thread_pool.h"
 #include "graph/bitset.h"
 #include "graph/dynamic_closure.h"
+#include "graph/reach_merge.h"
 #include "graph/scc.h"
 
 namespace olite::graph {
@@ -218,20 +220,20 @@ class SccMergeClosure : public SccClosureBase<SccMergeClosure> {
     if (!UsePool(pool)) {
       // Component ids ascend in reverse topological order, so every
       // successor component's reach set is already final when we process c.
-      std::vector<NodeId> merged;
+      ReachMerger merger(nc);
       for (NodeId c = 0; c < nc; ++c) {
         if (abort_.Poll()) break;
-        MergeOne(c, &merged);
+        MergeOne(c, &merger);
       }
     } else {
       // Level-synchronous propagation: within a level no component can
       // reach another, so their merges only read finalised earlier levels.
-      std::vector<std::vector<NodeId>> scratch(pool->num_threads());
+      std::vector<ReachMerger> mergers(pool->num_threads(), ReachMerger(nc));
       for (const auto& level : TopologicalLevels()) {
         pool->ParallelForShard(0, level.size(), /*grain=*/16,
                                [&](unsigned shard, size_t i) {
                                  if (abort_.Poll()) return;
-                                 MergeOne(level[i], &scratch[shard]);
+                                 MergeOne(level[i], &mergers[shard]);
                                });
       }
     }
@@ -259,16 +261,14 @@ class SccMergeClosure : public SccClosureBase<SccMergeClosure> {
   }
 
  private:
-  void MergeOne(NodeId c, std::vector<NodeId>* merged) {
-    merged->clear();
-    for (NodeId d : dag_.Successors(c)) {
-      merged->push_back(d);
-      const auto& rd = comp_reach_[d];
-      merged->insert(merged->end(), rd.begin(), rd.end());
-    }
-    std::sort(merged->begin(), merged->end());
-    merged->erase(std::unique(merged->begin(), merged->end()), merged->end());
-    comp_reach_[c] = *merged;
+  // Component-id space: a successor d contributes itself and its reach.
+  void MergeOne(NodeId c, ReachMerger* merger) {
+    merger->Merge(
+        c, dag_.Successors(c),
+        [this](NodeId d) -> const std::vector<NodeId>& {
+          return comp_reach_[d];
+        },
+        [](NodeId d) { return std::array<NodeId, 1>{d}; }, &comp_reach_[c]);
   }
 
   std::vector<std::vector<NodeId>> comp_reach_;
@@ -436,9 +436,8 @@ Result<std::unique_ptr<TransitiveClosure>> ComputeClosureBudgeted(
     case ClosureEngine::kSccBitset:
       return finish(std::make_unique<SccBitsetClosure>(g, pool, budget));
     case ClosureEngine::kDynamic: {
-      // The dynamic engine is built for patch reuse, not budget ablation;
-      // its construction cost matches scc_merge, so a single post-build
-      // budget check suffices for the fallback ladder.
+      // The dynamic engine is built for patch reuse, not budget ablation:
+      // a single post-build budget check suffices for the fallback ladder.
       auto closure = std::make_unique<DynamicClosure>(g);
       if (budget != nullptr && budget->Exhausted()) {
         Status s = budget->Check("closure");

@@ -40,19 +40,24 @@ class TransitiveClosure {
 
 /// Closure algorithm selector, used by benchmarks to ablate the choice.
 enum class ClosureEngine {
-  /// One BFS per source node over the raw adjacency lists. Simple baseline.
+  /// One BFS per source node over the raw adjacency lists. Simple baseline
+  /// and the tests' oracle: it shares no code with the SCC engines.
   kBfs,
   /// Tarjan SCC condensation + reverse-topological merge of sorted
-  /// per-component successor vectors. Memory proportional to the closure
-  /// size; the production engine.
+  /// per-component reach vectors by the shared kernel
+  /// (graph/reach_merge.h), which skips successors already covered by
+  /// another. Memory proportional to the condensed closure; the production
+  /// engine.
   kSccMerge,
   /// Tarjan SCC condensation + per-component bitsets with word-parallel
-  /// union. Fastest on dense mid-sized graphs, O(V^2/64) memory.
+  /// union. Fastest on small dense closures (DOLCE-, Galen-like), slow on
+  /// large sparse ones (FMA-like), O(V^2/64) memory.
   kSccBitset,
-  /// Patchable SCC closure (graph/dynamic_closure.h): node-id-space reach
-  /// vectors shared across `Patched()` generations, enabling incremental
-  /// maintenance under arc deltas. Serial construction; pick it when the
-  /// closure will be refreshed under ontology churn.
+  /// Patchable SCC closure (graph/dynamic_closure.h): the same merge kernel
+  /// in node-id space, with reach vectors shared across `Patched()`
+  /// generations for incremental maintenance under arc deltas. Serial
+  /// construction, ignores the pool; pick it when the closure will be
+  /// refreshed under ontology churn.
   kDynamic,
 };
 
@@ -65,8 +70,9 @@ const char* ClosureEngineName(ClosureEngine engine);
 ///
 /// When `pool` is non-null and wider than one thread, construction is
 /// parallelised: per-source BFS for the `bfs` engine, level-synchronous
-/// propagation over the condensation DAG for the SCC engines. The result
-/// is bit-identical to the serial computation at every pool width.
+/// propagation over the condensation DAG for `scc_merge` and `scc_bitset`
+/// (`dynamic` builds serially). The result is bit-identical to the serial
+/// computation at every pool width.
 std::unique_ptr<TransitiveClosure> ComputeClosure(const Digraph& g,
                                                   ClosureEngine engine,
                                                   ThreadPool* pool = nullptr);

@@ -1,6 +1,7 @@
 #include "graph/dynamic_closure.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace olite::graph {
 
@@ -10,25 +11,24 @@ DynamicClosure::DynamicClosure(const Digraph& g) : graph_(g) {
   dag_ = BuildCondensation(graph_, scc_);
   const NodeId nc = scc_.NumComponents();
   reach_.resize(nc);
-  std::vector<NodeId> scratch;
+  ReachMerger merger(graph_.NumNodes());
   // Component ids ascend in reverse topological order, so every successor
   // component's reach set is final when we merge c.
-  for (NodeId c = 0; c < nc; ++c) MergeComponent(c, &scratch);
+  for (NodeId c = 0; c < nc; ++c) MergeComponent(c, &merger);
   FinalizeArcCount();
 }
 
-void DynamicClosure::MergeComponent(NodeId c, std::vector<NodeId>* scratch) {
-  scratch->clear();
-  for (NodeId d : dag_.Successors(c)) {
-    const auto& md = scc_.members[d];
-    scratch->insert(scratch->end(), md.begin(), md.end());
-    const auto& rd = *reach_[d];
-    scratch->insert(scratch->end(), rd.begin(), rd.end());
-  }
-  std::sort(scratch->begin(), scratch->end());
-  scratch->erase(std::unique(scratch->begin(), scratch->end()),
-                 scratch->end());
-  reach_[c] = std::make_shared<const std::vector<NodeId>>(*scratch);
+void DynamicClosure::MergeComponent(NodeId c, ReachMerger* merger) {
+  // Node-id space: a successor d contributes its members and its reach.
+  std::vector<NodeId> reach;
+  merger->Merge(
+      c, dag_.Successors(c),
+      [this](NodeId d) -> const std::vector<NodeId>& { return *reach_[d]; },
+      [this](NodeId d) -> const std::vector<NodeId>& {
+        return scc_.members[d];
+      },
+      &reach);
+  reach_[c] = std::make_shared<const std::vector<NodeId>>(std::move(reach));
 }
 
 void DynamicClosure::FinalizeArcCount() {
@@ -144,12 +144,12 @@ std::unique_ptr<DynamicClosure> DynamicClosure::Patched(
   }
 
   out->reach_.resize(nc);
-  std::vector<NodeId> scratch;
+  ReachMerger merger(new_n);
   for (NodeId c = 0; c < nc; ++c) {
     if (!fall_back && !dirty[c]) {
       out->reach_[c] = reach_[old_comp_of[c]];  // alias, no copy
     } else {
-      out->MergeComponent(c, &scratch);  // re-derive
+      out->MergeComponent(c, &merger);  // re-derive
     }
   }
   out->FinalizeArcCount();

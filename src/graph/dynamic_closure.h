@@ -7,6 +7,7 @@
 
 #include "graph/closure.h"
 #include "graph/digraph.h"
+#include "graph/reach_merge.h"
 #include "graph/scc.h"
 
 namespace olite::graph {
@@ -87,7 +88,7 @@ class DynamicClosure : public TransitiveClosure {
   DynamicClosure() = default;
 
   /// Re-merges component `c`'s downstream reach from its successors.
-  void MergeComponent(NodeId c, std::vector<NodeId>* scratch);
+  void MergeComponent(NodeId c, ReachMerger* merger);
   void FinalizeArcCount();
 
   Digraph graph_;  ///< finalized copy of the underlying graph

@@ -66,7 +66,11 @@ SccResult ComputeScc(const Digraph& g) {
             comp.push_back(w);
           } while (w != v);
           bool cyc = comp.size() > 1;
-          if (!cyc) cyc = g.HasArc(v, v);
+          if (cyc) {
+            std::sort(comp.begin(), comp.end());
+          } else {
+            cyc = g.HasArc(v, v);
+          }
           result.members.push_back(std::move(comp));
           result.cyclic.push_back(cyc);
         }

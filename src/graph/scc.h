@@ -16,7 +16,7 @@ namespace olite::graph {
 struct SccResult {
   /// Component id of each node.
   std::vector<NodeId> component_of;
-  /// Members of each component.
+  /// Members of each component, ascending.
   std::vector<std::vector<NodeId>> members;
   /// True if the component contains a cycle (size > 1, or a self-loop).
   std::vector<bool> cyclic;

@@ -290,8 +290,9 @@ Result<std::shared_ptr<const CompiledOntology>> CompiledOntology::Compile(
       SourceConstraints::Infer(co->mappings_, *co->database_, *co->db_stats_,
                                copts));
   if (mode == query::RewriteMode::kClassified) {
-    // The dynamic closure engine costs the same as the default from
-    // scratch and is the one `RefreshClassification` can patch in place.
+    // The dynamic closure engine is the one `RefreshClassification` can
+    // patch in place. From scratch it costs more than the default: 15 vs
+    // 4 ms on Galen's twin at scale 0.25 (Release, 4-vCPU Xeon VM).
     core::ClassificationOptions clopts;
     clopts.engine = graph::ClosureEngine::kDynamic;
     co->classification_ = std::make_shared<const core::Classification>(

@@ -692,6 +692,23 @@ TEST(RefreshClassificationTest, LayoutShiftFallsBackToScratch) {
   ExpectSameClassification(refreshed, next);
 }
 
+TEST(RefreshClassificationTest, VocabularyGrowthReportsEveryNodePatched) {
+  // A grown vocabulary takes the early scratch route; like a fallback by
+  // fraction, it re-derives every node and must report them all.
+  Ontology base = MustParse("concept A B\nrole P\nA <= B\n");
+  Ontology next = MustParse("concept A B C\nrole P Q\nA <= B\nB <= C\n");
+  Classification cls = DynamicClassify(base);
+
+  RefreshStats stats;
+  Classification refreshed = RefreshClassification(
+      cls, next.tbox(), next.vocab(), PatchAlways(), &stats);
+  EXPECT_TRUE(stats.fell_back_scratch);
+  EXPECT_EQ(stats.patched_nodes, refreshed.tbox_graph().nodes.NumNodes());
+  EXPECT_GT(stats.patched_nodes, cls.tbox_graph().nodes.NumNodes());
+  EXPECT_EQ(stats.reused_components, 0u);
+  ExpectSameClassification(refreshed, next);
+}
+
 TEST(RefreshClassificationTest, NonPatchableBaseFallsBackToScratch) {
   Ontology base = MustParse("concept A B C\nA <= B\n");
   Ontology next = MustParse("concept A B C\nA <= B\nB <= C\n");
@@ -703,6 +720,7 @@ TEST(RefreshClassificationTest, NonPatchableBaseFallsBackToScratch) {
   Classification refreshed = RefreshClassification(
       cls, next.tbox(), next.vocab(), PatchAlways(), &stats);
   EXPECT_TRUE(stats.fell_back_scratch);
+  EXPECT_EQ(stats.patched_nodes, refreshed.tbox_graph().nodes.NumNodes());
   ExpectSameClassification(refreshed, next);
 }
 

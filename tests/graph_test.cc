@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <memory>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -8,6 +10,7 @@
 #include "graph/closure.h"
 #include "graph/digraph.h"
 #include "graph/dynamic_closure.h"
+#include "graph/reach_merge.h"
 #include "graph/scc.h"
 
 namespace olite::graph {
@@ -144,8 +147,115 @@ TEST(SccTest, CondensationIsAcyclicAndDeduplicated) {
 }
 
 // ---------------------------------------------------------------------------
-// Closure engines: identical semantics across all three implementations.
+// Closure engines: identical semantics across all four implementations.
 // ---------------------------------------------------------------------------
+
+// Random digraphs shaped so that the reach-merge kernel's shortcuts fire:
+//   0: a spine plus many transitive shortcut arcs (covered successors);
+//   1: chained diamonds, some with the shortcut across them;
+//   2: single-successor chains that join into trees.
+// Arcs run forward in a hidden order, then node ids are shuffled so Tarjan's
+// numbering differs from the construction order. `cyclic` adds back arcs and
+// self-loops, so the same shapes carry non-trivial components.
+Digraph ShapedGraph(Rng& rng, int shape, bool cyclic) {
+  const NodeId n = static_cast<NodeId>(8 + rng.Uniform(40));
+  std::vector<NodeId> id(n);
+  for (NodeId i = 0; i < n; ++i) id[i] = i;
+  for (NodeId i = n - 1; i > 0; --i) {
+    std::swap(id[i], id[rng.Uniform(i + 1)]);
+  }
+  Digraph g(n);
+  auto arc = [&](NodeId from, NodeId to) { g.AddArc(id[from], id[to]); };
+  switch (shape) {
+    case 0:
+      for (NodeId i = 0; i + 1 < n; ++i) {
+        arc(i, i + 1);
+        for (int k = 0; k < 3; ++k) {
+          arc(i, static_cast<NodeId>(i + 1 + rng.Uniform(n - i - 1)));
+        }
+      }
+      break;
+    case 1:
+      for (NodeId top = 0; top + 3 < n; top += 3) {
+        arc(top, top + 1);
+        arc(top, top + 2);
+        arc(top + 1, top + 3);
+        arc(top + 2, top + 3);
+        if (rng.Chance(0.5)) arc(top, top + 3);
+      }
+      break;
+    default:
+      for (NodeId i = 0; i + 1 < n; ++i) {
+        if (rng.Chance(0.9)) {
+          arc(i, static_cast<NodeId>(i + 1 + rng.Uniform(std::min<NodeId>(
+                                                 3, n - i - 1))));
+        }
+      }
+      break;
+  }
+  if (cyclic) {
+    for (int k = 0; k < 3; ++k) {
+      const NodeId a = static_cast<NodeId>(rng.Uniform(n));
+      const NodeId b = static_cast<NodeId>(rng.Uniform(n));
+      arc(std::max(a, b), std::min(a, b));  // back arc (self-loop if a == b)
+    }
+    arc(static_cast<NodeId>(rng.Uniform(n)),
+        static_cast<NodeId>(rng.Uniform(n)));
+    const NodeId loop = static_cast<NodeId>(rng.Uniform(n));
+    arc(loop, loop);
+  }
+  g.Finalize();
+  return g;
+}
+
+void ExpectSameClosure(const TransitiveClosure& got,
+                       const TransitiveClosure& want, NodeId n) {
+  ASSERT_EQ(got.NumClosureArcs(), want.NumClosureArcs()) << got.EngineName();
+  for (NodeId u = 0; u < n; ++u) {
+    ASSERT_EQ(got.ReachableFrom(u), want.ReachableFrom(u))
+        << got.EngineName() << " node " << u;
+    for (NodeId v = 0; v < n; ++v) {
+      ASSERT_EQ(got.Reaches(u, v), want.Reaches(u, v))
+          << got.EngineName() << " arc " << u << "->" << v;
+    }
+  }
+}
+
+TEST(ReachMergerTest, SkipsCoveredSuccessorsUnread) {
+  // Component space over c3 -> {c0, c1, c2}, where c2 -> c1 -> c0: c1 and c0
+  // are covered by c2, so only c2's reach list is read.
+  const std::vector<std::vector<NodeId>> reach = {{}, {0}, {0, 1}};
+  std::vector<NodeId> read;
+  auto reach_of = [&](NodeId d) -> const std::vector<NodeId>& {
+    read.push_back(d);
+    return reach[d];
+  };
+  auto own_of = [](NodeId d) { return std::array<NodeId, 1>{d}; };
+  ReachMerger merger(4);
+  std::vector<NodeId> out;
+  merger.Merge(3, {0, 1, 2}, reach_of, own_of, &out);
+  EXPECT_EQ(out, (std::vector<NodeId>{0, 1, 2}));
+  EXPECT_EQ(read, (std::vector<NodeId>{2}));
+}
+
+TEST(ReachMergerTest, MergesSurvivorsAndOwnMembersInNodeSpace) {
+  // Node space: successor d=1 owns {2, 7} and reaches {4}; d=0 owns {1, 5}
+  // and reaches {3, 4}. Neither covers the other: both are read, and the
+  // union comes out sorted and deduplicated.
+  const std::vector<std::vector<NodeId>> reach = {{3, 4}, {4}};
+  const std::vector<std::vector<NodeId>> own = {{1, 5}, {2, 7}};
+  auto reach_of = [&](NodeId d) -> const std::vector<NodeId>& {
+    return reach[d];
+  };
+  auto own_of = [&](NodeId d) -> const std::vector<NodeId>& { return own[d]; };
+  ReachMerger merger(8);
+  std::vector<NodeId> out;
+  merger.Merge(2, {0, 1}, reach_of, own_of, &out);
+  EXPECT_EQ(out, (std::vector<NodeId>{1, 2, 3, 4, 5, 7}));
+  // A single successor merges its two sorted lists without stamps.
+  merger.Merge(3, {1}, reach_of, own_of, &out);
+  EXPECT_EQ(out, (std::vector<NodeId>{2, 4, 7}));
+}
 
 class ClosureEngineTest : public ::testing::TestWithParam<ClosureEngine> {};
 
@@ -228,10 +338,21 @@ TEST_P(ClosureEngineTest, RandomGraphAgreesWithBfsOracle) {
   }
 }
 
+TEST_P(ClosureEngineTest, ShapedGraphsAgreeWithBfsOracle) {
+  Rng rng(1979);
+  for (int trial = 0; trial < 30; ++trial) {
+    const Digraph g = ShapedGraph(rng, trial % 3, trial % 2 == 1);
+    auto oracle = ComputeClosure(g, ClosureEngine::kBfs);
+    auto tested = ComputeClosure(g, GetParam());
+    ExpectSameClosure(*tested, *oracle, g.NumNodes());
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllEngines, ClosureEngineTest,
                          ::testing::Values(ClosureEngine::kBfs,
                                            ClosureEngine::kSccMerge,
-                                           ClosureEngine::kSccBitset),
+                                           ClosureEngine::kSccBitset,
+                                           ClosureEngine::kDynamic),
                          [](const auto& pinfo) {
                            return ClosureEngineName(pinfo.param);
                          });
@@ -269,22 +390,28 @@ TEST(OnDemandClosureTest, RandomGraphAgreesWithBfsOracle) {
 
 // Every engine, serial and at several pool widths, must agree bit-for-bit
 // with the serial BFS oracle on random digraphs (including dense, cyclic
-// and near-empty shapes).
+// and near-empty shapes) and on the shaped graphs above.
 TEST(ClosureParallelTest, EnginesAgreeAtEveryWidthOnRandomGraphs) {
-  const ClosureEngine kEngines[] = {ClosureEngine::kBfs,
-                                    ClosureEngine::kSccMerge,
-                                    ClosureEngine::kSccBitset};
+  const ClosureEngine kEngines[] = {
+      ClosureEngine::kBfs, ClosureEngine::kSccMerge, ClosureEngine::kSccBitset,
+      ClosureEngine::kDynamic};
   const unsigned kWidths[] = {1, 2, 8};
   Rng rng(2013);
-  for (int trial = 0; trial < 50; ++trial) {
-    const NodeId n = static_cast<NodeId>(1 + rng.Uniform(60));
-    Digraph g(n);
-    const uint64_t arcs = rng.Uniform(4 * static_cast<uint64_t>(n) + 1);
-    for (uint64_t e = 0; e < arcs; ++e) {
-      g.AddArc(static_cast<NodeId>(rng.Uniform(n)),
-               static_cast<NodeId>(rng.Uniform(n)));
+  for (int trial = 0; trial < 80; ++trial) {
+    Digraph g;
+    if (trial < 50) {
+      const NodeId n = static_cast<NodeId>(1 + rng.Uniform(60));
+      g = Digraph(n);
+      const uint64_t arcs = rng.Uniform(4 * static_cast<uint64_t>(n) + 1);
+      for (uint64_t e = 0; e < arcs; ++e) {
+        g.AddArc(static_cast<NodeId>(rng.Uniform(n)),
+                 static_cast<NodeId>(rng.Uniform(n)));
+      }
+      g.Finalize();
+    } else {
+      g = ShapedGraph(rng, trial % 3, trial % 2 == 1);
     }
-    g.Finalize();
+    const NodeId n = g.NumNodes();
     auto oracle = ComputeClosure(g, ClosureEngine::kBfs);
     for (ClosureEngine engine : kEngines) {
       for (unsigned width : kWidths) {
@@ -307,14 +434,18 @@ TEST(ClosureParallelTest, EnginesAgreeAtEveryWidthOnRandomGraphs) {
 // ---------------------------------------------------------------------------
 
 // All-pairs agreement of a patched closure with a from-scratch closure of
-// the same graph — the only contract Patched has.
+// the same graph — the only contract Patched has — and with the BFS oracle,
+// which shares no merge code with either.
 void ExpectClosureOf(const DynamicClosure& got, const Digraph& next) {
   DynamicClosure want(next);
+  auto oracle = ComputeClosure(want.graph(), ClosureEngine::kBfs);
   ASSERT_EQ(got.graph().NumNodes(), want.graph().NumNodes());
   for (NodeId u = 0; u < want.graph().NumNodes(); ++u) {
     ASSERT_EQ(got.ReachableFrom(u), want.ReachableFrom(u)) << "from " << u;
+    ASSERT_EQ(got.ReachableFrom(u), oracle->ReachableFrom(u)) << "from " << u;
   }
   EXPECT_EQ(got.NumClosureArcs(), want.NumClosureArcs());
+  EXPECT_EQ(got.NumClosureArcs(), oracle->NumClosureArcs());
 }
 
 DynamicClosure::PatchOptions NeverFallBack() {
@@ -479,6 +610,32 @@ TEST(DynamicClosureTest, ChainedRandomPatchesAgreeWithScratch) {
       }
       next.Finalize();
       auto patched = closure->Patched(next, opts);
+      ExpectClosureOf(*patched, next);
+      closure = std::move(patched);
+    }
+  }
+}
+
+TEST(DynamicClosureTest, ShapedPatchesAgreeWithBfsOracle) {
+  // Patches between shaped graphs of one size: each step swaps in a fresh
+  // shape, so dirty components re-merge over shortcut arcs, diamonds and
+  // chains whose clean successors alias the previous generation.
+  Rng rng(0x5EED);
+  for (int shape = 0; shape < 3; ++shape) {
+    Digraph g = ShapedGraph(rng, shape, /*cyclic=*/false);
+    auto closure = std::make_unique<DynamicClosure>(g);
+    for (int step = 0; step < 10; ++step) {
+      Digraph next = closure->graph();
+      // Add a handful of arcs taken from another shape over the same nodes.
+      const Digraph donor = ShapedGraph(rng, (shape + step) % 3, step % 2 == 1);
+      const NodeId n = next.NumNodes();
+      for (NodeId u = 0; u < std::min(n, donor.NumNodes()); u += 5) {
+        for (NodeId v : donor.Successors(u)) {
+          if (v < n) next.AddArc(u, v);
+        }
+      }
+      next.Finalize();
+      auto patched = closure->Patched(next, NeverFallBack());
       ExpectClosureOf(*patched, next);
       closure = std::move(patched);
     }
