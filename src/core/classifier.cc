@@ -286,7 +286,6 @@ Classification RefreshClassification(const Classification& base,
       stats->patched_nodes = g.nodes.NumNodes();
     }
     ClassificationOptions copts;
-    copts.engine = graph::ClosureEngine::kDynamic;
     copts.threads = options.threads;
     return Classify(tbox, vocab, copts);
   };

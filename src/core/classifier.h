@@ -178,8 +178,8 @@ struct RefreshOptions {
 /// Telemetry from `RefreshClassification`, fed into `snapshot.delta_*`.
 struct RefreshStats {
   /// True when the refresh degenerated to a from-scratch classification —
-  /// node-id layout changed (vocabulary grew), the base closure is not
-  /// patchable, or the delta exceeded the fallback fraction.
+  /// node-id layout changed (vocabulary grew), the base closure was built
+  /// by the `kBfs` engine, or the delta exceeded the fallback fraction.
   bool fell_back_scratch = false;
   /// Nodes inside re-derived components of the patched closure; every
   /// node when the refresh fell back to scratch.
@@ -193,10 +193,10 @@ struct RefreshStats {
 /// `graph::DynamicClosure::Patched` — additions by re-deriving from the
 /// changed arcs' frontiers, removals DRed-style over the SCC condensation —
 /// re-wraps the transposed digraph in an on-demand view, and re-runs
-/// `computeUnsat`. Falls back to `Classify` (with the dynamic engine, so the
-/// result stays patchable) when node ids shifted, the base is not
-/// patchable, or the delta is too large. The result is always identical
-/// to a from-scratch `Classify` of `tbox`.
+/// `computeUnsat`. Every base built with the SCC engine (the default) is
+/// patchable. Falls back to a default `Classify` when node ids shifted, the
+/// base was built with the `kBfs` engine, or the delta is too large. The
+/// result is always identical to a from-scratch `Classify` of `tbox`.
 Classification RefreshClassification(const Classification& base,
                                      const dllite::TBox& tbox,
                                      const dllite::Vocabulary& vocab,

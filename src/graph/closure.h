@@ -41,28 +41,21 @@ class TransitiveClosure {
 /// Closure algorithm selector, used by benchmarks to ablate the choice.
 enum class ClosureEngine {
   /// One BFS per source node over the raw adjacency lists. Simple baseline
-  /// and the tests' oracle: it shares no code with the SCC engines.
+  /// and the tests' oracle: it shares no code with the SCC engine.
   kBfs,
-  /// Tarjan SCC condensation + reverse-topological merge of sorted
-  /// per-component reach vectors by the shared kernel
-  /// (graph/reach_merge.h), which skips successors already covered by
-  /// another. Memory proportional to the condensed closure; the production
-  /// engine.
+  /// The production engine (graph::DynamicClosure): Tarjan SCC condensation
+  /// + reverse-topological merge of sorted per-component reach vectors by
+  /// the kernel in graph/reach_merge.h, which skips successors already
+  /// covered by another. Memory proportional to the condensed closure. The
+  /// result is patchable: `DynamicClosure::Patched` re-derives only what an
+  /// arc delta can change.
   kSccMerge,
-  /// Tarjan SCC condensation + per-component bitsets with word-parallel
-  /// union. Fastest on small dense closures (DOLCE-, Galen-like), slow on
-  /// large sparse ones (FMA-like), O(V^2/64) memory.
-  kSccBitset,
-  /// Patchable SCC closure (graph/dynamic_closure.h): the same merge kernel
-  /// in node-id space, with reach vectors shared across `Patched()`
-  /// generations for incremental maintenance under arc deltas. Serial
-  /// construction, ignores the pool; pick it when the closure will be
-  /// refreshed under ontology churn.
-  kDynamic,
+  /// Alias of `kSccMerge`, kept for callers that ask for a patchable
+  /// closure by name: every SCC closure is patchable.
+  kDynamic = kSccMerge,
 };
 
-/// Returns the canonical name of `engine` ("bfs", "scc_merge",
-/// "scc_bitset", "dynamic").
+/// Returns the canonical name of `engine` ("bfs", "scc_merge").
 const char* ClosureEngineName(ClosureEngine engine);
 
 /// Computes the transitive closure of `g` with the chosen engine.
@@ -70,9 +63,8 @@ const char* ClosureEngineName(ClosureEngine engine);
 ///
 /// When `pool` is non-null and wider than one thread, construction is
 /// parallelised: per-source BFS for the `bfs` engine, level-synchronous
-/// propagation over the condensation DAG for `scc_merge` and `scc_bitset`
-/// (`dynamic` builds serially). The result is bit-identical to the serial
-/// computation at every pool width.
+/// propagation over the condensation DAG for `scc_merge`. The result is
+/// bit-identical to the serial computation at every pool width.
 std::unique_ptr<TransitiveClosure> ComputeClosure(const Digraph& g,
                                                   ClosureEngine engine,
                                                   ThreadPool* pool = nullptr);

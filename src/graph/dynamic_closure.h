@@ -2,35 +2,49 @@
 #define OLITE_GRAPH_DYNAMIC_CLOSURE_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/exec_budget.h"
 #include "graph/closure.h"
 #include "graph/digraph.h"
 #include "graph/reach_merge.h"
 #include "graph/scc.h"
 
+namespace olite {
+class ThreadPool;
+}
+
 namespace olite::graph {
 
-/// Transitive closure that supports *incremental maintenance* under arc
-/// additions and removals, in the over-delete/re-derive (DRed) style over
-/// the SCC condensation.
+/// The SCC closure engine (`ClosureEngine::kSccMerge`): Tarjan
+/// condensation plus one sorted reach vector per component, built by the
+/// shared merge kernel (graph/reach_merge.h), and patchable under arc
+/// deltas in the over-delete/re-derive (DRed) style.
 ///
 /// Representation: Tarjan SCCs of the stored graph plus, per component, the
-/// set of nodes *strictly downstream* of it (successor components'
-/// members), kept in **node-id space** as an immutable shared vector. Node
-/// ids are stable across patches even though component ids are not, so a
-/// patched closure shares the reach vectors of every component whose
-/// answer set provably did not change — zero copying for the untouched
-/// bulk of the graph.
+/// sorted **representatives** of the components strictly downstream of it,
+/// where a component's representative is its smallest member. A
+/// representative is a node id, and node ids are stable across patches
+/// even though component ids are not: a component that keeps its exact
+/// member set keeps its representative. So a patched closure shares the
+/// reach vector of every component whose answer set provably did not
+/// change, with zero copying for the untouched bulk of the graph.
+///
+/// Construction is serial, or level-parallel on a pool: the components of
+/// one longest-path level of the condensation cannot reach each other, so
+/// they merge concurrently with one `ReachMerger` per pool shard. The
+/// result is identical at every width. The build polls its budget once per
+/// component.
 ///
 /// `Patched(next)` builds the closure of `next` from this one:
 ///   1. fresh Tarjan over `next` (linear — the condensation is cheap; the
 ///      quadratic-ish part worth preserving is the reach sets);
 ///   2. seed *dirty* components: membership changed vs. the old SCCs, or
-///      the sorted successor list of any member differs between the two
-///      graphs (this covers both added and removed arcs — the DRed
-///      over-deletion frontier);
+///      the successor list of any member differs between the two graphs
+///      (this covers both added and removed arcs — the DRed over-deletion
+///      frontier);
 ///   3. propagate dirtiness upstream in one ascending-id sweep (component
 ///      ids are reverse-topological: successors have smaller ids);
 ///   4. clean components alias the old reach vector; dirty ones re-merge
@@ -43,7 +57,9 @@ namespace olite::graph {
 /// changed arc is preceded only by arcs present in both graphs, so the
 /// path's source reaches that arc's tail in *both* graphs and is marked
 /// dirty by step 3. Hence a clean component's reachable set is identical
-/// in the old and new graphs, in both directions of the delta.
+/// in the old and new graphs, in both directions of the delta, and every
+/// component downstream of it is clean, so the representatives in its
+/// aliased vector name components of the new closure.
 class DynamicClosure : public TransitiveClosure {
  public:
   struct PatchOptions {
@@ -61,19 +77,26 @@ class DynamicClosure : public TransitiveClosure {
     uint64_t dirty_components = 0;
   };
 
-  /// From-scratch construction (copies and finalizes `g`).
-  explicit DynamicClosure(const Digraph& g);
+  /// From-scratch construction (copies `g`'s arcs for later patches).
+  /// Level-parallel when `pool` is wider than one thread. Stops early, with
+  /// `aborted()` set, once `budget` is exhausted; the caller must then
+  /// discard the half-built closure.
+  explicit DynamicClosure(const Digraph& g, ThreadPool* pool = nullptr,
+                          const ExecBudget* budget = nullptr);
+
+  /// True when the budget stopped construction.
+  bool aborted() const { return aborted_; }
 
   // -- TransitiveClosure ----------------------------------------------------
   bool Reaches(NodeId from, NodeId to) const override;
   std::vector<NodeId> ReachableFrom(NodeId from) const override;
-  uint64_t NumClosureArcs() const override;
-  std::string EngineName() const override { return "dynamic"; }
+  uint64_t NumClosureArcs() const override { return num_arcs_; }
+  std::string EngineName() const override { return "scc_merge"; }
 
   /// Closure of `next`, reusing every provably-unchanged reach vector of
-  /// this closure. `next` may grow or shrink the node set; existing node
-  /// ids must keep their meaning (callers with id-shifting vocabularies
-  /// must rebuild from scratch instead).
+  /// this closure. Serial. `next` may grow or shrink the node set; existing
+  /// node ids must keep their meaning (callers with id-shifting
+  /// vocabularies must rebuild from scratch instead).
   std::unique_ptr<DynamicClosure> Patched(const Digraph& next,
                                           const PatchOptions& options,
                                           PatchStats* stats = nullptr) const;
@@ -81,24 +104,54 @@ class DynamicClosure : public TransitiveClosure {
     return Patched(next, PatchOptions());
   }
 
-  const Digraph& graph() const { return graph_; }
-  const SccResult& scc() const { return scc_; }
-
  private:
+  /// Sorted representatives of the components strictly downstream of one
+  /// component, and the number of nodes those components hold. Immutable
+  /// once built; aliased by every later generation in which the component
+  /// stays clean.
+  struct Reach {
+    std::shared_ptr<const NodeId[]> ids;  ///< null when empty
+    NodeId num_ids = 0;
+    uint64_t num_nodes = 0;
+
+    const NodeId* begin() const { return ids.get(); }
+    const NodeId* end() const { return ids.get() + num_ids; }
+  };
+
+  /// Compressed adjacency lists: `ids[offsets[u], offsets[u + 1])` are the
+  /// successors of node (or component) `u`.
+  struct Csr {
+    std::vector<size_t> offsets{0};
+    std::vector<NodeId> ids;
+
+    NodeId NumRows() const { return static_cast<NodeId>(offsets.size() - 1); }
+    std::span<const NodeId> Row(NodeId u) const {
+      return {ids.data() + offsets[u], ids.data() + offsets[u + 1]};
+    }
+  };
+
   DynamicClosure() = default;
 
-  /// Re-merges component `c`'s downstream reach from its successors.
-  void MergeComponent(NodeId c, ReachMerger* merger);
+  /// Copies `g`'s arcs into this fresh closure and computes its SCCs;
+  /// returns the condensation DAG, deduplicated, as each component's
+  /// successor representatives in ascending component id (the kernel's
+  /// visiting order).
+  Csr Condense(const Digraph& g);
+  NodeId RepOf(NodeId c) const { return scc_.members[c].front(); }
+  /// Groups components by longest-path depth in the condensation `dag`.
+  /// All of a component's successors sit in strictly earlier levels, so
+  /// the components of one level can merge concurrently once every earlier
+  /// level is final. Levels (and each level) ascend by id.
+  std::vector<std::vector<NodeId>> Levels(const Csr& dag) const;
+  /// Merges component `c`'s downstream reach from its successors.
+  void MergeComponent(NodeId c, const Csr& dag, ReachMerger* merger);
   void FinalizeArcCount();
 
-  Digraph graph_;  ///< finalized copy of the underlying graph
+  Csr arcs_;  ///< the underlying graph's successor lists, as given
   SccResult scc_;
-  Digraph dag_;  ///< condensation of graph_ under scc_
-  /// Per component: node ids strictly downstream (members of all reachable
-  /// successor components), sorted ascending, excluding the component's
-  /// own members. Shared by aliasing across patched generations.
-  std::vector<std::shared_ptr<const std::vector<NodeId>>> reach_;
+  std::vector<Reach> reach_;  ///< per component
   uint64_t num_arcs_ = 0;
+  bool aborted_ = false;
 };
 
 }  // namespace olite::graph

@@ -3,37 +3,39 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/digraph.h"
 
 namespace olite::graph {
 
-/// The reach-merge kernel shared by the SCC closure engines.
+/// The reach-merge kernel of the SCC closure engine.
 ///
 /// Over a condensation DAG numbered in reverse topological order (every
 /// successor of component `c` has a smaller id), the downstream set of `c`
 /// is
 ///
-///     reach(c) = ∪ { own(d) ∪ reach(d) : d ∈ succ(c) }
+///     reach(c) = ∪ { {s} ∪ reach(s) : s ∈ succ(c) }
 ///
-/// where `own(d)` is what `d` contributes itself: `{d}` in component-id
-/// space (`scc_merge`), `d`'s members in node-id space (`dynamic`). Every
-/// set is a sorted vector of ids below `universe`; `own(d)` is sorted and,
-/// like every reach set, a union of whole components.
+/// where each successor `s` is named by one id (the engine uses the
+/// successor component's representative node). Every set is a sorted
+/// vector of ids below `universe`.
 ///
 /// Instead of concatenating every successor's list and sorting the lot:
-///   1. The largest successor `d0` contributes `reach(d0)` merged with
-///      `own(d0)`, two sorted lists. With one successor that is the answer:
-///      no stamps, no sort.
-///   2. The other successors are visited in descending id. A successor
-///      reachable from another successor has the smaller id, so it is
-///      visited later and its ids are stamped by then: it is skipped without
-///      reading its reach list (on-the-fly transitive reduction, as in
-///      Goralčíková & Koubek 1979).
+///   1. The last successor `s0` (the largest component id) contributes
+///      `reach(s0)`, the head, which is never copied into scratch space.
+///      With one successor the answer is the head plus `s0`: no stamps.
+///   2. The other successors are visited back to front, in descending
+///      component id. A successor reachable from another successor has the
+///      smaller id, so it is visited later and its id is stamped by then:
+///      it is skipped without reading its reach list (on-the-fly
+///      transitive reduction, as in Goralčíková & Koubek 1979). The order
+///      only decides how much is skipped; any order gives the same set.
 ///   3. The survivors' ids are deduplicated against a stamp array (stamp
 ///      `c + 1`, so the array is never cleared within one build); only these
-///      distinct ids are sorted, then merged into the sorted head.
+///      distinct ids, `added()`, are sorted. `CopyTo` merges them with the
+///      head straight into the caller's storage, in one pass.
 ///
 /// One merger serves one thread: the level-parallel build keeps one per pool
 /// shard. Each component is merged at most once per merger.
@@ -41,66 +43,51 @@ class ReachMerger {
  public:
   explicit ReachMerger(NodeId universe) : stamp_(universe, 0) {}
 
-  /// Writes reach(c) to `out`. `succs` are c's successors, ascending;
-  /// `reach_of(d)` and `own_of(d)` return sorted id ranges for a successor.
-  template <typename ReachOf, typename OwnOf>
-  void Merge(NodeId c, const std::vector<NodeId>& succs, ReachOf&& reach_of,
-             OwnOf&& own_of, std::vector<NodeId>* out) {
-    out->clear();
-    if (succs.empty()) return;
-    auto d = succs.rbegin();
-    AssignSorted(reach_of(*d), own_of(*d), out);
-    if (succs.size() == 1) return;
-
-    const uint32_t tag = c + 1;
-    for (NodeId x : *out) stamp_[x] = tag;
-    tail_.clear();
-    for (++d; d != succs.rend(); ++d) {
-      const auto& own = own_of(*d);
-      if (stamp_[own.front()] == tag) continue;  // covered by a survivor
-      for (NodeId v : own) {
-        stamp_[v] = tag;
-        tail_.push_back(v);
-      }
-      for (NodeId x : reach_of(*d)) {
-        if (stamp_[x] != tag) {
-          stamp_[x] = tag;
-          tail_.push_back(x);
+  /// Computes reach(c) and returns its size; `CopyTo` then writes it.
+  /// `succs` names c's successors in ascending component id; `reach_of(s)`
+  /// returns the sorted reach of successor `s`, which must stay valid until
+  /// `CopyTo`. Then reach(c) = reach_of(succs.back()) ∪ added().
+  template <typename ReachOf>
+  size_t Merge(NodeId c, std::span<const NodeId> succs, ReachOf&& reach_of) {
+    head_ = {};
+    added_.clear();
+    if (succs.empty()) return 0;
+    auto s = succs.rbegin();
+    const auto& head = reach_of(*s);
+    head_ = {head.begin(), head.end()};
+    added_.push_back(*s);
+    if (succs.size() > 1) {
+      const uint32_t tag = c + 1;
+      stamp_[*s] = tag;
+      for (NodeId x : head_) stamp_[x] = tag;
+      for (++s; s != succs.rend(); ++s) {
+        if (stamp_[*s] == tag) continue;  // covered by a survivor
+        stamp_[*s] = tag;
+        added_.push_back(*s);
+        for (NodeId x : reach_of(*s)) {
+          if (stamp_[x] != tag) {
+            stamp_[x] = tag;
+            added_.push_back(x);
+          }
         }
       }
+      std::sort(added_.begin(), added_.end());
     }
-    if (tail_.empty()) return;
-    std::sort(tail_.begin(), tail_.end());
-    // Merge the tail in from the back: the two runs are disjoint.
-    size_t i = out->size();
-    size_t j = tail_.size();
-    out->reserve(i + j);  // exact: reach sets are kept for the closure's life
-    out->resize(i + j);
-    for (size_t k = i + j; j > 0;) {
-      if (i > 0 && (*out)[i - 1] > tail_[j - 1]) {
-        (*out)[--k] = (*out)[--i];
-      } else {
-        (*out)[--k] = tail_[--j];
-      }
-    }
+    return head_.size() + added_.size();
+  }
+
+  /// The ids of the last result that are not in its head, ascending.
+  std::span<const NodeId> added() const { return added_; }
+
+  /// Writes the last result, ascending, to `out[0, size)`.
+  void CopyTo(NodeId* out) const {
+    std::merge(head_.begin(), head_.end(), added_.begin(), added_.end(), out);
   }
 
  private:
-  // `out` = the sorted union of the disjoint sorted ranges `a` and `b`.
-  template <typename A, typename B>
-  static void AssignSorted(const A& a, const B& b, std::vector<NodeId>* out) {
-    out->reserve(a.size() + b.size());
-    if (a.empty() || b.empty() || a.back() < b.front()) {
-      out->assign(a.begin(), a.end());
-      out->insert(out->end(), b.begin(), b.end());
-    } else {
-      out->resize(a.size() + b.size());
-      std::merge(a.begin(), a.end(), b.begin(), b.end(), out->begin());
-    }
-  }
-
   std::vector<uint32_t> stamp_;
-  std::vector<NodeId> tail_;
+  std::span<const NodeId> head_;
+  std::vector<NodeId> added_;
 };
 
 }  // namespace olite::graph

@@ -80,17 +80,4 @@ SccResult ComputeScc(const Digraph& g) {
   return result;
 }
 
-Digraph BuildCondensation(const Digraph& g, const SccResult& scc) {
-  Digraph dag(scc.NumComponents());
-  for (NodeId u = 0; u < g.NumNodes(); ++u) {
-    NodeId cu = scc.component_of[u];
-    for (NodeId v : g.Successors(u)) {
-      NodeId cv = scc.component_of[v];
-      if (cu != cv) dag.AddArc(cu, cv);
-    }
-  }
-  dag.Finalize();
-  return dag;
-}
-
 }  // namespace olite::graph

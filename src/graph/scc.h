@@ -30,10 +30,6 @@ struct SccResult {
 /// 100k-node taxonomies the benchmarks generate).
 SccResult ComputeScc(const Digraph& g);
 
-/// Condensation DAG of `g` under `scc`: one node per component, arcs
-/// deduplicated, no self-loops.
-Digraph BuildCondensation(const Digraph& g, const SccResult& scc);
-
 }  // namespace olite::graph
 
 #endif  // OLITE_GRAPH_SCC_H_

@@ -8,7 +8,6 @@
 #include "common/fault_injection.h"
 #include "common/hash.h"
 #include "core/tbox_graph.h"
-#include "graph/closure.h"
 
 namespace olite::obda {
 
@@ -290,13 +289,8 @@ Result<std::shared_ptr<const CompiledOntology>> CompiledOntology::Compile(
       SourceConstraints::Infer(co->mappings_, *co->database_, *co->db_stats_,
                                copts));
   if (mode == query::RewriteMode::kClassified) {
-    // The dynamic closure engine is the one `RefreshClassification` can
-    // patch in place. From scratch it costs more than the default: 15 vs
-    // 4 ms on Galen's twin at scale 0.25 (Release, 4-vCPU Xeon VM).
-    core::ClassificationOptions clopts;
-    clopts.engine = graph::ClosureEngine::kDynamic;
     co->classification_ = std::make_shared<const core::Classification>(
-        core::Classify(co->ontology_.tbox(), co->ontology_.vocab(), clopts));
+        core::Classify(co->ontology_.tbox(), co->ontology_.vocab()));
   }
   co->BuildRewriters();
   co->ComputeFingerprints();

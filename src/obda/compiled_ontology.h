@@ -115,9 +115,9 @@ class CompiledOntology {
   /// rewrite→minimize→unfold pipeline.
   const SourceConstraints& constraints() const { return *constraints_; }
 
-  /// The TBox classification backing kClassified rewriting, built with
-  /// the *dynamic* (incrementally patchable) closure engine. Null in
-  /// kPerfectRef mode, which never classifies.
+  /// The TBox classification backing kClassified rewriting; its closure
+  /// is patched in place by `Refresh`. Null in kPerfectRef mode, which
+  /// never classifies.
   const core::Classification* classification() const {
     return classification_.get();
   }

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
+#include <string>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -121,12 +123,29 @@ TEST(TBoxGraphTest, NegativeInclusionsGoToSideIndex) {
 // Φ_T: subsumptions from positive inclusions (Theorem 1)
 // ---------------------------------------------------------------------------
 
-class ClassifyEngineTest
-    : public ::testing::TestWithParam<graph::ClosureEngine> {
+// One closure engine at one execution width: width 1 is the exact serial
+// path, width 4 builds the closure on a pool.
+struct EngineAtWidth {
+  graph::ClosureEngine engine;
+  unsigned threads;
+};
+
+std::string EngineAtWidthName(const EngineAtWidth& p) {
+  std::string name = graph::ClosureEngineName(p.engine);
+  if (p.threads > 1) name += "_w" + std::to_string(p.threads);
+  return name;
+}
+
+void PrintTo(const EngineAtWidth& p, std::ostream* os) {
+  *os << EngineAtWidthName(p);
+}
+
+class ClassifyEngineTest : public ::testing::TestWithParam<EngineAtWidth> {
  protected:
   ClassificationOptions Opts() const {
     ClassificationOptions o;
-    o.engine = GetParam();
+    o.engine = GetParam().engine;
+    o.threads = GetParam().threads;
     return o;
   }
 };
@@ -393,13 +412,13 @@ TEST_P(ClassifyEngineTest, CountNamedSubsumptions) {
   EXPECT_EQ(cls.CountNamedSubsumptions(), 4u);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllEngines, ClassifyEngineTest,
-                         ::testing::Values(graph::ClosureEngine::kBfs,
-                                           graph::ClosureEngine::kSccMerge,
-                                           graph::ClosureEngine::kSccBitset),
-                         [](const auto& pinfo) {
-                           return graph::ClosureEngineName(pinfo.param);
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    AllEngines, ClassifyEngineTest,
+    ::testing::Values(EngineAtWidth{graph::ClosureEngine::kBfs, 1},
+                      EngineAtWidth{graph::ClosureEngine::kSccMerge, 1},
+                      EngineAtWidth{graph::ClosureEngine::kBfs, 4},
+                      EngineAtWidth{graph::ClosureEngine::kSccMerge, 4}),
+    [](const auto& pinfo) { return EngineAtWidthName(pinfo.param); });
 
 // ---------------------------------------------------------------------------
 // Deductive closure
@@ -508,8 +527,7 @@ dllite::Ontology RandomOntology(uint64_t seed) {
 
 TEST(ClassifierParallelTest, IdenticalResultsAtEveryWidth) {
   const graph::ClosureEngine kEngines[] = {graph::ClosureEngine::kBfs,
-                                           graph::ClosureEngine::kSccMerge,
-                                           graph::ClosureEngine::kSccBitset};
+                                           graph::ClosureEngine::kSccMerge};
   for (uint64_t seed = 1; seed <= 4; ++seed) {
     dllite::Ontology onto = RandomOntology(seed);
     for (graph::ClosureEngine engine : kEngines) {
@@ -598,13 +616,6 @@ void ExpectSameClassification(const Classification& got,
   EXPECT_EQ(got.CountNamedSubsumptions(), want.CountNamedSubsumptions());
 }
 
-// A base classified with the dynamic engine, so the refresh can patch it.
-Classification DynamicClassify(const dllite::Ontology& onto) {
-  ClassificationOptions opts;
-  opts.engine = graph::ClosureEngine::kDynamic;
-  return Classify(onto.tbox(), onto.vocab(), opts);
-}
-
 RefreshOptions PatchAlways() {
   RefreshOptions o;
   o.fallback_fraction = 1.0;
@@ -615,7 +626,7 @@ TEST(RefreshClassificationTest, AdditionPatchesInPlace) {
   Ontology base = MustParse("concept A B C D\nrole P\nA <= B\nB <= C\n");
   Ontology next =
       MustParse("concept A B C D\nrole P\nA <= B\nB <= C\nC <= D\n");
-  Classification cls = DynamicClassify(base);
+  Classification cls = Classify(base.tbox(), base.vocab());
 
   RefreshStats stats;
   Classification refreshed = RefreshClassification(
@@ -632,7 +643,7 @@ TEST(RefreshClassificationTest, RemovalDropsStaleSubsumptions) {
   Ontology base =
       MustParse("concept A B C D\nrole P\nA <= B\nB <= C\nC <= D\n");
   Ontology next = MustParse("concept A B C D\nrole P\nA <= B\nC <= D\n");
-  Classification cls = DynamicClassify(base);
+  Classification cls = Classify(base.tbox(), base.vocab());
 
   RefreshStats stats;
   Classification refreshed = RefreshClassification(
@@ -649,7 +660,7 @@ TEST(RefreshClassificationTest, RemovalRepairsUnsatisfiability) {
   Ontology base =
       MustParse("concept A B C\nA <= B\nA <= C\nB <= not C\n");
   Ontology next = MustParse("concept A B C\nA <= B\nB <= not C\n");
-  Classification cls = DynamicClassify(base);
+  Classification cls = Classify(base.tbox(), base.vocab());
   ASSERT_EQ(cls.UnsatisfiableConcepts(),
             (std::vector<dllite::ConceptId>{0}));
 
@@ -667,7 +678,7 @@ TEST(RefreshClassificationTest, CycleEditsStayExact) {
       MustParse("concept A B C D\nA <= B\nB <= C\nC <= A\nC <= D\n");
   Ontology next =
       MustParse("concept A B C D\nA <= B\nC <= A\nC <= D\n");
-  Classification cls = DynamicClassify(base);
+  Classification cls = Classify(base.tbox(), base.vocab());
   ASSERT_EQ(cls.SuperConcepts(0), (std::vector<dllite::ConceptId>{1, 2, 3}));
 
   RefreshStats stats;
@@ -683,7 +694,7 @@ TEST(RefreshClassificationTest, LayoutShiftFallsBackToScratch) {
   // One more concept: every role/attribute node id would shift, so the
   // refresh must not attempt a patch.
   Ontology next = MustParse("concept A B C\nA <= B\nB <= C\n");
-  Classification cls = DynamicClassify(base);
+  Classification cls = Classify(base.tbox(), base.vocab());
 
   RefreshStats stats;
   Classification refreshed = RefreshClassification(
@@ -697,7 +708,7 @@ TEST(RefreshClassificationTest, VocabularyGrowthReportsEveryNodePatched) {
   // fraction, it re-derives every node and must report them all.
   Ontology base = MustParse("concept A B\nrole P\nA <= B\n");
   Ontology next = MustParse("concept A B C\nrole P Q\nA <= B\nB <= C\n");
-  Classification cls = DynamicClassify(base);
+  Classification cls = Classify(base.tbox(), base.vocab());
 
   RefreshStats stats;
   Classification refreshed = RefreshClassification(
@@ -709,12 +720,28 @@ TEST(RefreshClassificationTest, VocabularyGrowthReportsEveryNodePatched) {
   ExpectSameClassification(refreshed, next);
 }
 
+TEST(RefreshClassificationTest, DefaultClassifyBaseIsPatched) {
+  Ontology base = MustParse("concept A B C D E\nA <= B\nB <= C\n");
+  Ontology next = MustParse("concept A B C D E\nA <= B\nB <= C\nD <= E\n");
+  // Default options: the one SCC engine, whose closure is patchable.
+  Classification cls = Classify(base.tbox(), base.vocab());
+
+  RefreshStats stats;
+  Classification refreshed =
+      RefreshClassification(cls, next.tbox(), next.vocab(), {}, &stats);
+  EXPECT_FALSE(stats.fell_back_scratch);
+  EXPECT_GT(stats.reused_components, 0u);
+  ExpectSameClassification(refreshed, next);
+}
+
 TEST(RefreshClassificationTest, NonPatchableBaseFallsBackToScratch) {
   Ontology base = MustParse("concept A B C\nA <= B\n");
   Ontology next = MustParse("concept A B C\nA <= B\nB <= C\n");
-  // Default engine: the base closure is not a DynamicClosure, so the
-  // refresh cannot patch it.
-  Classification cls = Classify(base.tbox(), base.vocab());
+  // The BFS engine's closure is not a DynamicClosure, so the refresh
+  // cannot patch it.
+  ClassificationOptions bfs;
+  bfs.engine = graph::ClosureEngine::kBfs;
+  Classification cls = Classify(base.tbox(), base.vocab(), bfs);
 
   RefreshStats stats;
   Classification refreshed = RefreshClassification(
@@ -730,7 +757,7 @@ TEST(RefreshClassificationTest, LargeDeltaFallsBackByFraction) {
   // reasonable threshold, so the default options take the scratch path.
   Ontology next =
       MustParse("concept A B C D\nA <= B\nB <= C\nC <= D\nD <= A\n");
-  Classification cls = DynamicClassify(base);
+  Classification cls = Classify(base.tbox(), base.vocab());
 
   RefreshStats stats;
   RefreshOptions tight;
@@ -739,7 +766,7 @@ TEST(RefreshClassificationTest, LargeDeltaFallsBackByFraction) {
       cls, next.tbox(), next.vocab(), tight, &stats);
   EXPECT_TRUE(stats.fell_back_scratch);
   ExpectSameClassification(refreshed, next);
-  // The fallback classifies with the dynamic engine, so the *next* delta
+  // The fallback classifies with the default engine, so the *next* delta
   // can patch again.
   Ontology after =
       MustParse("concept A B C D\nA <= B\nB <= C\nC <= D\n");

@@ -1,12 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <memory>
+#include <ostream>
+#include <string>
 
+#include "common/exec_budget.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "graph/bitset.h"
 #include "graph/closure.h"
 #include "graph/digraph.h"
 #include "graph/dynamic_closure.h"
@@ -52,41 +53,6 @@ TEST(DigraphTest, ToDotMentionsNodesAndArcs) {
   EXPECT_NE(dot.find("\"A\" -> \"B\""), std::string::npos);
 }
 
-TEST(BitsetTest, SetTestClear) {
-  DynamicBitset b(130);
-  EXPECT_FALSE(b.Test(0));
-  b.Set(0);
-  b.Set(64);
-  b.Set(129);
-  EXPECT_TRUE(b.Test(0));
-  EXPECT_TRUE(b.Test(64));
-  EXPECT_TRUE(b.Test(129));
-  EXPECT_EQ(b.Count(), 3u);
-  b.Clear(64);
-  EXPECT_FALSE(b.Test(64));
-  EXPECT_EQ(b.Count(), 2u);
-}
-
-TEST(BitsetTest, OrWithUnions) {
-  DynamicBitset a(100), b(100);
-  a.Set(3);
-  b.Set(70);
-  a.OrWith(b);
-  EXPECT_TRUE(a.Test(3));
-  EXPECT_TRUE(a.Test(70));
-}
-
-TEST(BitsetTest, ForEachSetAscending) {
-  DynamicBitset b(200);
-  b.Set(5);
-  b.Set(63);
-  b.Set(64);
-  b.Set(199);
-  std::vector<size_t> seen;
-  b.ForEachSet([&](size_t i) { seen.push_back(i); });
-  EXPECT_EQ(seen, (std::vector<size_t>{5, 63, 64, 199}));
-}
-
 TEST(SccTest, ChainIsAllSingletons) {
   Digraph g(4);
   g.AddArc(0, 1);
@@ -128,26 +94,8 @@ TEST(SccTest, SelfLoopIsCyclic) {
   EXPECT_FALSE(scc.cyclic[scc.component_of[1]]);
 }
 
-TEST(SccTest, CondensationIsAcyclicAndDeduplicated) {
-  Digraph g(4);
-  g.AddArc(0, 1);
-  g.AddArc(1, 0);
-  g.AddArc(0, 2);
-  g.AddArc(1, 2);
-  g.AddArc(2, 3);
-  g.Finalize();
-  SccResult scc = ComputeScc(g);
-  Digraph dag = BuildCondensation(g, scc);
-  EXPECT_EQ(dag.NumNodes(), 3u);
-  // The two arcs {0,1}→2 collapse to one.
-  NodeId c01 = scc.component_of[0];
-  NodeId c2 = scc.component_of[2];
-  EXPECT_TRUE(dag.HasArc(c01, c2));
-  EXPECT_EQ(dag.Successors(c01).size(), 1u);
-}
-
 // ---------------------------------------------------------------------------
-// Closure engines: identical semantics across all four implementations.
+// Closure engines: identical semantics across both implementations.
 // ---------------------------------------------------------------------------
 
 // Random digraphs shaped so that the reach-merge kernel's shortcuts fire:
@@ -221,6 +169,13 @@ void ExpectSameClosure(const TransitiveClosure& got,
   }
 }
 
+// The merger's last result, written out.
+std::vector<NodeId> Written(const ReachMerger& merger, size_t size) {
+  std::vector<NodeId> out(size);
+  merger.CopyTo(out.data());
+  return out;
+}
+
 TEST(ReachMergerTest, SkipsCoveredSuccessorsUnread) {
   // Component space over c3 -> {c0, c1, c2}, where c2 -> c1 -> c0: c1 and c0
   // are covered by c2, so only c2's reach list is read.
@@ -230,34 +185,69 @@ TEST(ReachMergerTest, SkipsCoveredSuccessorsUnread) {
     read.push_back(d);
     return reach[d];
   };
-  auto own_of = [](NodeId d) { return std::array<NodeId, 1>{d}; };
   ReachMerger merger(4);
-  std::vector<NodeId> out;
-  merger.Merge(3, {0, 1, 2}, reach_of, own_of, &out);
-  EXPECT_EQ(out, (std::vector<NodeId>{0, 1, 2}));
+  const std::vector<NodeId> succs = {0, 1, 2};
+  const size_t size = merger.Merge(3, succs, reach_of);
+  EXPECT_EQ(Written(merger, size), (std::vector<NodeId>{0, 1, 2}));
   EXPECT_EQ(read, (std::vector<NodeId>{2}));
+  // Only the head successor's own id is new beyond its reach.
+  EXPECT_EQ(std::vector<NodeId>(merger.added().begin(), merger.added().end()),
+            (std::vector<NodeId>{2}));
 }
 
-TEST(ReachMergerTest, MergesSurvivorsAndOwnMembersInNodeSpace) {
-  // Node space: successor d=1 owns {2, 7} and reaches {4}; d=0 owns {1, 5}
-  // and reaches {3, 4}. Neither covers the other: both are read, and the
-  // union comes out sorted and deduplicated.
-  const std::vector<std::vector<NodeId>> reach = {{3, 4}, {4}};
-  const std::vector<std::vector<NodeId>> own = {{1, 5}, {2, 7}};
-  auto reach_of = [&](NodeId d) -> const std::vector<NodeId>& {
-    return reach[d];
+TEST(ReachMergerTest, MergesSurvivorsSortedAndDeduplicated) {
+  // Successors named by representative ids, in the kernel's visiting order
+  // (back to front): 7 reaches {1, 4}; 2 reaches {4, 5}. Neither covers the
+  // other: both are read, and the union with 2 and 7 themselves comes out
+  // sorted and deduplicated.
+  std::vector<std::vector<NodeId>> reach(8);
+  reach[7] = {1, 4};
+  reach[2] = {4, 5};
+  auto reach_of = [&](NodeId s) -> const std::vector<NodeId>& {
+    return reach[s];
   };
-  auto own_of = [&](NodeId d) -> const std::vector<NodeId>& { return own[d]; };
   ReachMerger merger(8);
-  std::vector<NodeId> out;
-  merger.Merge(2, {0, 1}, reach_of, own_of, &out);
-  EXPECT_EQ(out, (std::vector<NodeId>{1, 2, 3, 4, 5, 7}));
-  // A single successor merges its two sorted lists without stamps.
-  merger.Merge(3, {1}, reach_of, own_of, &out);
-  EXPECT_EQ(out, (std::vector<NodeId>{2, 4, 7}));
+  const std::vector<NodeId> both = {2, 7};
+  size_t size = merger.Merge(0, both, reach_of);
+  EXPECT_EQ(Written(merger, size), (std::vector<NodeId>{1, 2, 4, 5, 7}));
+  // Beyond the head (7's reach): 2, 5 and 7 itself.
+  EXPECT_EQ(std::vector<NodeId>(merger.added().begin(), merger.added().end()),
+            (std::vector<NodeId>{2, 5, 7}));
+  // A single successor is inserted into its own reach without stamps.
+  const std::vector<NodeId> one = {2};
+  size = merger.Merge(1, one, reach_of);
+  EXPECT_EQ(Written(merger, size), (std::vector<NodeId>{2, 4, 5}));
+  // No successors: an empty reach.
+  EXPECT_EQ(merger.Merge(2, {}, reach_of), 0u);
 }
 
-class ClosureEngineTest : public ::testing::TestWithParam<ClosureEngine> {};
+// One engine at one pool width. Width 1 is the exact serial path; width 4
+// runs the same cases through the parallel builds (per-source BFS, and the
+// level-parallel SCC propagation).
+struct EngineAtWidth {
+  ClosureEngine engine;
+  unsigned threads;
+};
+
+std::string EngineAtWidthName(const EngineAtWidth& p) {
+  std::string name = ClosureEngineName(p.engine);
+  if (p.threads > 1) name += "_w" + std::to_string(p.threads);
+  return name;
+}
+
+void PrintTo(const EngineAtWidth& p, std::ostream* os) {
+  *os << EngineAtWidthName(p);
+}
+
+class ClosureEngineTest : public ::testing::TestWithParam<EngineAtWidth> {
+ protected:
+  std::unique_ptr<TransitiveClosure> Compute(const Digraph& g) {
+    return ComputeClosure(g, GetParam().engine, &pool_);
+  }
+
+ private:
+  ThreadPool pool_{GetParam().threads};
+};
 
 TEST_P(ClosureEngineTest, ChainReachability) {
   Digraph g(4);
@@ -265,7 +255,7 @@ TEST_P(ClosureEngineTest, ChainReachability) {
   g.AddArc(1, 2);
   g.AddArc(2, 3);
   g.Finalize();
-  auto c = ComputeClosure(g, GetParam());
+  auto c = Compute(g);
   EXPECT_TRUE(c->Reaches(0, 3));
   EXPECT_TRUE(c->Reaches(1, 3));
   EXPECT_FALSE(c->Reaches(3, 0));
@@ -280,7 +270,7 @@ TEST_P(ClosureEngineTest, CycleMembersReachThemselves) {
   g.AddArc(1, 0);
   g.AddArc(1, 2);
   g.Finalize();
-  auto c = ComputeClosure(g, GetParam());
+  auto c = Compute(g);
   EXPECT_TRUE(c->Reaches(0, 0));
   EXPECT_TRUE(c->Reaches(1, 1));
   EXPECT_FALSE(c->Reaches(2, 2));
@@ -292,7 +282,7 @@ TEST_P(ClosureEngineTest, SelfLoop) {
   Digraph g(2);
   g.AddArc(0, 0);
   g.Finalize();
-  auto c = ComputeClosure(g, GetParam());
+  auto c = Compute(g);
   EXPECT_TRUE(c->Reaches(0, 0));
   EXPECT_FALSE(c->Reaches(1, 1));
 }
@@ -304,7 +294,7 @@ TEST_P(ClosureEngineTest, DiamondDag) {
   g.AddArc(1, 3);
   g.AddArc(2, 3);
   g.Finalize();
-  auto c = ComputeClosure(g, GetParam());
+  auto c = Compute(g);
   EXPECT_EQ(c->ReachableFrom(0), (std::vector<NodeId>{1, 2, 3}));
   EXPECT_EQ(c->NumClosureArcs(), 5u);
 }
@@ -312,7 +302,7 @@ TEST_P(ClosureEngineTest, DiamondDag) {
 TEST_P(ClosureEngineTest, EmptyAndIsolated) {
   Digraph g(3);
   g.Finalize();
-  auto c = ComputeClosure(g, GetParam());
+  auto c = Compute(g);
   EXPECT_FALSE(c->Reaches(0, 1));
   EXPECT_TRUE(c->ReachableFrom(2).empty());
   EXPECT_EQ(c->NumClosureArcs(), 0u);
@@ -329,7 +319,7 @@ TEST_P(ClosureEngineTest, RandomGraphAgreesWithBfsOracle) {
     }
     g.Finalize();
     auto oracle = ComputeClosure(g, ClosureEngine::kBfs);
-    auto tested = ComputeClosure(g, GetParam());
+    auto tested = Compute(g);
     EXPECT_EQ(tested->NumClosureArcs(), oracle->NumClosureArcs());
     for (NodeId u = 0; u < n; ++u) {
       EXPECT_EQ(tested->ReachableFrom(u), oracle->ReachableFrom(u))
@@ -343,19 +333,18 @@ TEST_P(ClosureEngineTest, ShapedGraphsAgreeWithBfsOracle) {
   for (int trial = 0; trial < 30; ++trial) {
     const Digraph g = ShapedGraph(rng, trial % 3, trial % 2 == 1);
     auto oracle = ComputeClosure(g, ClosureEngine::kBfs);
-    auto tested = ComputeClosure(g, GetParam());
+    auto tested = Compute(g);
     ExpectSameClosure(*tested, *oracle, g.NumNodes());
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllEngines, ClosureEngineTest,
-                         ::testing::Values(ClosureEngine::kBfs,
-                                           ClosureEngine::kSccMerge,
-                                           ClosureEngine::kSccBitset,
-                                           ClosureEngine::kDynamic),
-                         [](const auto& pinfo) {
-                           return ClosureEngineName(pinfo.param);
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    AllEngines, ClosureEngineTest,
+    ::testing::Values(EngineAtWidth{ClosureEngine::kBfs, 1},
+                      EngineAtWidth{ClosureEngine::kSccMerge, 1},
+                      EngineAtWidth{ClosureEngine::kBfs, 4},
+                      EngineAtWidth{ClosureEngine::kSccMerge, 4}),
+    [](const auto& pinfo) { return EngineAtWidthName(pinfo.param); });
 
 // The on-demand view materialises nothing but must answer exactly like the
 // engines: path length >= 1, so only cycle members and self-loops reach
@@ -392,9 +381,8 @@ TEST(OnDemandClosureTest, RandomGraphAgreesWithBfsOracle) {
 // with the serial BFS oracle on random digraphs (including dense, cyclic
 // and near-empty shapes) and on the shaped graphs above.
 TEST(ClosureParallelTest, EnginesAgreeAtEveryWidthOnRandomGraphs) {
-  const ClosureEngine kEngines[] = {
-      ClosureEngine::kBfs, ClosureEngine::kSccMerge, ClosureEngine::kSccBitset,
-      ClosureEngine::kDynamic};
+  const ClosureEngine kEngines[] = {ClosureEngine::kBfs,
+                                    ClosureEngine::kSccMerge};
   const unsigned kWidths[] = {1, 2, 8};
   Rng rng(2013);
   for (int trial = 0; trial < 80; ++trial) {
@@ -438,9 +426,8 @@ TEST(ClosureParallelTest, EnginesAgreeAtEveryWidthOnRandomGraphs) {
 // which shares no merge code with either.
 void ExpectClosureOf(const DynamicClosure& got, const Digraph& next) {
   DynamicClosure want(next);
-  auto oracle = ComputeClosure(want.graph(), ClosureEngine::kBfs);
-  ASSERT_EQ(got.graph().NumNodes(), want.graph().NumNodes());
-  for (NodeId u = 0; u < want.graph().NumNodes(); ++u) {
+  auto oracle = ComputeClosure(next, ClosureEngine::kBfs);
+  for (NodeId u = 0; u < next.NumNodes(); ++u) {
     ASSERT_EQ(got.ReachableFrom(u), want.ReachableFrom(u)) << "from " << u;
     ASSERT_EQ(got.ReachableFrom(u), oracle->ReachableFrom(u)) << "from " << u;
   }
@@ -592,7 +579,7 @@ TEST(DynamicClosureTest, ChainedRandomPatchesAgreeWithScratch) {
     DynamicClosure::PatchOptions opts;
     opts.fallback_fraction = fraction;
     for (int step = 0; step < 30; ++step) {
-      Digraph next = closure->graph();
+      Digraph next = g;
       if (rng.Uniform(2) == 0 && next.NumArcs() > 0) {
         // Remove one arc: rebuild without the chosen one.
         const uint64_t victim = rng.Uniform(next.NumArcs());
@@ -612,6 +599,7 @@ TEST(DynamicClosureTest, ChainedRandomPatchesAgreeWithScratch) {
       auto patched = closure->Patched(next, opts);
       ExpectClosureOf(*patched, next);
       closure = std::move(patched);
+      g = std::move(next);
     }
   }
 }
@@ -625,7 +613,7 @@ TEST(DynamicClosureTest, ShapedPatchesAgreeWithBfsOracle) {
     Digraph g = ShapedGraph(rng, shape, /*cyclic=*/false);
     auto closure = std::make_unique<DynamicClosure>(g);
     for (int step = 0; step < 10; ++step) {
-      Digraph next = closure->graph();
+      Digraph next = g;
       // Add a handful of arcs taken from another shape over the same nodes.
       const Digraph donor = ShapedGraph(rng, (shape + step) % 3, step % 2 == 1);
       const NodeId n = next.NumNodes();
@@ -638,6 +626,69 @@ TEST(DynamicClosureTest, ShapedPatchesAgreeWithBfsOracle) {
       auto patched = closure->Patched(next, NeverFallBack());
       ExpectClosureOf(*patched, next);
       closure = std::move(patched);
+      g = std::move(next);
+    }
+  }
+}
+
+TEST(DynamicClosureTest, PoolBuiltClosurePatchesThroughShapedDeltas) {
+  // A closure built level-parallel on a 4-wide pool is as patchable as a
+  // serial one: 40 random deltas (arcs added from a fresh shaped donor,
+  // arcs dropped at random), each checked all-pairs against the BFS
+  // oracle, alternately under the default fallback fraction and with
+  // fallback off.
+  Rng rng(0xC4A1);
+  ThreadPool pool(4);
+  Digraph g = ShapedGraph(rng, 0, /*cyclic=*/true);
+  const NodeId n = g.NumNodes();
+  std::unique_ptr<DynamicClosure> closure =
+      std::make_unique<DynamicClosure>(g, &pool);
+  ExpectSameClosure(*closure, *ComputeClosure(g, ClosureEngine::kBfs), n);
+  for (int step = 0; step < 40; ++step) {
+    const Digraph donor = ShapedGraph(rng, step % 3, step % 2 == 1);
+    Digraph next(n);
+    for (NodeId u = 0; u < n; ++u) {
+      for (NodeId v : g.Successors(u)) {
+        if (!rng.Chance(0.05)) next.AddArc(u, v);
+      }
+    }
+    for (NodeId u = static_cast<NodeId>(rng.Uniform(4));
+         u < std::min(n, donor.NumNodes()); u += 4) {
+      for (NodeId v : donor.Successors(u)) {
+        if (v < n) next.AddArc(u, v);
+      }
+    }
+    next.Finalize();
+    auto patched = closure->Patched(
+        next, step % 2 == 0 ? DynamicClosure::PatchOptions() : NeverFallBack());
+    ExpectSameClosure(*patched, *ComputeClosure(next, ClosureEngine::kBfs), n);
+    closure = std::move(patched);
+    g = std::move(next);
+  }
+}
+
+// Every engine at every width stops on an exhausted budget with
+// kResourceExhausted, and under a generous budget builds the same closure
+// as the unbudgeted call.
+TEST(ClosureBudgetTest, EveryEngineAndWidthHonoursTheBudget) {
+  Rng rng(0xB0D6);
+  const Digraph g = ShapedGraph(rng, 1, /*cyclic=*/true);
+  for (ClosureEngine engine : {ClosureEngine::kBfs, ClosureEngine::kSccMerge}) {
+    for (unsigned width : {1u, 4u}) {
+      ThreadPool pool(width);
+      ExecBudget cancelled;
+      cancelled.Cancel();
+      auto refused = ComputeClosureBudgeted(g, engine, &pool, &cancelled);
+      ASSERT_FALSE(refused.ok()) << ClosureEngineName(engine) << " " << width;
+      EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted);
+
+      BudgetCaps caps;
+      caps.deadline_ms = 600000;
+      ExecBudget generous(caps);
+      auto built = ComputeClosureBudgeted(g, engine, &pool, &generous);
+      ASSERT_TRUE(built.ok()) << built.status().ToString();
+      ExpectSameClosure(*built.value(), *ComputeClosure(g, engine),
+                        g.NumNodes());
     }
   }
 }

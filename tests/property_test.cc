@@ -63,17 +63,17 @@ TEST_P(CrossEngineTest, GraphAndCompletionAgreeExactly) {
 
 TEST_P(CrossEngineTest, GraphEnginesAgreeAcrossClosureAlgorithms) {
   dllite::Ontology onto = benchgen::Generate(RandomishConfig(GetParam()));
-  core::ClassificationOptions bfs, merge, bitset;
+  core::ClassificationOptions bfs, scc;
   bfs.engine = graph::ClosureEngine::kBfs;
-  merge.engine = graph::ClosureEngine::kSccMerge;
-  bitset.engine = graph::ClosureEngine::kSccBitset;
+  scc.engine = graph::ClosureEngine::kSccMerge;
   auto a = core::Classify(onto.tbox(), onto.vocab(), bfs);
-  auto b = core::Classify(onto.tbox(), onto.vocab(), merge);
-  auto c = core::Classify(onto.tbox(), onto.vocab(), bitset);
+  auto b = core::Classify(onto.tbox(), onto.vocab(), scc);
   EXPECT_EQ(a.CountNamedSubsumptions(), b.CountNamedSubsumptions());
-  EXPECT_EQ(b.CountNamedSubsumptions(), c.CountNamedSubsumptions());
   EXPECT_EQ(a.UnsatisfiableConcepts(), b.UnsatisfiableConcepts());
-  EXPECT_EQ(b.UnsatisfiableConcepts(), c.UnsatisfiableConcepts());
+  for (uint32_t c = 0; c < onto.vocab().NumConcepts(); ++c) {
+    ASSERT_EQ(a.SuperConcepts(c), b.SuperConcepts(c))
+        << "concept " << c << " seed " << GetParam();
+  }
 }
 
 TEST_P(CrossEngineTest, TableauAgreesOnConceptHierarchy) {
