@@ -25,26 +25,6 @@ std::vector<graph::NodeId> ReflexivePredecessors(
   return preds;
 }
 
-// Raw predecessor lists of a digraph in CSR form: the predecessors of v
-// are arcs[offsets[v], offsets[v + 1]).
-struct PredecessorCsr {
-  std::vector<size_t> offsets;
-  std::vector<graph::NodeId> arcs;
-
-  explicit PredecessorCsr(const graph::Digraph& d)
-      : offsets(d.NumNodes() + 1, 0) {
-    for (graph::NodeId u = 0; u < d.NumNodes(); ++u) {
-      for (graph::NodeId v : d.Successors(u)) ++offsets[v + 1];
-    }
-    for (size_t v = 0; v < d.NumNodes(); ++v) offsets[v + 1] += offsets[v];
-    arcs.resize(offsets.back());
-    std::vector<size_t> fill(offsets.begin(), offsets.end() - 1);
-    for (graph::NodeId u = 0; u < d.NumNodes(); ++u) {
-      for (graph::NodeId v : d.Successors(u)) arcs[fill[v]++] = u;
-    }
-  }
-};
-
 }  // namespace
 
 std::vector<bool> ComputeUnsat(const TBoxGraph& g,
@@ -154,7 +134,7 @@ Result<std::vector<bool>> ComputeUnsatBudgeted(
   // pred* is the transitive closure of the raw predecessor arcs, so
   // marking the raw predecessors of every popped node empties all of
   // pred*(x) for each unsatisfiable x: one multi-source reverse BFS.
-  const PredecessorCsr preds(g.digraph);
+  const graph::Digraph preds = g.digraph.Reversed();
 
   // Fixpoint propagation.
   uint64_t pops = 0;
@@ -166,9 +146,7 @@ Result<std::vector<bool>> ComputeUnsatBudgeted(
     worklist.pop_back();
 
     // Everything subsumed by an unsatisfiable predicate is unsatisfiable.
-    for (size_t i = preds.offsets[x]; i < preds.offsets[x + 1]; ++i) {
-      mark(preds.arcs[i]);
-    }
+    for (graph::NodeId p : preds.Successors(x)) mark(p);
 
     switch (g.nodes.KindOf(x)) {
       case NodeKind::kRole: {

@@ -9,6 +9,10 @@ TBoxGraph BuildTBoxGraph(const dllite::TBox& tbox,
                          const dllite::Vocabulary& vocab) {
   TBoxGraph g(vocab);
   g.digraph.EnsureNodes(g.nodes.NumNodes());
+  // An upper bound on the arcs below: negative inclusions add none.
+  g.digraph.ReserveArcs(tbox.concept_inclusions().size() +
+                        4 * tbox.role_inclusions().size() +
+                        2 * tbox.attribute_inclusions().size());
 
   for (const auto& ax : tbox.concept_inclusions()) {
     graph::NodeId lhs = g.nodes.OfBasicConcept(ax.lhs);

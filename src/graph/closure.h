@@ -59,7 +59,7 @@ enum class ClosureEngine {
 const char* ClosureEngineName(ClosureEngine engine);
 
 /// Computes the transitive closure of `g` with the chosen engine.
-/// `g` should be Finalize()d first.
+/// `g` must be Finalize()d first: reading pending arcs aborts.
 ///
 /// When `pool` is non-null and wider than one thread, construction is
 /// parallelised: per-source BFS for the `bfs` engine, level-synchronous

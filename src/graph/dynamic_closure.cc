@@ -1,6 +1,8 @@
 #include "graph/dynamic_closure.h"
 
 #include <algorithm>
+#include <ranges>
+#include <span>
 #include <utility>
 
 #include "common/thread_pool.h"
@@ -9,14 +11,14 @@ namespace olite::graph {
 
 DynamicClosure::DynamicClosure(const Digraph& g, ThreadPool* pool,
                                const ExecBudget* budget) {
-  const Csr dag = Condense(g);
+  const Digraph dag = Condense(g);
   const NodeId nc = scc_.NumComponents();
   reach_.resize(nc);
   BudgetLatch latch(budget);  // polled once per component
   if (pool == nullptr || pool->num_threads() <= 1) {
     // Component ids ascend in reverse topological order, so every
     // successor component's reach set is final when we merge c.
-    ReachMerger merger(arcs_.NumRows());
+    ReachMerger merger(arcs_.NumNodes());
     for (NodeId c = 0; c < nc && !latch.Poll(); ++c) {
       MergeComponent(c, dag, &merger);
     }
@@ -24,7 +26,7 @@ DynamicClosure::DynamicClosure(const Digraph& g, ThreadPool* pool,
     // Level-synchronous propagation: within a level no component can
     // reach another, so their merges only read finalised earlier levels.
     std::vector<ReachMerger> mergers(pool->num_threads(),
-                                     ReachMerger(arcs_.NumRows()));
+                                     ReachMerger(arcs_.NumNodes()));
     for (const auto& level : Levels(dag)) {
       pool->ParallelForShard(0, level.size(), /*grain=*/16,
                              [&](unsigned shard, size_t i) {
@@ -37,47 +39,31 @@ DynamicClosure::DynamicClosure(const Digraph& g, ThreadPool* pool,
   FinalizeArcCount();
 }
 
-DynamicClosure::Csr DynamicClosure::Condense(const Digraph& g) {
-  arcs_.offsets.reserve(g.NumNodes() + 1);
-  arcs_.ids.reserve(g.NumArcs());
-  for (NodeId u = 0; u < g.NumNodes(); ++u) {
-    const auto& succ = g.Successors(u);
-    arcs_.ids.insert(arcs_.ids.end(), succ.begin(), succ.end());
-    arcs_.offsets.push_back(arcs_.ids.size());
-  }
+Digraph DynamicClosure::Condense(const Digraph& g) {
+  arcs_ = g;
   scc_ = ComputeScc(g);
-  const NodeId nc = scc_.NumComponents();
-  Csr dag;
-  dag.offsets.reserve(nc + 1);
-  std::vector<NodeId> seen(nc, 0);  // c + 1 once d is a successor of c
-  for (NodeId c = 0; c < nc; ++c) {
-    const size_t row = dag.ids.size();
-    for (NodeId u : scc_.members[c]) {
-      for (NodeId v : arcs_.Row(u)) {
-        const NodeId d = scc_.component_of[v];
-        if (d != c && seen[d] != c + 1) {
-          seen[d] = c + 1;
-          dag.ids.push_back(d);
-        }
-      }
+  Digraph dag(scc_.NumComponents());
+  dag.ReserveArcs(g.NumArcs());
+  for (NodeId u = 0; u < g.NumNodes(); ++u) {
+    const NodeId c = scc_.component_of[u];
+    for (NodeId v : g.Successors(u)) {
+      const NodeId d = scc_.component_of[v];
+      if (d != c) dag.AddArc(c, d);
     }
-    std::sort(dag.ids.begin() + row, dag.ids.end());
-    for (size_t i = row; i < dag.ids.size(); ++i) dag.ids[i] = RepOf(dag.ids[i]);
-    dag.offsets.push_back(dag.ids.size());
   }
+  dag.Finalize();
   return dag;
 }
 
-std::vector<std::vector<NodeId>> DynamicClosure::Levels(const Csr& dag) const {
+std::vector<std::vector<NodeId>> DynamicClosure::Levels(
+    const Digraph& dag) const {
   const NodeId nc = scc_.NumComponents();
   std::vector<uint32_t> level(nc, 0);
   uint32_t max_level = 0;
   for (NodeId c = 0; c < nc; ++c) {
     uint32_t l = 0;
     // Successor components have smaller ids: already levelled.
-    for (NodeId s : dag.Row(c)) {
-      l = std::max(l, level[scc_.component_of[s]] + 1);
-    }
+    for (NodeId d : dag.Successors(c)) l = std::max(l, level[d] + 1);
     level[c] = l;
     max_level = std::max(max_level, l);
   }
@@ -86,19 +72,22 @@ std::vector<std::vector<NodeId>> DynamicClosure::Levels(const Csr& dag) const {
   return levels;
 }
 
-void DynamicClosure::MergeComponent(NodeId c, const Csr& dag,
+void DynamicClosure::MergeComponent(NodeId c, const Digraph& dag,
                                     ReachMerger* merger) {
+  // The kernel names components by representative, a stable node id.
   auto reach_of = [this](NodeId s) -> const Reach& {
     return reach_[scc_.component_of[s]];
   };
-  const std::span<const NodeId> succs = dag.Row(c);
-  const size_t size = merger->Merge(c, succs, reach_of);
+  const std::span<const NodeId> succs = dag.Successors(c);
+  const size_t size = merger->Merge(
+      c, succs | std::views::transform([this](NodeId d) { return RepOf(d); }),
+      reach_of);
   if (size == 0) return;
   Reach& r = reach_[c];
   r.num_ids = static_cast<NodeId>(size);
-  r.num_nodes = reach_of(succs.back()).num_nodes;
+  r.num_nodes = reach_[succs.back()].num_nodes;
   for (NodeId s : merger->added()) {
-    r.num_nodes += scc_.members[scc_.component_of[s]].size();
+    r.num_nodes += scc_.Members(scc_.component_of[s]).size();
   }
   auto ids = std::make_shared_for_overwrite<NodeId[]>(size);
   merger->CopyTo(ids.get());
@@ -108,7 +97,7 @@ void DynamicClosure::MergeComponent(NodeId c, const Csr& dag,
 void DynamicClosure::FinalizeArcCount() {
   num_arcs_ = 0;
   for (NodeId c = 0; c < scc_.NumComponents(); ++c) {
-    const uint64_t size = scc_.members[c].size();
+    const uint64_t size = scc_.Members(c).size();
     const uint64_t targets = reach_[c].num_nodes + (scc_.cyclic[c] ? size : 0);
     num_arcs_ += targets * size;
   }
@@ -127,7 +116,7 @@ std::vector<NodeId> DynamicClosure::ReachableFrom(NodeId from) const {
   std::vector<NodeId> out;
   out.reserve(reach_[cf].num_nodes);
   auto add_component = [&](NodeId c) {
-    const auto& m = scc_.members[c];
+    const std::span<const NodeId> m = scc_.Members(c);
     out.insert(out.end(), m.begin(), m.end());
   };
   if (scc_.cyclic[cf]) add_component(cf);
@@ -140,21 +129,20 @@ std::unique_ptr<DynamicClosure> DynamicClosure::Patched(
     const Digraph& next, const PatchOptions& options,
     PatchStats* stats) const {
   auto out = std::unique_ptr<DynamicClosure>(new DynamicClosure());
-  const Csr dag = out->Condense(next);
+  const Digraph dag = out->Condense(next);
   const SccResult& scc = out->scc_;
 
-  const NodeId old_n = arcs_.NumRows();
-  const NodeId new_n = out->arcs_.NumRows();
+  const NodeId old_n = arcs_.NumNodes();
+  const NodeId new_n = out->arcs_.NumNodes();
   const NodeId nc = scc.NumComponents();
   const NodeId shared_n = std::min(old_n, new_n);
 
-  // Per-node arc diff: the successor lists must match exactly, else the
-  // node's component is a dirty seed (a changed arc's tail — the DRed
-  // over-deletion/insertion frontier). Lists are compared as stored, so a
-  // reordered list only over-marks, which is safe.
+  // Per-node arc diff: a node whose (sorted, duplicate-free) successor row
+  // differs, or a new node, makes its component a dirty seed (a changed
+  // arc's tail — the DRed over-deletion/insertion frontier).
   std::vector<bool> dirty(nc, false);
   for (NodeId u = 0; u < shared_n; ++u) {
-    if (!std::ranges::equal(arcs_.Row(u), out->arcs_.Row(u))) {
+    if (!std::ranges::equal(arcs_.Successors(u), out->arcs_.Successors(u))) {
       dirty[scc.component_of[u]] = true;
     }
   }
@@ -162,37 +150,12 @@ std::unique_ptr<DynamicClosure> DynamicClosure::Patched(
     dirty[scc.component_of[u]] = true;
   }
 
-  // Membership diff: a component may only alias an old reach vector when
-  // it is *the same node set* as some old component (same-size check plus
-  // same old component id for every member implies set equality).
-  std::vector<NodeId> old_comp_of(nc, 0);
-  for (NodeId c = 0; c < nc; ++c) {
-    if (dirty[c]) continue;
-    const auto& m = scc.members[c];
-    bool preserved = m[0] < old_n;
-    NodeId oc = preserved ? scc_.component_of[m[0]] : 0;
-    if (preserved && scc_.members[oc].size() != m.size()) preserved = false;
-    if (preserved) {
-      for (NodeId v : m) {
-        if (v >= old_n || scc_.component_of[v] != oc) {
-          preserved = false;
-          break;
-        }
-      }
-    }
-    if (!preserved) {
-      dirty[c] = true;
-    } else {
-      old_comp_of[c] = oc;
-    }
-  }
-
   // Upstream propagation: successors have smaller ids, so one ascending
   // sweep settles transitive dirtiness.
   for (NodeId c = 0; c < nc; ++c) {
     if (dirty[c]) continue;
-    for (NodeId s : dag.Row(c)) {
-      if (dirty[scc.component_of[s]]) {
+    for (NodeId d : dag.Successors(c)) {
+      if (dirty[d]) {
         dirty[c] = true;
         break;
       }
@@ -203,7 +166,7 @@ std::unique_ptr<DynamicClosure> DynamicClosure::Patched(
   uint64_t dirty_comps = 0;
   for (NodeId c = 0; c < nc; ++c) {
     if (dirty[c]) {
-      dirty_nodes += scc.members[c].size();
+      dirty_nodes += scc.Members(c).size();
       ++dirty_comps;
     }
   }
@@ -218,11 +181,20 @@ std::unique_ptr<DynamicClosure> DynamicClosure::Patched(
     stats->reused_components = fall_back ? 0 : nc - dirty_comps;
   }
 
+  // A clean component is exactly one old component, so it aliases that
+  // component's reach and no member set needs comparing. Take a clean
+  // member u: every node u reaches lies in a clean component, so it is an
+  // old node with an unchanged row. By induction along paths u reaches the
+  // same nodes in both graphs, and so does every node u reaches; mutual
+  // reachability with u, i.e. u's component, is the same in both graphs.
+  // So a merge, which needs an added arc with its tail inside the merged
+  // component, and a split, which leaves a changed arc's tail reachable
+  // from every member of each part, both leave the component dirty.
   out->reach_.resize(nc);
   ReachMerger merger(new_n);
   for (NodeId c = 0; c < nc; ++c) {
     if (!fall_back && !dirty[c]) {
-      out->reach_[c] = reach_[old_comp_of[c]];  // alias, no copy
+      out->reach_[c] = reach_[scc_.component_of[out->RepOf(c)]];  // alias
     } else {
       out->MergeComponent(c, dag, &merger);  // re-derive
     }

@@ -2,7 +2,6 @@
 #define OLITE_GRAPH_DYNAMIC_CLOSURE_H_
 
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -41,14 +40,15 @@ namespace olite::graph {
 /// `Patched(next)` builds the closure of `next` from this one:
 ///   1. fresh Tarjan over `next` (linear — the condensation is cheap; the
 ///      quadratic-ish part worth preserving is the reach sets);
-///   2. seed *dirty* components: membership changed vs. the old SCCs, or
-///      the successor list of any member differs between the two graphs
-///      (this covers both added and removed arcs — the DRed over-deletion
-///      frontier);
+///   2. seed *dirty* components: the successor row of some member differs
+///      between the two graphs, or some member is a new node (this covers
+///      both added and removed arcs — the DRed over-deletion frontier);
 ///   3. propagate dirtiness upstream in one ascending-id sweep (component
 ///      ids are reverse-topological: successors have smaller ids);
-///   4. clean components alias the old reach vector; dirty ones re-merge
-///      from their successors (the re-derivation step).
+///   4. clean components alias the reach vector of the old component that
+///      holds their representative (a clean component is exactly that old
+///      component, see `Patched`); dirty ones re-merge from their
+///      successors (the re-derivation step).
 /// If the dirty fraction exceeds `PatchOptions::fallback_fraction` the
 /// patch degenerates to a from-scratch merge over the fresh condensation
 /// (still one Tarjan — nothing is wasted).
@@ -118,36 +118,25 @@ class DynamicClosure : public TransitiveClosure {
     const NodeId* end() const { return ids.get() + num_ids; }
   };
 
-  /// Compressed adjacency lists: `ids[offsets[u], offsets[u + 1])` are the
-  /// successors of node (or component) `u`.
-  struct Csr {
-    std::vector<size_t> offsets{0};
-    std::vector<NodeId> ids;
-
-    NodeId NumRows() const { return static_cast<NodeId>(offsets.size() - 1); }
-    std::span<const NodeId> Row(NodeId u) const {
-      return {ids.data() + offsets[u], ids.data() + offsets[u + 1]};
-    }
-  };
-
   DynamicClosure() = default;
 
   /// Copies `g`'s arcs into this fresh closure and computes its SCCs;
-  /// returns the condensation DAG, deduplicated, as each component's
-  /// successor representatives in ascending component id (the kernel's
-  /// visiting order).
-  Csr Condense(const Digraph& g);
-  NodeId RepOf(NodeId c) const { return scc_.members[c].front(); }
+  /// returns the condensation DAG over component ids. Its rows ascend by
+  /// component id, which is the kernel's visiting order.
+  Digraph Condense(const Digraph& g);
+  NodeId RepOf(NodeId c) const {
+    return scc_.member_ids[scc_.member_offsets[c]];
+  }
   /// Groups components by longest-path depth in the condensation `dag`.
   /// All of a component's successors sit in strictly earlier levels, so
   /// the components of one level can merge concurrently once every earlier
   /// level is final. Levels (and each level) ascend by id.
-  std::vector<std::vector<NodeId>> Levels(const Csr& dag) const;
+  std::vector<std::vector<NodeId>> Levels(const Digraph& dag) const;
   /// Merges component `c`'s downstream reach from its successors.
-  void MergeComponent(NodeId c, const Csr& dag, ReachMerger* merger);
+  void MergeComponent(NodeId c, const Digraph& dag, ReachMerger* merger);
   void FinalizeArcCount();
 
-  Csr arcs_;  ///< the underlying graph's successor lists, as given
+  Digraph arcs_;  ///< the underlying graph, as given
   SccResult scc_;
   std::vector<Reach> reach_;  ///< per component
   uint64_t num_arcs_ = 0;

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <ranges>
 #include <span>
 #include <vector>
 
@@ -44,27 +45,32 @@ class ReachMerger {
   explicit ReachMerger(NodeId universe) : stamp_(universe, 0) {}
 
   /// Computes reach(c) and returns its size; `CopyTo` then writes it.
-  /// `succs` names c's successors in ascending component id; `reach_of(s)`
-  /// returns the sorted reach of successor `s`, which must stay valid until
-  /// `CopyTo`. Then reach(c) = reach_of(succs.back()) ∪ added().
-  template <typename ReachOf>
-  size_t Merge(NodeId c, std::span<const NodeId> succs, ReachOf&& reach_of) {
+  /// `succs` names c's successors in ascending component id: any sized
+  /// bidirectional range of ids, such as a view that maps a condensation row
+  /// to representatives. `reach_of(s)` returns the sorted reach of successor
+  /// `s`, which must stay valid until `CopyTo`. Then
+  /// reach(c) = reach_of(succs.back()) ∪ added().
+  template <typename ReachOf, typename Succs = std::span<const NodeId>>
+  size_t Merge(NodeId c, const Succs& succs, ReachOf&& reach_of) {
     head_ = {};
     added_.clear();
-    if (succs.empty()) return 0;
-    auto s = succs.rbegin();
-    const auto& head = reach_of(*s);
+    if (std::ranges::empty(succs)) return 0;
+    auto s = std::ranges::rbegin(succs);
+    const auto rend = std::ranges::rend(succs);
+    const NodeId last = *s;
+    const auto& head = reach_of(last);
     head_ = {head.begin(), head.end()};
-    added_.push_back(*s);
-    if (succs.size() > 1) {
+    added_.push_back(last);
+    if (std::ranges::size(succs) > 1) {
       const uint32_t tag = c + 1;
-      stamp_[*s] = tag;
+      stamp_[last] = tag;
       for (NodeId x : head_) stamp_[x] = tag;
-      for (++s; s != succs.rend(); ++s) {
-        if (stamp_[*s] == tag) continue;  // covered by a survivor
-        stamp_[*s] = tag;
-        added_.push_back(*s);
-        for (NodeId x : reach_of(*s)) {
+      for (++s; s != rend; ++s) {
+        const NodeId id = *s;
+        if (stamp_[id] == tag) continue;  // covered by a survivor
+        stamp_[id] = tag;
+        added_.push_back(id);
+        for (NodeId x : reach_of(id)) {
           if (stamp_[x] != tag) {
             stamp_[x] = tag;
             added_.push_back(x);

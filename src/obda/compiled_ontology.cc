@@ -1,6 +1,7 @@
 #include "obda/compiled_ontology.h"
 
 #include <algorithm>
+#include <span>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -138,9 +139,9 @@ bool ComputeChangedPreds(const CompiledOntology& base,
   std::vector<graph::NodeId> seeds;
   if (tbox_changed) {
     for (graph::NodeId u = 0; u < n; ++u) {
-      const auto& bs = bg->digraph.Successors(u);
-      const auto& ns = ng->digraph.Successors(u);
-      if (bs == ns) continue;
+      const std::span<const graph::NodeId> bs = bg->digraph.Successors(u);
+      const std::span<const graph::NodeId> ns = ng->digraph.Successors(u);
+      if (std::ranges::equal(bs, ns)) continue;
       std::set_symmetric_difference(bs.begin(), bs.end(), ns.begin(), ns.end(),
                                     std::back_inserter(seeds));
     }

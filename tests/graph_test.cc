@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <memory>
 #include <ostream>
+#include <set>
+#include <span>
 #include <string>
+#include <utility>
 
 #include "common/exec_budget.h"
 #include "common/rng.h"
@@ -20,6 +23,7 @@ namespace {
 TEST(DigraphTest, AddArcGrowsNodes) {
   Digraph g;
   g.AddArc(0, 5);
+  g.Finalize();
   EXPECT_EQ(g.NumNodes(), 6u);
   EXPECT_TRUE(g.HasArc(0, 5));
   EXPECT_FALSE(g.HasArc(5, 0));
@@ -40,6 +44,7 @@ TEST(DigraphTest, ReversedFlipsArcs) {
   Digraph g(3);
   g.AddArc(0, 1);
   g.AddArc(1, 2);
+  g.Finalize();
   Digraph r = g.Reversed();
   EXPECT_TRUE(r.HasArc(1, 0));
   EXPECT_TRUE(r.HasArc(2, 1));
@@ -49,8 +54,98 @@ TEST(DigraphTest, ReversedFlipsArcs) {
 TEST(DigraphTest, ToDotMentionsNodesAndArcs) {
   Digraph g(2);
   g.AddArc(0, 1);
+  g.Finalize();
   std::string dot = g.ToDot({"A", "B"});
   EXPECT_NE(dot.find("\"A\" -> \"B\""), std::string::npos);
+}
+
+// Seeded random arc lists with duplicates and self-loops.
+std::vector<std::pair<NodeId, NodeId>> RandomArcs(Rng& rng, NodeId n,
+                                                  uint64_t count) {
+  std::vector<std::pair<NodeId, NodeId>> arcs;
+  for (uint64_t e = 0; e < count; ++e) {
+    arcs.push_back({static_cast<NodeId>(rng.Uniform(n)),
+                    static_cast<NodeId>(rng.Uniform(n))});
+  }
+  return arcs;
+}
+
+// Every row ascends strictly and the rows together hold exactly `want`.
+void ExpectRowsHold(const Digraph& g,
+                    const std::set<std::pair<NodeId, NodeId>>& want) {
+  std::set<std::pair<NodeId, NodeId>> got;
+  for (NodeId u = 0; u < g.NumNodes(); ++u) {
+    const std::span<const NodeId> row = g.Successors(u);
+    for (size_t i = 1; i < row.size(); ++i) {
+      ASSERT_LT(row[i - 1], row[i]) << "row " << u;
+    }
+    for (NodeId v : row) got.insert({u, v});
+  }
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(g.NumArcs(), want.size());
+}
+
+TEST(DigraphTest, FinalizedRowsAreSortedAndDuplicateFree) {
+  Rng rng(0xC5A);
+  for (int trial = 0; trial < 40; ++trial) {
+    const NodeId n = static_cast<NodeId>(1 + rng.Uniform(50));
+    Digraph g(n);
+    std::set<std::pair<NodeId, NodeId>> want;
+    for (auto [u, v] : RandomArcs(rng, n, rng.Uniform(4 * n + 1))) {
+      g.AddArc(u, v);
+      want.insert({u, v});
+    }
+    g.Finalize();
+    ExpectRowsHold(g, want);
+    // More arcs on the finalized graph, some repeating stored ones, some
+    // growing the node set: a second Finalize folds them into the rows.
+    for (auto [u, v] : RandomArcs(rng, n + 5, rng.Uniform(2 * n + 1))) {
+      g.AddArc(u, v);
+      want.insert({u, v});
+    }
+    for (const auto& [u, v] : want) {
+      if (rng.Chance(0.2)) g.AddArc(u, v);
+    }
+    g.Finalize();
+    ExpectRowsHold(g, want);
+  }
+}
+
+TEST(DigraphTest, ReversedEqualsBruteForceTranspose) {
+  Rng rng(0x7A5);
+  for (int trial = 0; trial < 40; ++trial) {
+    const NodeId n = static_cast<NodeId>(1 + rng.Uniform(50));
+    Digraph g(n);
+    for (auto [u, v] : RandomArcs(rng, n, rng.Uniform(4 * n + 1))) {
+      g.AddArc(u, v);
+    }
+    g.Finalize();
+    std::vector<std::vector<NodeId>> want(n);
+    for (NodeId u = 0; u < n; ++u) {
+      for (NodeId v = 0; v < n; ++v) {
+        if (g.HasArc(v, u)) want[u].push_back(v);
+      }
+    }
+    const Digraph r = g.Reversed();
+    ASSERT_EQ(r.NumNodes(), n);
+    EXPECT_EQ(r.NumArcs(), g.NumArcs());
+    for (NodeId u = 0; u < n; ++u) {
+      const std::span<const NodeId> row = r.Successors(u);
+      EXPECT_EQ(std::vector<NodeId>(row.begin(), row.end()), want[u])
+          << "trial " << trial << " node " << u;
+    }
+  }
+}
+
+TEST(DigraphDeathTest, ReadingPendingArcsAborts) {
+  Digraph g(3);
+  g.AddArc(0, 1);
+  g.Finalize();
+  g.AddArc(1, 2);
+  EXPECT_DEATH({ (void)g.Successors(0); }, "pending arcs");
+  EXPECT_DEATH({ (void)g.Reversed(); }, "pending arcs");
+  EXPECT_DEATH({ (void)g.HasArc(0, 1); }, "pending arcs");
+  EXPECT_DEATH({ (void)g.NumArcs(); }, "pending arcs");
 }
 
 TEST(SccTest, ChainIsAllSingletons) {
@@ -165,6 +260,65 @@ void ExpectSameClosure(const TransitiveClosure& got,
     for (NodeId v = 0; v < n; ++v) {
       ASSERT_EQ(got.Reaches(u, v), want.Reaches(u, v))
           << got.EngineName() << " arc " << u << "->" << v;
+    }
+  }
+}
+
+// Random digraphs for the SCC properties: uniform ones of every density,
+// then the shaped ones with and without cycles.
+Digraph SccTestGraph(Rng& rng, int trial) {
+  if (trial % 2 == 1) return ShapedGraph(rng, trial % 3, trial % 4 == 1);
+  const NodeId n = static_cast<NodeId>(1 + rng.Uniform(40));
+  Digraph g(n);
+  for (auto [u, v] : RandomArcs(rng, n, rng.Uniform(3 * n + 1))) {
+    g.AddArc(u, v);
+  }
+  g.Finalize();
+  return g;
+}
+
+TEST(SccTest, ComponentsAreMutualReachabilityUnderBfsOracle) {
+  Rng rng(0x5CC);
+  for (int trial = 0; trial < 60; ++trial) {
+    const Digraph g = SccTestGraph(rng, trial);
+    const SccResult scc = ComputeScc(g);
+    const auto oracle = ComputeClosure(g, ClosureEngine::kBfs);
+    for (NodeId u = 0; u < g.NumNodes(); ++u) {
+      const NodeId cu = scc.component_of[u];
+      EXPECT_EQ(scc.cyclic[cu], oracle->Reaches(u, u))
+          << "trial " << trial << " node " << u;
+      for (NodeId v = 0; v < g.NumNodes(); ++v) {
+        const bool mutual =
+            u == v || (oracle->Reaches(u, v) && oracle->Reaches(v, u));
+        ASSERT_EQ(cu == scc.component_of[v], mutual)
+            << "trial " << trial << " nodes " << u << ", " << v;
+      }
+    }
+  }
+}
+
+TEST(SccTest, IdsAreReverseTopologicalAndMembersAscend) {
+  Rng rng(0x70B0);
+  for (int trial = 0; trial < 60; ++trial) {
+    const Digraph g = SccTestGraph(rng, trial);
+    const SccResult scc = ComputeScc(g);
+    for (NodeId u = 0; u < g.NumNodes(); ++u) {
+      for (NodeId v : g.Successors(u)) {
+        EXPECT_LE(scc.component_of[v], scc.component_of[u])
+            << "trial " << trial << " arc " << u << "->" << v;
+      }
+    }
+    ASSERT_EQ(scc.member_ids.size(), g.NumNodes());
+    ASSERT_EQ(scc.cyclic.size(), scc.NumComponents());
+    for (NodeId c = 0; c < scc.NumComponents(); ++c) {
+      const std::span<const NodeId> members = scc.Members(c);
+      ASSERT_FALSE(members.empty());
+      for (size_t i = 0; i < members.size(); ++i) {
+        if (i > 0) {
+          EXPECT_LT(members[i - 1], members[i]);
+        }
+        EXPECT_EQ(scc.component_of[members[i]], c);
+      }
     }
   }
 }
@@ -446,10 +600,12 @@ TEST(DynamicClosureTest, AdditionExtendsChain) {
   g.AddArc(0, 1);
   g.AddArc(1, 2);
   g.AddArc(2, 3);
+  g.Finalize();
   DynamicClosure base(g);
 
   Digraph next = g;
   next.AddArc(3, 4);  // the chain now reaches into the isolated tail
+  next.Finalize();
   DynamicClosure::PatchStats stats;
   auto patched = base.Patched(next, NeverFallBack(), &stats);
   ExpectClosureOf(*patched, next);
@@ -468,6 +624,7 @@ TEST(DynamicClosureTest, RemovalBreaksCycle) {
   g.AddArc(1, 2);
   g.AddArc(2, 0);
   g.AddArc(2, 3);
+  g.Finalize();
   DynamicClosure base(g);
   EXPECT_TRUE(base.Reaches(0, 3));
   EXPECT_TRUE(base.Reaches(1, 0));
@@ -476,6 +633,7 @@ TEST(DynamicClosureTest, RemovalBreaksCycle) {
   next.AddArc(0, 1);
   next.AddArc(2, 0);
   next.AddArc(2, 3);
+  next.Finalize();
   DynamicClosure::PatchStats stats;
   auto patched = base.Patched(next, NeverFallBack(), &stats);
   ExpectClosureOf(*patched, next);
@@ -496,6 +654,7 @@ TEST(DynamicClosureTest, RemovalRederivesThroughAlternatePath) {
   g.AddArc(3, 0);
   g.AddArc(1, 3);  // chord
   g.AddArc(3, 4);  // tail outside the cycle
+  g.Finalize();
   DynamicClosure base(g);
 
   Digraph next(5);
@@ -504,6 +663,7 @@ TEST(DynamicClosureTest, RemovalRederivesThroughAlternatePath) {
   next.AddArc(3, 0);
   next.AddArc(1, 3);
   next.AddArc(3, 4);
+  next.Finalize();
   DynamicClosure::PatchStats stats;
   auto patched = base.Patched(next, NeverFallBack(), &stats);
   ExpectClosureOf(*patched, next);
@@ -516,10 +676,12 @@ TEST(DynamicClosureTest, AdditionMergesChainIntoCycle) {
   Digraph g(3);  // chain 0 -> 1 -> 2
   g.AddArc(0, 1);
   g.AddArc(1, 2);
+  g.Finalize();
   DynamicClosure base(g);
 
   Digraph next = g;
   next.AddArc(2, 0);  // one SCC: everything reaches everything
+  next.Finalize();
   auto patched = base.Patched(next, NeverFallBack());
   ExpectClosureOf(*patched, next);
   EXPECT_TRUE(patched->Reaches(2, 1));
@@ -531,10 +693,12 @@ TEST(DynamicClosureTest, FallbackFractionZeroForcesScratchMerge) {
   g.AddArc(0, 1);
   g.AddArc(1, 2);
   g.AddArc(3, 4);
+  g.Finalize();
   DynamicClosure base(g);
 
   Digraph next = g;
   next.AddArc(4, 5);
+  next.Finalize();
   DynamicClosure::PatchOptions opts;
   opts.fallback_fraction = 0.0;
   DynamicClosure::PatchStats stats;
@@ -547,17 +711,20 @@ TEST(DynamicClosureTest, FallbackFractionZeroForcesScratchMerge) {
 TEST(DynamicClosureTest, PatchAcrossNodeGrowthAndShrink) {
   Digraph g(3);
   g.AddArc(0, 1);
+  g.Finalize();
   DynamicClosure base(g);
 
   Digraph grown(5);
   grown.AddArc(0, 1);
   grown.AddArc(1, 4);
+  grown.Finalize();
   auto bigger = base.Patched(grown, NeverFallBack());
   ExpectClosureOf(*bigger, grown);
   EXPECT_TRUE(bigger->Reaches(0, 4));
 
   Digraph shrunk(2);
   shrunk.AddArc(1, 0);
+  shrunk.Finalize();
   auto smaller = bigger->Patched(shrunk, NeverFallBack());
   ExpectClosureOf(*smaller, shrunk);
 }
@@ -665,6 +832,75 @@ TEST(DynamicClosureTest, PoolBuiltClosurePatchesThroughShapedDeltas) {
     closure = std::move(patched);
     g = std::move(next);
   }
+}
+
+TEST(DynamicClosureTest, CleanComponentsKeepTheirOldMemberSets) {
+  // Patched aliases a clean component's reach without comparing member
+  // sets. Over 60 small shaped deltas (a few rows replaced by a donor's or
+  // thinned), every component that no changed row is reachable from must
+  // have exactly the members of its old component, and those are the
+  // components Patched reuses.
+  Rng rng(0x3E3B);
+  Digraph g = ShapedGraph(rng, 0, /*cyclic=*/true);
+  const NodeId n = g.NumNodes();
+  auto closure = std::make_unique<DynamicClosure>(g);
+  uint64_t total_clean = 0;
+  uint64_t total_dirty = 0;
+  for (int step = 0; step < 60; ++step) {
+    const Digraph donor = ShapedGraph(rng, step % 3, step % 2 == 0);
+    std::vector<bool> touched(n, false);
+    for (int k = 0; k < 1 + static_cast<int>(rng.Uniform(3)); ++k) {
+      touched[rng.Uniform(n)] = true;
+    }
+    Digraph next(n);
+    for (NodeId u = 0; u < n; ++u) {
+      const bool from_donor =
+          touched[u] && step % 3 != 0 && u < donor.NumNodes();
+      for (NodeId v : (from_donor ? donor : g).Successors(u)) {
+        if (v < n && !(touched[u] && !from_donor && rng.Chance(0.5))) {
+          next.AddArc(u, v);
+        }
+      }
+    }
+    next.Finalize();
+
+    const auto reach = ComputeClosure(next, ClosureEngine::kBfs);
+    std::vector<bool> changed(n);
+    for (NodeId u = 0; u < n; ++u) {
+      changed[u] = !std::ranges::equal(g.Successors(u), next.Successors(u));
+    }
+    auto clean = [&](NodeId u) {
+      if (changed[u]) return false;
+      for (NodeId v : reach->ReachableFrom(u)) {
+        if (changed[v]) return false;
+      }
+      return true;
+    };
+    const SccResult old_scc = ComputeScc(g);
+    const SccResult new_scc = ComputeScc(next);
+    uint64_t clean_components = 0;
+    for (NodeId c = 0; c < new_scc.NumComponents(); ++c) {
+      const std::span<const NodeId> members = new_scc.Members(c);
+      if (!clean(members.front())) continue;
+      ++clean_components;
+      const std::span<const NodeId> old_members =
+          old_scc.Members(old_scc.component_of[members.front()]);
+      EXPECT_TRUE(std::ranges::equal(members, old_members))
+          << "step " << step << " component " << c;
+    }
+
+    DynamicClosure::PatchStats stats;
+    auto patched = closure->Patched(next, NeverFallBack(), &stats);
+    EXPECT_EQ(stats.reused_components, clean_components) << "step " << step;
+    ExpectSameClosure(*patched, *reach, n);
+    total_clean += clean_components;
+    total_dirty += new_scc.NumComponents() - clean_components;
+    closure = std::move(patched);
+    g = std::move(next);
+  }
+  // Both kinds occur, so neither half of the check is vacuous.
+  EXPECT_GT(total_clean, 0u);
+  EXPECT_GT(total_dirty, 0u);
 }
 
 // Every engine at every width stops on an exhausted budget with
