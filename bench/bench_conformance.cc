@@ -124,10 +124,10 @@ int main(int argc, char** argv) {
     // graph/completion/oracle pairwise, plus three more with the tableau.
     classifier_pairs += copts.run_tableau ? 6 : 3;
 
-    olite::testkit::AnswerDiffOptions aopts;
+    olite::testkit::AnswerPathOptions aopts;
     aopts.chase_depth =
         static_cast<uint32_t>(SweepConfig(seed).max_atoms_per_query) + 1;
-    for (std::string& d : olite::testkit::CompareAnswerPaths(w, aopts)) {
+    for (std::string& d : olite::testkit::CheckAnswerPaths(w, aopts)) {
       diffs.push_back(std::move(d));
     }
     answer_pairs += 3;  // obda-sql / abox-eval / chase-oracle pairwise

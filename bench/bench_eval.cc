@@ -15,11 +15,13 @@
 //   benchgen_mix    a seeded random benchgen workload (the conformance
 //                   generator's multi-join CQ pool, answered round-robin)
 //
-// For every workload × engine × thread count the harness answers
-// `--requests` requests against one shared system (plan cache on, so the
-// shared-subplan programs are compiled once) and records throughput plus
-// the evaluator counters from AnswerStats. Before timing, both engines
-// answer every pooled query once and the sorted answer sets are compared;
+// Each workload is compiled once; one QueryEngine per evaluator serves it
+// from that shared snapshot. For every workload × engine × thread count
+// the harness answers `--requests` requests on that evaluator's engine
+// (plan cache on, so the shared-subplan programs are compiled once) and
+// records throughput plus the evaluator counters from AnswerStats. Before
+// timing, both engines answer every pooled query once — which also warms
+// both plan caches — and the sorted answer sets are compared;
 // `discrepancies` must be 0 in every row.
 //
 // Flags: --requests=<n>   requests per cell               (default 24)
@@ -44,10 +46,12 @@
 // disjuncts, shared_node_hits > 0, >=2x speedup) or any engines disagree.
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -57,7 +61,8 @@
 #include "common/stopwatch.h"
 #include "dllite/ontology.h"
 #include "mapping/mapping.h"
-#include "obda/system.h"
+#include "obda/compiled_ontology.h"
+#include "obda/query_engine.h"
 #include "obs/metrics.h"
 #include "query/cq.h"
 #include "query/rewriter.h"
@@ -67,8 +72,10 @@ namespace {
 using olite::Stopwatch;
 using olite::dllite::Ontology;
 using olite::obda::AnswerTuple;
-using olite::obda::ObdaSystem;
+using olite::obda::CompiledOntology;
+using olite::obda::QueryEngine;
 using olite::query::RewriteMode;
+using Snapshot = std::shared_ptr<const CompiledOntology>;
 
 struct JsonRow {
   std::string workload;
@@ -130,8 +137,7 @@ void WriteJson(const std::string& path, const std::vector<JsonRow>& rows) {
 // subclasses filtering one shared table on a tag column, and a role `rel`
 // mapped to the edge table. A and B themselves carry no mapping, so every
 // unfolded block comes from a (A_i, B_j) subclass pair.
-std::unique_ptr<ObdaSystem> MakeSystem(int fan, int rows,
-                                       olite::obs::MetricsRegistry* registry) {
+Snapshot MakeSnapshot(int fan, int rows) {
   Ontology onto;
   onto.DeclareRole("rel");
   onto.DeclareConcept("A");
@@ -191,27 +197,22 @@ std::unique_ptr<ObdaSystem> MakeSystem(int fan, int rows,
   (void)mappings.Add(olite::mapping::MappingAssertion::ForRole(
       onto.vocab().FindRole("rel").value(), edge_block));
 
-  // Each workload system records into its own registry; RunCell resets it
-  // between cells so the exported percentiles stay per-cell.
-  olite::obda::QueryEngineOptions eng_opts;
-  eng_opts.metrics = registry;
-  auto sys = ObdaSystem::Create(std::move(onto), std::move(mappings),
-                                std::move(db), RewriteMode::kClassified,
-                                eng_opts);
-  if (!sys.ok()) {
-    std::fprintf(stderr, "system creation failed: %s\n",
-                 sys.status().ToString().c_str());
+  auto compiled =
+      CompiledOntology::Compile(std::move(onto), std::move(mappings),
+                                std::move(db), RewriteMode::kClassified);
+  if (!compiled.ok()) {
+    std::fprintf(stderr, "compile failed: %s\n",
+                 compiled.status().ToString().c_str());
     std::exit(1);
   }
-  return std::move(sys).value();
+  return std::move(compiled).value();
 }
 
 // The random counterpart: the conformance generator's seeded workload —
-// hierarchy-heavy TBox, multi-atom CQ pool — moved into an ObdaSystem.
-std::unique_ptr<ObdaSystem> MakeBenchgenSystem(
+// hierarchy-heavy TBox, multi-atom CQ pool — moved into a snapshot.
+Snapshot MakeBenchgenSnapshot(
     uint64_t seed, uint32_t num_queries,
-    std::vector<olite::query::ConjunctiveQuery>* pool,
-    olite::obs::MetricsRegistry* registry) {
+    std::vector<olite::query::ConjunctiveQuery>* pool) {
   olite::benchgen::WorkloadConfig config;
   config.ontology.name = "eval_mix";
   config.ontology.seed = seed;
@@ -232,18 +233,16 @@ std::unique_ptr<ObdaSystem> MakeBenchgenSystem(
   olite::benchgen::Workload workload =
       olite::benchgen::GenerateWorkload(config);
   *pool = workload.queries;
-  olite::obda::QueryEngineOptions eng_opts;
-  eng_opts.metrics = registry;
-  auto sys = ObdaSystem::Create(std::move(workload.ontology),
-                                std::move(workload.mappings),
-                                std::move(workload.database),
-                                RewriteMode::kClassified, eng_opts);
-  if (!sys.ok()) {
-    std::fprintf(stderr, "benchgen system creation failed: %s\n",
-                 sys.status().ToString().c_str());
+  auto compiled = CompiledOntology::Compile(std::move(workload.ontology),
+                                            std::move(workload.mappings),
+                                            std::move(workload.database),
+                                            RewriteMode::kClassified);
+  if (!compiled.ok()) {
+    std::fprintf(stderr, "benchgen compile failed: %s\n",
+                 compiled.status().ToString().c_str());
     std::exit(1);
   }
-  return std::move(sys).value();
+  return std::move(compiled).value();
 }
 
 std::vector<AnswerTuple> Sorted(std::vector<AnswerTuple> tuples) {
@@ -251,12 +250,13 @@ std::vector<AnswerTuple> Sorted(std::vector<AnswerTuple> tuples) {
   return tuples;
 }
 
-// Parses hand-written query texts against the system's vocabulary.
+// Parses hand-written query texts against the snapshot's vocabulary.
 std::vector<olite::query::ConjunctiveQuery> ParsePool(
-    const ObdaSystem& sys, std::initializer_list<const char*> texts) {
+    const CompiledOntology& snapshot,
+    std::initializer_list<const char*> texts) {
   std::vector<olite::query::ConjunctiveQuery> pool;
   for (const char* text : texts) {
-    auto cq = olite::query::ParseQuery(text, sys.ontology().vocab());
+    auto cq = olite::query::ParseQuery(text, snapshot.ontology().vocab());
     if (!cq.ok()) {
       std::fprintf(stderr, "bad query %s: %s\n", text,
                    cq.status().ToString().c_str());
@@ -267,23 +267,40 @@ std::vector<olite::query::ConjunctiveQuery> ParsePool(
   return pool;
 }
 
-const olite::rdb::EvalEngine kEngines[] = {
+constexpr olite::rdb::EvalEngine kEngines[] = {
     olite::rdb::EvalEngine::kNestedLoop,
     olite::rdb::EvalEngine::kColumnar,
 };
 
-// Both engines answer every pooled query once; sorted answer sets must
-// match pairwise.
+/// One engine per evaluator, indexed like kEngines.
+using Engines = std::array<std::unique_ptr<QueryEngine>, 2>;
+
+// One engine per evaluator over `snapshot`. Both record into `registry`,
+// the workload's own; RunCell resets it between cells so the exported
+// percentiles stay per-cell.
+Engines MakeEngines(const Snapshot& snapshot,
+                    olite::obs::MetricsRegistry* registry) {
+  Engines engines;
+  for (size_t e = 0; e < engines.size(); ++e) {
+    olite::obda::QueryEngineOptions opts;
+    opts.metrics = registry;
+    opts.engine = kEngines[e];
+    engines[e] = std::make_unique<QueryEngine>(snapshot, opts);
+  }
+  return engines;
+}
+
+// Both engines answer every pooled query once, which stores each plan in
+// both caches before the timed cells; sorted answer sets must match
+// pairwise.
 uint64_t CountDiscrepancies(
-    const ObdaSystem& sys, const char* workload,
+    const Engines& engines, const char* workload,
     const std::vector<olite::query::ConjunctiveQuery>& pool) {
   uint64_t discrepancies = 0;
   for (const olite::query::ConjunctiveQuery& query : pool) {
     std::vector<AnswerTuple> reference;
-    for (size_t e = 0; e < 2; ++e) {
-      olite::obda::AnswerOptions aopts;
-      aopts.engine = kEngines[e];
-      auto r = sys.Answer(query, aopts);
+    for (size_t e = 0; e < engines.size(); ++e) {
+      auto r = engines[e]->Answer(query);
       if (!r.ok()) {
         std::fprintf(stderr, "answer failed: %s\n",
                      r.status().ToString().c_str());
@@ -304,18 +321,16 @@ uint64_t CountDiscrepancies(
 
 // One timed cell: `requests` answers split across `threads`, round-robin
 // over the query pool, aggregating the per-call evaluator counters.
-JsonRow RunCell(const ObdaSystem& sys, const char* workload,
+JsonRow RunCell(const Engines& engines, size_t e, const char* workload,
                 const std::vector<olite::query::ConjunctiveQuery>& pool,
-                int threads, olite::rdb::EvalEngine engine, uint64_t requests,
-                uint64_t discrepancies,
+                int threads, uint64_t requests, uint64_t discrepancies,
                 olite::obs::MetricsRegistry* registry) {
-  // Cells share one system (and so one registry); reset between cells so
-  // the exported histograms cover exactly this cell.
+  // Cells share one registry per workload; reset between cells so the
+  // exported histograms cover exactly this cell.
   registry->Reset();
   olite::obs::Histogram& request_us =
       registry->histogram(olite::bench::kRequestUs);
-  olite::obda::AnswerOptions aopts;
-  aopts.engine = engine;
+  const QueryEngine& engine = *engines[e];
   uint64_t per_thread = requests / static_cast<uint64_t>(threads);
   if (per_thread == 0) per_thread = 1;
 
@@ -330,7 +345,7 @@ JsonRow RunCell(const ObdaSystem& sys, const char* workload,
             pool[(static_cast<uint64_t>(t) * per_thread + i) % pool.size()];
         Stopwatch sw;
         olite::obda::AnswerStats astats;
-        auto r = sys.Answer(query, aopts, &astats);
+        auto r = engine.Answer(query, &astats);
         request_us.Record(sw.ElapsedMicros());
         if (!r.ok()) {
           std::fprintf(stderr, "answer failed: %s\n",
@@ -353,7 +368,7 @@ JsonRow RunCell(const ObdaSystem& sys, const char* workload,
 
   JsonRow row;
   row.workload = workload;
-  row.engine = olite::rdb::EvalEngineName(engine);
+  row.engine = olite::rdb::EvalEngineName(kEngines[e]);
   row.threads = threads;
   row.requests = per_thread * static_cast<uint64_t>(threads);
   row.total_ms = total_ms;
@@ -415,23 +430,25 @@ int main(int argc, char** argv) {
 
   olite::obs::MetricsRegistry hand_registry;
   olite::obs::MetricsRegistry mix_registry;
-  auto hand_sys = MakeSystem(fan, rows, &hand_registry);
+  const Snapshot hand = MakeSnapshot(fan, rows);
+  const Engines hand_engines = MakeEngines(hand, &hand_registry);
   std::vector<olite::query::ConjunctiveQuery> benchgen_pool;
-  auto mix_sys = MakeBenchgenSystem(seed, 12, &benchgen_pool, &mix_registry);
+  const Engines mix_engines = MakeEngines(
+      MakeBenchgenSnapshot(seed, 12, &benchgen_pool), &mix_registry);
 
   const struct {
     const char* name;
-    const ObdaSystem* sys;
+    const Engines* engines;
     olite::obs::MetricsRegistry* registry;
     std::vector<olite::query::ConjunctiveQuery> pool;
   } kWorkloads[] = {
-      {"shared_prefix", hand_sys.get(), &hand_registry,
-       ParsePool(*hand_sys, {"q(x, y) :- A(x), rel(x, y), B(y)"})},
-      {"selective_join", hand_sys.get(), &hand_registry,
-       ParsePool(*hand_sys, {"q(x, y) :- A0(x), rel(x, y), B0(y)"})},
-      {"scan_union", hand_sys.get(), &hand_registry,
-       ParsePool(*hand_sys, {"q(x) :- A(x)"})},
-      {"benchgen_mix", mix_sys.get(), &mix_registry,
+      {"shared_prefix", &hand_engines, &hand_registry,
+       ParsePool(*hand, {"q(x, y) :- A(x), rel(x, y), B(y)"})},
+      {"selective_join", &hand_engines, &hand_registry,
+       ParsePool(*hand, {"q(x, y) :- A0(x), rel(x, y), B0(y)"})},
+      {"scan_union", &hand_engines, &hand_registry,
+       ParsePool(*hand, {"q(x) :- A(x)"})},
+      {"benchgen_mix", &mix_engines, &mix_registry,
        std::move(benchgen_pool)},
   };
 
@@ -445,12 +462,13 @@ int main(int argc, char** argv) {
   bool gates_ok = true;
   for (const auto& workload : kWorkloads) {
     uint64_t discrepancies =
-        CountDiscrepancies(*workload.sys, workload.name, workload.pool);
+        CountDiscrepancies(*workload.engines, workload.name, workload.pool);
     for (int threads : thread_counts) {
-      for (olite::rdb::EvalEngine engine : kEngines) {
-        JsonRow row = RunCell(*workload.sys, workload.name, workload.pool,
-                              threads, engine, requests, discrepancies,
-                              workload.registry);
+      for (size_t e = 0; e < workload.engines->size(); ++e) {
+        const olite::rdb::EvalEngine engine = kEngines[e];
+        JsonRow row = RunCell(*workload.engines, e, workload.name,
+                              workload.pool, threads, requests,
+                              discrepancies, workload.registry);
         auto cell = std::make_pair(row.workload, threads);
         if (engine == olite::rdb::EvalEngine::kNestedLoop) {
           baseline_ms[cell] = row.total_ms;

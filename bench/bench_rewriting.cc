@@ -2,10 +2,11 @@
 // rewrite→unfold→execute pipeline, measured under execution budgets.
 //
 // For every mode (perfectref, classified) × layered ontology (depth
-// sweep) × deadline the harness runs the budgeted `ObdaSystem::Answer`
+// sweep) × deadline the harness runs the budgeted `QueryEngine::Answer`
 // with graceful degradation enabled and records whether the cell
 // completed exactly, degraded (sound partial answers inside the budget),
-// or exhausted the budget outright.
+// or exhausted the budget outright. Each ontology is compiled once; the
+// pruning dimension is one engine per setting over that snapshot.
 //
 // Flags: --deadline-ms=<list>  deadlines to sweep, e.g. 50 or 0,5,50
 //                              (default 0,5,50; 0 = unlimited)
@@ -42,6 +43,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -49,7 +51,8 @@
 #include "common/stopwatch.h"
 #include "dllite/ontology.h"
 #include "mapping/mapping.h"
-#include "obda/system.h"
+#include "obda/compiled_ontology.h"
+#include "obda/query_engine.h"
 #include "obs/metrics.h"
 #include "query/rewriter.h"
 
@@ -84,9 +87,8 @@ Ontology LayeredTBox(int depth, int width) {
 
 // The university-style source: every deepest-level class maps to one leaf
 // table, so the whole rewritten union unfolds and evaluates.
-std::unique_ptr<olite::obda::ObdaSystem> MakeSystem(
-    int depth, int width, int leaf_rows, RewriteMode mode,
-    olite::obs::MetricsRegistry* registry) {
+std::shared_ptr<const olite::obda::CompiledOntology> MakeSnapshot(
+    int depth, int width, int leaf_rows, RewriteMode mode) {
   Ontology onto = LayeredTBox(depth, width);
   olite::rdb::Database db;
   (void)db.CreateTable({"leaf", {{"id", olite::rdb::ValueType::kString}}});
@@ -105,17 +107,14 @@ std::unique_ptr<olite::obda::ObdaSystem> MakeSystem(
             .value(),
         block));
   }
-  olite::obda::QueryEngineOptions eng_opts;
-  eng_opts.metrics = registry;
-  auto sys = olite::obda::ObdaSystem::Create(std::move(onto),
-                                             std::move(mappings),
-                                             std::move(db), mode, eng_opts);
-  if (!sys.ok()) {
-    std::fprintf(stderr, "system creation failed: %s\n",
-                 sys.status().ToString().c_str());
+  auto compiled = olite::obda::CompiledOntology::Compile(
+      std::move(onto), std::move(mappings), std::move(db), mode);
+  if (!compiled.ok()) {
+    std::fprintf(stderr, "compile failed: %s\n",
+                 compiled.status().ToString().c_str());
     std::exit(1);
   }
-  return std::move(sys).value();
+  return std::move(compiled).value();
 }
 
 struct JsonRow {
@@ -274,14 +273,25 @@ int main(int argc, char** argv) {
   for (RewriteMode mode : {RewriteMode::kPerfectRef, RewriteMode::kClassified}) {
     for (double depth : depths) {
       olite::obs::MetricsRegistry registry;
-      auto sys = MakeSystem(static_cast<int>(depth), width, leaf_rows, mode,
-                            &registry);
+      const auto snapshot =
+          MakeSnapshot(static_cast<int>(depth), width, leaf_rows, mode);
+      // One engine per pruning setting, indexed like pruning_disabled.
+      std::vector<std::unique_ptr<olite::obda::QueryEngine>> engines;
+      for (bool disable_pruning : pruning_disabled) {
+        olite::obda::QueryEngineOptions eng_opts;
+        eng_opts.metrics = &registry;
+        eng_opts.engine = engine_choice;
+        eng_opts.disable_constraint_pruning = disable_pruning;
+        engines.push_back(
+            std::make_unique<olite::obda::QueryEngine>(snapshot, eng_opts));
+      }
       std::string ontology =
           "layered_d" + std::to_string(static_cast<int>(depth)) + "_w" +
           std::to_string(width);
       for (const auto& query : kQueries) {
         for (double deadline : deadlines) {
-          for (bool disable_pruning : pruning_disabled) {
+          for (size_t p = 0; p < engines.size(); ++p) {
+            const bool disable_pruning = pruning_disabled[p];
             JsonRow row;
             row.mode = RewriteModeName(mode);
             row.ontology = ontology;
@@ -294,11 +304,9 @@ int main(int argc, char** argv) {
               olite::obda::AnswerOptions opts;
               opts.deadline_ms = deadline;
               opts.allow_degraded = true;
-              opts.engine = engine_choice;
-              opts.disable_constraint_pruning = disable_pruning;
               olite::obda::AnswerStats stats;
               olite::Stopwatch sw;
-              auto answers = sys->Answer(query.text, opts, &stats);
+              auto answers = engines[p]->Answer(query.text, opts, &stats);
               double ms = sw.ElapsedMillis();
               if (best_ms < 0 || ms < best_ms) best_ms = ms;
               if (!answers.ok()) {

@@ -154,14 +154,13 @@ JsonRow RunCell(const std::shared_ptr<const CompiledOntology>& compiled,
   if (!cell.cache_on) eopts.plan_cache_capacity = 0;
   eopts.enable_metrics = cell.metrics_on;
   eopts.metrics = registry;
+  eopts.engine = cell.engine_choice;
   QueryEngine engine(compiled, eopts);
 
   olite::obs::Histogram& request_us =
       registry->histogram(olite::bench::kRequestUs);
   std::vector<olite::rdb::EvalStats> eval_sums(cell.threads);
   uint64_t per_thread = cell.requests / static_cast<uint64_t>(cell.threads);
-  olite::obda::AnswerOptions aopts;
-  aopts.engine = cell.engine_choice;
   Stopwatch wall;
   std::vector<std::thread> pool;
   for (int t = 0; t < cell.threads; ++t) {
@@ -173,7 +172,7 @@ JsonRow RunCell(const std::shared_ptr<const CompiledOntology>& compiled,
             rng.SkewedPick(workload.queries.size(), cell.skew));
         Stopwatch sw;
         olite::obda::AnswerStats astats;
-        auto r = engine.Answer(workload.queries[pick], aopts, &astats);
+        auto r = engine.Answer(workload.queries[pick], &astats);
         request_us.Record(sw.ElapsedMicros());
         if (!r.ok()) {
           std::fprintf(stderr, "answer failed: %s\n",

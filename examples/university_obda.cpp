@@ -5,7 +5,8 @@
 #include <cstdio>
 
 #include "mapping/mapping.h"
-#include "obda/system.h"
+#include "obda/compiled_ontology.h"
+#include "obda/query_engine.h"
 
 int main() {
   using namespace olite;
@@ -89,13 +90,15 @@ Professor <= delta(salary)
   (void)mappings.Add(mapping::MappingAssertion::ForAttribute(
       onto.vocab().FindAttribute("salary").value(), pay));
 
-  // 4. Assemble the OBDA system and answer queries.
-  auto sys = obda::ObdaSystem::Create(std::move(onto), std::move(mappings),
-                                      std::move(db));
-  if (!sys.ok()) {
-    std::fprintf(stderr, "%s\n", sys.status().ToString().c_str());
+  // 4. Compile the OBDA specification once and answer queries through an
+  // engine over the compiled snapshot.
+  auto compiled = obda::CompiledOntology::Compile(
+      std::move(onto), std::move(mappings), std::move(db));
+  if (!compiled.ok()) {
+    std::fprintf(stderr, "%s\n", compiled.status().ToString().c_str());
     return 1;
   }
+  const obda::QueryEngine engine(*compiled);
 
   const char* queries[] = {
       "q(x) :- Person(x)",               // pure TBox reasoning
@@ -107,7 +110,7 @@ Professor <= delta(salary)
   };
   for (const char* q : queries) {
     obda::AnswerStats stats;
-    auto answers = (*sys)->Answer(q, &stats);
+    auto answers = engine.Answer(q, &stats);
     if (!answers.ok()) {
       std::fprintf(stderr, "query failed: %s\n",
                    answers.status().ToString().c_str());
@@ -126,7 +129,7 @@ Professor <= delta(salary)
   }
 
   // 5. Consistency: Professor ⊑ ¬Student must hold in the virtual ABox.
-  auto consistent = (*sys)->CheckConsistency();
+  auto consistent = engine.CheckConsistency();
   if (consistent.ok()) {
     std::printf("\nvirtual ABox consistent: %s\n",
                 consistent->consistent ? "yes" : "no");

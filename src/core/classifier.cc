@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 
@@ -25,18 +26,12 @@ std::vector<graph::NodeId> ReflexivePredecessors(
   return preds;
 }
 
-}  // namespace
-
-std::vector<bool> ComputeUnsat(const TBoxGraph& g,
-                               const graph::TransitiveClosure& forward,
-                               const graph::TransitiveClosure& reverse) {
-  // A null budget can never exhaust, so value() cannot die here.
-  return ComputeUnsatBudgeted(g, forward, reverse, nullptr).value();
-}
-
-Result<std::vector<bool>> ComputeUnsatBudgeted(
-    const TBoxGraph& g, const graph::TransitiveClosure& /*forward*/,
-    const graph::TransitiveClosure& reverse, const ExecBudget* budget) {
+// computeUnsat over `reverse`; `predecessors` is the transposed digraph,
+// or null to transpose `g.digraph` only once the fixpoint needs it.
+Result<std::vector<bool>> Unsat(const TBoxGraph& g,
+                                const graph::TransitiveClosure& reverse,
+                                const graph::Digraph* predecessors,
+                                const ExecBudget* budget) {
   const graph::NodeId n = g.nodes.NumNodes();
   const auto& nis = g.negative_inclusions;
   const auto& qes = g.qualified_existentials;
@@ -134,7 +129,10 @@ Result<std::vector<bool>> ComputeUnsatBudgeted(
   // pred* is the transitive closure of the raw predecessor arcs, so
   // marking the raw predecessors of every popped node empties all of
   // pred*(x) for each unsatisfiable x: one multi-source reverse BFS.
-  const graph::Digraph preds = g.digraph.Reversed();
+  std::optional<graph::Digraph> transposed;
+  const graph::Digraph& preds =
+      predecessors != nullptr ? *predecessors
+                              : transposed.emplace(g.digraph.Reversed());
 
   // Fixpoint propagation.
   uint64_t pops = 0;
@@ -184,6 +182,21 @@ Result<std::vector<bool>> ComputeUnsatBudgeted(
   return unsat;
 }
 
+}  // namespace
+
+std::vector<bool> ComputeUnsat(const TBoxGraph& g,
+                               const graph::TransitiveClosure& /*forward*/,
+                               const graph::TransitiveClosure& reverse) {
+  // A null budget can never exhaust, so value() cannot die here.
+  return Unsat(g, reverse, nullptr, nullptr).value();
+}
+
+Result<std::vector<bool>> ComputeUnsatBudgeted(
+    const TBoxGraph& g, const graph::TransitiveClosure& reverse,
+    const graph::Digraph& predecessors, const ExecBudget* budget) {
+  return Unsat(g, reverse, &predecessors, budget);
+}
+
 Classification Classify(const dllite::TBox& tbox,
                         const dllite::Vocabulary& vocab,
                         const ClassificationOptions& options) {
@@ -215,17 +228,20 @@ Result<Classification> ClassifyBudgeted(const dllite::TBox& tbox,
                                     budget));
   // "What is below x" (computeUnsat's NI seeds, SubConcepts, the rewriter)
   // is a BFS over the transposed raw arcs, linear in the digraph: no second
-  // closure is materialised.
+  // closure is materialised. computeUnsat's predecessor rule walks the
+  // same transposition.
+  auto transposed =
+      std::make_shared<const graph::Digraph>(g.digraph.Reversed());
   std::unique_ptr<graph::TransitiveClosure> reverse =
-      graph::OnDemandClosure(g.digraph.Reversed());
+      graph::OnDemandClosure(transposed);
   stats.closure_ms = sw.ElapsedMillis();
   stats.num_closure_arcs = forward->NumClosureArcs();
 
   sw.Reset();
   std::vector<bool> unsat(g.nodes.NumNodes(), false);
   if (options.compute_unsat) {
-    OLITE_ASSIGN_OR_RETURN(unsat,
-                           ComputeUnsatBudgeted(g, *forward, *reverse, budget));
+    OLITE_ASSIGN_OR_RETURN(
+        unsat, ComputeUnsatBudgeted(g, *reverse, *transposed, budget));
   }
   stats.unsat_ms = sw.ElapsedMillis();
   stats.num_unsat_nodes =
@@ -277,8 +293,10 @@ Classification RefreshClassification(const Classification& base,
   graph::DynamicClosure::PatchStats fs;
   std::unique_ptr<graph::DynamicClosure> forward =
       base_fwd->Patched(g.digraph, popts, &fs);
+  auto transposed =
+      std::make_shared<const graph::Digraph>(g.digraph.Reversed());
   std::unique_ptr<graph::TransitiveClosure> reverse =
-      graph::OnDemandClosure(g.digraph.Reversed());
+      graph::OnDemandClosure(transposed);
   if (stats != nullptr) {
     stats->fell_back_scratch = fs.fell_back;
     stats->patched_nodes = fs.patched_nodes;
@@ -288,7 +306,9 @@ Classification RefreshClassification(const Classification& base,
   cstats.num_closure_arcs = forward->NumClosureArcs();
 
   sw.Reset();
-  std::vector<bool> unsat = ComputeUnsat(g, *forward, *reverse);
+  // A null budget can never exhaust, so value() cannot die here.
+  std::vector<bool> unsat =
+      ComputeUnsatBudgeted(g, *reverse, *transposed, nullptr).value();
   cstats.unsat_ms = sw.ElapsedMillis();
   cstats.num_unsat_nodes =
       static_cast<uint64_t>(std::count(unsat.begin(), unsat.end(), true));

@@ -208,18 +208,21 @@ Classification RefreshClassification(const Classification& base,
 /// reverse reachability over its digraph (`reverse` may be the on-demand
 /// view `Classify` uses). Only `reverse` is read, for the
 /// negative-inclusion seeds and the qualified-existential successor test;
-/// the predecessor rule walks `g.digraph`'s raw arcs. `forward` is unused
-/// and kept so that existing callers need no change.
+/// the predecessor rule walks the raw arcs of `g.digraph`, transposed only
+/// when some node is unsatisfiable. `forward` is unused and kept so that
+/// existing callers need no change.
 std::vector<bool> ComputeUnsat(const TBoxGraph& g,
                                const graph::TransitiveClosure& forward,
                                const graph::TransitiveClosure& reverse);
 
-/// Budget-aware computeUnsat: polls `budget` per seed axiom and per
-/// fixpoint pop; kResourceExhausted on exhaustion (null budget = the
-/// plain overload).
+/// Budget-aware computeUnsat for callers that already hold the transposed
+/// digraph: `predecessors` is `g.digraph.Reversed()` (typically the very
+/// digraph the on-demand `reverse` view walks), so one transposition
+/// serves both. Polls `budget` per seed axiom and per fixpoint pop;
+/// kResourceExhausted on exhaustion (a null budget never exhausts).
 Result<std::vector<bool>> ComputeUnsatBudgeted(
-    const TBoxGraph& g, const graph::TransitiveClosure& forward,
-    const graph::TransitiveClosure& reverse, const ExecBudget* budget);
+    const TBoxGraph& g, const graph::TransitiveClosure& reverse,
+    const graph::Digraph& predecessors, const ExecBudget* budget);
 
 }  // namespace olite::core
 

@@ -1,5 +1,7 @@
 #include "core/implication.h"
 
+#include <memory>
+
 #include "core/classifier.h"
 
 namespace olite::core {
@@ -11,9 +13,15 @@ ImplicationChecker::ImplicationChecker(const dllite::TBox& tbox,
   forward_ = mode == ReachabilityMode::kPrecomputed
                  ? graph::ComputeClosure(graph_.digraph,
                                          graph::ClosureEngine::kSccMerge)
-                 : graph::OnDemandClosure(graph_.digraph);
-  reverse_ = graph::OnDemandClosure(graph_.digraph.Reversed());
-  unsat_ = ComputeUnsat(graph_, *forward_, *reverse_);
+                 : graph::OnDemandClosure(
+                       std::make_shared<const graph::Digraph>(graph_.digraph));
+  // One transposition serves the reverse view and computeUnsat's
+  // predecessor rule. A null budget never exhausts, so value() cannot die.
+  auto transposed =
+      std::make_shared<const graph::Digraph>(graph_.digraph.Reversed());
+  reverse_ = graph::OnDemandClosure(transposed);
+  unsat_ =
+      ComputeUnsatBudgeted(graph_, *reverse_, *transposed, nullptr).value();
 }
 
 ImplicationChecker::~ImplicationChecker() = default;

@@ -94,11 +94,12 @@ class BfsClosure : public TransitiveClosure {
 };
 
 // ---------------------------------------------------------------------------
-// On-demand view: one BFS per query over the owned digraph.
+// On-demand view: one BFS per query over the shared digraph.
 // ---------------------------------------------------------------------------
 class OnDemandBfsClosure : public TransitiveClosure {
  public:
-  explicit OnDemandBfsClosure(Digraph g) : g_(std::move(g)) {}
+  explicit OnDemandBfsClosure(std::shared_ptr<const Digraph> g)
+      : g_(std::move(g)) {}
 
   bool Reaches(NodeId from, NodeId to) const override {
     bool found = false;
@@ -124,7 +125,8 @@ class OnDemandBfsClosure : public TransitiveClosure {
   // stops the search by returning false.
   template <typename Fn>
   std::vector<NodeId> Visit(NodeId from, Fn&& keep_going) const {
-    std::vector<bool> visited(g_.NumNodes(), false);
+    const Digraph& g = *g_;
+    std::vector<bool> visited(g.NumNodes(), false);
     std::vector<NodeId> queue;
     auto reach = [&](NodeId v) {
       if (visited[v]) return true;
@@ -132,18 +134,18 @@ class OnDemandBfsClosure : public TransitiveClosure {
       queue.push_back(v);
       return keep_going(v);
     };
-    for (NodeId v : g_.Successors(from)) {
+    for (NodeId v : g.Successors(from)) {
       if (!reach(v)) return queue;
     }
     for (size_t head = 0; head < queue.size(); ++head) {
-      for (NodeId w : g_.Successors(queue[head])) {
+      for (NodeId w : g.Successors(queue[head])) {
         if (!reach(w)) return queue;
       }
     }
     return queue;
   }
 
-  Digraph g_;
+  std::shared_ptr<const Digraph> g_;
 };
 
 }  // namespace
@@ -188,7 +190,8 @@ Result<std::unique_ptr<TransitiveClosure>> ComputeClosureBudgeted(
   return Status::InvalidArgument("unknown closure engine");
 }
 
-std::unique_ptr<TransitiveClosure> OnDemandClosure(Digraph g) {
+std::unique_ptr<TransitiveClosure> OnDemandClosure(
+    std::shared_ptr<const Digraph> g) {
   return std::make_unique<OnDemandBfsClosure>(std::move(g));
 }
 

@@ -78,12 +78,14 @@ Result<std::unique_ptr<TransitiveClosure>> ComputeClosureBudgeted(
     const Digraph& g, ClosureEngine engine, ThreadPool* pool,
     const ExecBudget* budget);
 
-/// A closure view that materialises nothing: it owns `g` and answers every
-/// query with a fresh BFS over its raw arcs, linear in the size of `g`.
-/// Same semantics as the engines (path length >= 1, ascending output).
+/// A closure view that materialises nothing: it shares `g` and answers
+/// every query with a fresh BFS over its raw arcs, linear in the size of
+/// `g`. Same semantics as the engines (path length >= 1, ascending output).
 /// Classification wraps the transposed TBox digraph in one to answer
-/// "what is below x" without a second closure.
-std::unique_ptr<TransitiveClosure> OnDemandClosure(Digraph g);
+/// "what is below x" without a second closure, and hands the same digraph
+/// to computeUnsat's predecessor rule.
+std::unique_ptr<TransitiveClosure> OnDemandClosure(
+    std::shared_ptr<const Digraph> g);
 
 }  // namespace olite::graph
 

@@ -40,22 +40,11 @@ Atom MembershipAtom(const BasicConcept& b, const Term& x, size_t* fresh) {
 
 }  // namespace
 
-namespace {
-
 // Splitmix-style epoch mix for the cache-shard hash: two epochs tagging
 // the same fingerprint land on (usually) different shards, so the hash
 // stays consistent with the epoch-prefixed key.
-uint64_t EpochHash(uint64_t hash, uint64_t epoch) {
-  return hash ^ (epoch * 0x9E3779B97F4A7C15ULL);
-}
-
-}  // namespace
-
-uint64_t PlanCacheHash(uint64_t fingerprint_hash, uint64_t epoch,
-                       bool no_prune) {
-  uint64_t h = EpochHash(fingerprint_hash, epoch);
-  if (no_prune) h = EpochHash(h, 0x517CC1B727220A95ULL);
-  return h;
+uint64_t PlanCacheHash(uint64_t fingerprint_hash, uint64_t epoch) {
+  return fingerprint_hash ^ (epoch * 0x9E3779B97F4A7C15ULL);
 }
 
 QueryEngine::QueryEngine(std::shared_ptr<const CompiledOntology> compiled,
@@ -67,7 +56,10 @@ QueryEngine::QueryEngine(std::shared_ptr<const CompiledOntology> compiled,
                             options.plan_cache_capacity,
                             options.plan_cache_shards)),
       epoch_(options.epoch),
-      key_prefix_("e" + std::to_string(options.epoch) + "|") {
+      key_prefix_("e" + std::to_string(options.epoch) + "|"),
+      disable_constraint_pruning_(options.disable_constraint_pruning),
+      eval_engine_(options.engine),
+      join_order_seed_(options.join_order_seed) {
   if (options.enable_metrics) {
     metrics_ = options.metrics != nullptr ? options.metrics
                                           : &obs::MetricsRegistry::Default();
@@ -156,8 +148,8 @@ Result<std::vector<AnswerTuple>> QueryEngine::Evaluate(
 }
 
 Result<std::vector<AnswerTuple>> QueryEngine::Execute(
-    const ConjunctiveQuery& cq, const AnswerOptions& opts,
-    AnswerStats* stats) const {
+    const ConjunctiveQuery& cq, const AnswerOptions& opts, AnswerStats* stats,
+    bool consult_cache) const {
   Stopwatch sw;
   // Trace sampling decision is made up front (per-engine atomic counter);
   // the query text is only rendered if this call is actually sampled.
@@ -196,7 +188,13 @@ Result<std::vector<AnswerTuple>> QueryEngine::Execute(
   }
 
   Degradation degradation;
-  const bool use_cache = plan_cache_->enabled() && !opts.bypass_cache;
+  const bool use_cache = plan_cache_->enabled() && consult_cache;
+  rdb::EvalOptions eopts;
+  eopts.budget = budget;
+  eopts.allow_partial = opts.allow_degraded;
+  eopts.degradation = &degradation;
+  eopts.engine = eval_engine_;
+  eopts.join_order_seed = join_order_seed_;
   query::QueryFingerprint fp;
   // Epoch-tagged cache coordinates: the key is prefixed "e<epoch>|" and
   // the shard hash mixes the epoch in, so entries of one snapshot epoch
@@ -223,12 +221,7 @@ Result<std::vector<AnswerTuple>> QueryEngine::Execute(
   if (use_cache) {
     fp = query::CanonicalFingerprint(cq);
     cache_key = key_prefix_ + fp.key;
-    if (opts.disable_constraint_pruning) {
-      // The unpruned compilation is a different plan: key (and hash) it
-      // separately so the pruned and unpruned paths never alias.
-      cache_key += "|np";
-    }
-    cache_hash = PlanCacheHash(fp.hash, epoch_, opts.disable_constraint_pruning);
+    cache_hash = PlanCacheHash(fp.hash, epoch_);
     shard = plan_cache_->ShardOf(cache_hash);
     if (stats != nullptr) stats->cache.shard = shard;
     if (auto cached = plan_cache_->Get(cache_key, cache_hash)) {
@@ -248,12 +241,6 @@ Result<std::vector<AnswerTuple>> QueryEngine::Execute(
         stats->rewrite.constraint_key_joins =
             (*cached)->rewrite.constraint_key_joins;
       }
-      rdb::EvalOptions eopts;
-      eopts.budget = budget;
-      eopts.allow_partial = opts.allow_degraded;
-      eopts.degradation = &degradation;
-      eopts.engine = opts.engine;
-      eopts.join_order_seed = opts.join_order_seed;
       return finish(Evaluate(**cached, eopts, opts.capture_sql, stats));
     }
   }
@@ -262,7 +249,7 @@ Result<std::vector<AnswerTuple>> QueryEngine::Execute(
   req.budget = budget;
   req.allow_partial = opts.allow_degraded;
   req.degradation = &degradation;
-  req.disable_constraint_pruning = opts.disable_constraint_pruning;
+  req.disable_constraint_pruning = disable_constraint_pruning_;
 
   const query::Rewriter* fallback = compiled_->fallback_rewriter();
   query::RewriteStats rstats;
@@ -289,6 +276,7 @@ Result<std::vector<AnswerTuple>> QueryEngine::Execute(
       retry_owned.emplace(caps);
       budget = &*retry_owned;
       req.budget = budget;
+      eopts.budget = budget;
     }
     rewrite_us_acc += rstats.expand_us;
     minimize_us_acc += rstats.minimize_us;
@@ -311,7 +299,7 @@ Result<std::vector<AnswerTuple>> QueryEngine::Execute(
   uopts.budget = budget;
   uopts.allow_partial = opts.allow_degraded;
   uopts.degradation = &degradation;
-  if (!opts.disable_constraint_pruning) {
+  if (!disable_constraint_pruning_) {
     uopts.constraints = &compiled_->constraints();
   }
   UnfoldStats ustats;
@@ -347,12 +335,6 @@ Result<std::vector<AnswerTuple>> QueryEngine::Execute(
   }
   // kNotFound leaves compiled_plan.plan null: the empty-unfolding plan.
 
-  rdb::EvalOptions eopts;
-  eopts.budget = budget;
-  eopts.allow_partial = opts.allow_degraded;
-  eopts.degradation = &degradation;
-  eopts.engine = opts.engine;
-  eopts.join_order_seed = opts.join_order_seed;
   Result<std::vector<AnswerTuple>> answers =
       Evaluate(compiled_plan, eopts, opts.capture_sql, stats);
 
@@ -492,12 +474,10 @@ Result<ConsistencyReport> QueryEngine::CheckConsistency() const {
 
   // Consistency queries never touch the plan cache: they are internal
   // boolean probes, not user workload, and must not evict served plans.
-  AnswerOptions probe;
-  probe.bypass_cache = true;
-
   auto violated = [&](const ConjunctiveQuery& q) -> Result<bool> {
-    OLITE_ASSIGN_OR_RETURN(std::vector<AnswerTuple> rows,
-                           Execute(q, probe, nullptr));
+    OLITE_ASSIGN_OR_RETURN(
+        std::vector<AnswerTuple> rows,
+        Execute(q, AnswerOptions{}, nullptr, /*consult_cache=*/false));
     return !rows.empty();
   };
 

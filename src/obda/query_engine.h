@@ -37,12 +37,10 @@ struct CachedPlan {
 };
 
 /// The shard/colliding-key hash of one plan-cache entry: the CQ
-/// fingerprint hash mixed with the epoch tag (and a fixed tweak for the
-/// no-constraint-pruning key variant, applied after the epoch mix). Kept
-/// in one place so the serving layer's delta migration re-keys entries
-/// exactly the way `QueryEngine` writes them.
-uint64_t PlanCacheHash(uint64_t fingerprint_hash, uint64_t epoch,
-                       bool no_prune);
+/// fingerprint hash mixed with the epoch tag. Kept in one place so the
+/// serving layer's delta migration re-keys entries exactly the way
+/// `QueryEngine` writes them.
+uint64_t PlanCacheHash(uint64_t fingerprint_hash, uint64_t epoch);
 
 /// The plan-cache container, exposed so a `ServingEngine` can share one
 /// cache across the engines of successive snapshot epochs (entries are
@@ -50,9 +48,14 @@ uint64_t PlanCacheHash(uint64_t fingerprint_hash, uint64_t epoch,
 using PlanCache =
     ShardedLruCache<std::string, std::shared_ptr<const CachedPlan>>;
 
-/// Serving-side knobs, fixed at engine construction.
+/// Serving-side knobs, fixed at engine construction. Besides the cache and
+/// metrics wiring they fix the plan-shaping choices (pruning, evaluator,
+/// join order): every call on one engine compiles and runs its plans the
+/// same way, so the plan-cache key needs no variant for them. To compare
+/// two choices, build two engines over one `CompiledOntology`.
 struct QueryEngineOptions {
-  /// Total plan-cache entries across all shards. 0 disables caching.
+  /// Total plan-cache entries across all shards. 0 disables caching: every
+  /// call then runs the cold path (rewrite, unfold, prepare, evaluate).
   size_t plan_cache_capacity = 256;
   /// Shards of the plan cache; more shards = less lock contention under
   /// concurrent Answer() calls with distinct queries.
@@ -60,7 +63,9 @@ struct QueryEngineOptions {
   /// When set, the engine uses this externally-owned cache instead of
   /// constructing its own (capacity/shards above are then ignored). The
   /// hot-swap serving layer hands the same cache to every epoch's engine
-  /// so a swap does not re-allocate shards mid-traffic.
+  /// so a swap does not re-allocate shards mid-traffic. Engines sharing a
+  /// cache must use the same plan-shaping options below: keys do not
+  /// record them, so one engine would replay another's plans.
   std::shared_ptr<PlanCache> shared_plan_cache;
   /// Snapshot epoch tag baked into every plan-cache key (and mixed into
   /// the shard hash). Entries written by one epoch can never be returned
@@ -80,6 +85,17 @@ struct QueryEngineOptions {
   /// `obs::MetricsRegistry::Default()`. Benchmarks pass a scoped registry
   /// per cell so percentiles do not bleed across configurations.
   obs::MetricsRegistry* metrics = nullptr;
+  /// Compile without constraint-aware pruning (obda/constraints.h). The
+  /// answers are the same; the compiled union is just larger. The
+  /// pruning differential referee runs one engine each way.
+  bool disable_constraint_pruning = false;
+  /// Physical evaluator for the rdb stage. kDefault resolves through the
+  /// OLITE_EVAL_ENGINE environment override, else columnar.
+  rdb::EvalEngine engine = rdb::EvalEngine::kDefault;
+  /// Forwarded to `rdb::EvalOptions::join_order_seed`: a non-zero seed
+  /// randomises the columnar engine's join order per block (answers must
+  /// be unaffected; the metamorphic referee checks that).
+  uint64_t join_order_seed = 0;
 };
 
 /// The online phase of the serving stack: answers queries against one
@@ -165,9 +181,13 @@ class QueryEngine {
     obs::Counter* constraint_checks = nullptr;
   };
 
+  /// The pipeline behind every `Answer`. `consult_cache` = false runs the
+  /// cold path without looking up or storing a plan (the consistency
+  /// probes, which must not evict served plans).
   Result<std::vector<AnswerTuple>> Execute(const query::ConjunctiveQuery& cq,
                                            const AnswerOptions& options,
-                                           AnswerStats* stats) const;
+                                           AnswerStats* stats,
+                                           bool consult_cache = true) const;
 
   /// Evaluates a prepared plan and renders rows into answer tuples. Fills
   /// `stats->stage.execute_us`; copies the SQL text into `stats->sql` only
@@ -192,6 +212,10 @@ class QueryEngine {
   /// ("e<epoch>|") prepended to every fingerprint key.
   uint64_t epoch_ = 0;
   std::string key_prefix_;
+  /// Plan-shaping choices (see QueryEngineOptions).
+  bool disable_constraint_pruning_ = false;
+  rdb::EvalEngine eval_engine_ = rdb::EvalEngine::kDefault;
+  uint64_t join_order_seed_ = 0;
   /// Null when metrics are disabled (QueryEngineOptions::enable_metrics).
   obs::MetricsRegistry* metrics_ = nullptr;
   Instruments ins_;

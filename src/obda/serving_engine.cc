@@ -155,10 +155,7 @@ Result<uint64_t> ServingEngine::RefreshAndSwap(const OntologyDelta& delta,
     const std::string new_prefix = "e" + std::to_string(e) + "|";
     for (auto& [key, plan] : plan_cache_->Items()) {
       if (key.compare(0, old_prefix.size(), old_prefix) != 0) continue;
-      const bool no_prune =
-          key.size() >= 3 && key.compare(key.size() - 3, 3, "|np") == 0;
-      const uint64_t old_hash =
-          PlanCacheHash(plan->fp_hash, old_epoch, no_prune);
+      const uint64_t old_hash = PlanCacheHash(plan->fp_hash, old_epoch);
       bool stale = false;
       for (uint64_t pred : plan->preds) {
         if (std::binary_search(info.changed_preds.begin(),
@@ -174,8 +171,7 @@ Result<uint64_t> ServingEngine::RefreshAndSwap(const OntologyDelta& delta,
       }
       const std::string new_key =
           new_prefix + key.substr(old_prefix.size());
-      plan_cache_->Put(new_key, PlanCacheHash(plan->fp_hash, e, no_prune),
-                       plan);
+      plan_cache_->Put(new_key, PlanCacheHash(plan->fp_hash, e), plan);
       plan_cache_->Erase(key, old_hash);
       ++ds.plans_migrated;
     }

@@ -41,7 +41,9 @@ struct ServingEngineOptions {
   /// Template for each epoch's QueryEngine. `epoch` and
   /// `shared_plan_cache` are overwritten by the serving layer (it owns
   /// the cache and the epoch counter); the remaining fields — cache
-  /// capacity/shards, metrics wiring — apply as given.
+  /// capacity/shards, metrics wiring, plan-shaping choices — apply as
+  /// given. Every epoch gets the same plan-shaping choices, which is what
+  /// lets them share one cache and migrate plans across a delta swap.
   QueryEngineOptions engine;
   AdmissionOptions admission;
 };

@@ -24,7 +24,7 @@ Result<std::vector<Tuple>> EvaluateOverABox(const UnionQuery& ucq,
 
 /// Certain answers of `cq` w.r.t. TBox ∪ ABox: rewrites the query against
 /// the TBox and evaluates the UCQ over the ABox. The materialised-ABox
-/// counterpart of `obda::ObdaSystem::Answer`.
+/// counterpart of `obda::QueryEngine::Answer`.
 Result<std::vector<Tuple>> AnswerOverABox(
     const ConjunctiveQuery& cq, const dllite::TBox& tbox,
     const dllite::ABox& abox, const dllite::Vocabulary& vocab,

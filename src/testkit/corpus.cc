@@ -140,7 +140,7 @@ std::vector<std::string> RunCase(const ConformanceCase& c, bool run_tableau) {
   copts.run_tableau = run_tableau;
   copts.mutation = c.mutation;
   std::vector<std::string> diffs = CompareClassifiers(w.ontology, copts);
-  for (auto& d : CompareAnswerPaths(w)) diffs.push_back(std::move(d));
+  for (auto& d : CheckAnswerPaths(w)) diffs.push_back(std::move(d));
   return diffs;
 }
 

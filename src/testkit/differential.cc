@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -13,6 +14,7 @@
 #include "common/rng.h"
 #include "completion/completion_classifier.h"
 #include "core/classifier.h"
+#include "obda/query_engine.h"
 #include "obda/serving_engine.h"
 #include "owl/from_dllite.h"
 #include "query/abox_eval.h"
@@ -158,105 +160,68 @@ std::vector<std::string> CompareClassifiers(
   return diffs;
 }
 
-std::vector<std::string> CompareAnswerPaths(const benchgen::Workload& w,
-                                            const AnswerDiffOptions& options) {
-  std::vector<std::string> diffs;
-  const Vocabulary& vocab = w.ontology.vocab();
+namespace {
 
-  auto system =
-      obda::ObdaSystem::Create(w.ontology, w.mappings, w.database,
-                               query::RewriteMode::kClassified);
-  if (!system.ok()) {
-    diffs.push_back("ObdaSystem::Create failed: " +
-                    system.status().ToString());
-    return diffs;
-  }
-  ChaseOracle chase(w.ontology.tbox(), vocab, w.abox, options.chase_depth);
-
-  for (const auto& cq : w.queries) {
-    const std::string label = cq.ToString(vocab);
-
-    auto chase_rows = chase.CertainAnswers(cq);
-    TupleSet want(chase_rows.begin(), chase_rows.end());
-
-    obda::AnswerStats cold_stats;
-    auto sql = (*system)->Answer(cq, &cold_stats);
-    if (!sql.ok()) {
-      diffs.push_back(label + " [obda]: " + sql.status().ToString());
-    } else {
-      CompareTupleSets(label, want, TupleSet(sql->begin(), sql->end()),
-                       "obda-sql", &diffs);
-
-      // Cached-vs-uncached pair: replaying the query must hit the plan
-      // cache (the first pass ran unbudgeted, so its plan was exact and
-      // stored) and both the hot answers and a forced cold-path re-answer
-      // must match the oracle bit for bit.
-      obda::AnswerStats hot_stats;
-      auto hot = (*system)->Answer(cq, &hot_stats);
-      if (!hot.ok()) {
-        diffs.push_back(label + " [obda-cached]: " + hot.status().ToString());
-      } else {
-        CompareTupleSets(label, want, TupleSet(hot->begin(), hot->end()),
-                         "obda-cached", &diffs);
-        if (cold_stats.cache.stored && !hot_stats.cache.hit) {
-          diffs.push_back(label +
-                          " [obda-cached]: stored plan was not reused");
-        }
-        if (hot_stats.cache.hit && hot_stats.rewrite.iterations != 0) {
-          diffs.push_back(label +
-                          " [obda-cached]: cache hit still rewrote the "
-                          "query");
-        }
-      }
-      obda::AnswerOptions bypass;
-      bypass.bypass_cache = true;
-      auto uncached = (*system)->Answer(cq, bypass);
-      if (!uncached.ok()) {
-        diffs.push_back(label + " [obda-uncached]: " +
-                        uncached.status().ToString());
-      } else {
-        CompareTupleSets(label, want,
-                         TupleSet(uncached->begin(), uncached->end()),
-                         "obda-uncached", &diffs);
-      }
-    }
-
-    auto direct = query::AnswerOverABox(cq, w.ontology.tbox(), w.abox, vocab,
-                                        query::RewriteMode::kPerfectRef);
-    if (!direct.ok()) {
-      diffs.push_back(label + " [abox]: " + direct.status().ToString());
-    } else {
-      CompareTupleSets(label, want, TupleSet(direct->begin(), direct->end()),
-                       "abox-eval", &diffs);
-    }
-  }
-  return diffs;
+// Compiles `w` once (classified rewriting) for the answer referees.
+Result<std::shared_ptr<const obda::CompiledOntology>> CompileWorkload(
+    const benchgen::Workload& w) {
+  return obda::CompiledOntology::Compile(w.ontology, w.mappings, w.database,
+                                         query::RewriteMode::kClassified);
 }
 
-std::vector<std::string> CompareEvaluators(const benchgen::Workload& w,
-                                           const EvaluatorDiffOptions& options) {
+// Engine options with no plan cache: every call runs the cold path.
+obda::QueryEngineOptions Uncached() {
+  obda::QueryEngineOptions options;
+  options.plan_cache_capacity = 0;
+  return options;
+}
+
+}  // namespace
+
+std::vector<std::string> CheckAnswerPaths(const benchgen::Workload& w,
+                                          const AnswerPathOptions& options) {
   std::vector<std::string> diffs;
   const Vocabulary& vocab = w.ontology.vocab();
 
-  auto system =
-      obda::ObdaSystem::Create(w.ontology, w.mappings, w.database,
-                               query::RewriteMode::kClassified);
-  if (!system.ok()) {
-    diffs.push_back("ObdaSystem::Create failed: " +
-                    system.status().ToString());
+  auto compiled = CompileWorkload(w);
+  if (!compiled.ok()) {
+    diffs.push_back("Compile failed: " + compiled.status().ToString());
     return diffs;
   }
   ChaseOracle chase(w.ontology.tbox(), vocab, w.abox, options.chase_depth);
+
+  // Every path is one engine over the shared snapshot; only its cache and
+  // plan-shaping options differ from the served defaults.
+  obda::QueryEngineOptions columnar_opts;
+  columnar_opts.engine = rdb::EvalEngine::kColumnar;
+  obda::QueryEngineOptions nested_opts = Uncached();
+  nested_opts.engine = rdb::EvalEngine::kNestedLoop;
+  obda::QueryEngineOptions unpruned_opts = Uncached();
+  unpruned_opts.disable_constraint_pruning = true;
+  const obda::QueryEngine cached(*compiled);
+  const obda::QueryEngine uncached(*compiled, Uncached());
+  const obda::QueryEngine columnar(*compiled, columnar_opts);
+  const obda::QueryEngine nested(*compiled, nested_opts);
+  const obda::QueryEngine unpruned(*compiled, unpruned_opts);
+  std::vector<std::unique_ptr<const obda::QueryEngine>> shuffled;
+  for (uint64_t seed : options.join_order_seeds) {
+    obda::QueryEngineOptions opts = Uncached();
+    opts.engine = rdb::EvalEngine::kColumnar;
+    opts.join_order_seed = seed;
+    shuffled.push_back(
+        std::make_unique<const obda::QueryEngine>(*compiled, opts));
+  }
 
   for (const auto& cq : w.queries) {
     const std::string label = cq.ToString(vocab);
 
     auto chase_rows = chase.CertainAnswers(cq);
-    TupleSet want(chase_rows.begin(), chase_rows.end());
+    const TupleSet want(chase_rows.begin(), chase_rows.end());
 
-    auto run = [&](const obda::AnswerOptions& opts, obda::AnswerStats* stats,
-                   const std::string& tag) -> std::optional<TupleSet> {
-      auto rows = (*system)->Answer(cq, opts, stats);
+    // One path: answer on `engine`, compare with the chase answers.
+    auto run = [&](const obda::QueryEngine& engine, const std::string& tag,
+                   obda::AnswerStats* stats) -> std::optional<TupleSet> {
+      auto rows = engine.Answer(cq, stats);
       if (!rows.ok()) {
         diffs.push_back(label + " [" + tag + "]: " +
                         rows.status().ToString());
@@ -267,26 +232,6 @@ std::vector<std::string> CompareEvaluators(const benchgen::Workload& w,
       return got;
     };
 
-    // Cold columnar compile (bypassing the cache), then a hot pass that
-    // exercises the cached plan's precompiled programs.
-    obda::AnswerOptions columnar;
-    columnar.engine = rdb::EvalEngine::kColumnar;
-    columnar.bypass_cache = true;
-    obda::AnswerStats cstats;
-    auto col = run(columnar, &cstats, "columnar");
-    if (col.has_value() && cstats.sql_blocks > 0 &&
-        std::string(cstats.eval.engine) != "columnar") {
-      diffs.push_back(label + " [columnar]: stats report engine '" +
-                      cstats.eval.engine + "'");
-    }
-    columnar.bypass_cache = false;
-    run(columnar, nullptr, "columnar-cached");
-
-    obda::AnswerOptions nested;
-    nested.engine = rdb::EvalEngine::kNestedLoop;
-    nested.bypass_cache = true;
-    run(nested, nullptr, "nested-loop");
-
     auto direct = query::AnswerOverABox(cq, w.ontology.tbox(), w.abox, vocab,
                                         query::RewriteMode::kPerfectRef);
     if (!direct.ok()) {
@@ -294,101 +239,79 @@ std::vector<std::string> CompareEvaluators(const benchgen::Workload& w,
     } else {
       CompareTupleSets(label, want, TupleSet(direct->begin(), direct->end()),
                        "abox-eval", &diffs);
+    }
+
+    if (options.cache_paths) {
+      // Replaying the query must hit the plan cache (the cold pass ran
+      // unbudgeted, so its plan was exact and stored), and a hit must
+      // rewrite nothing.
+      obda::AnswerStats cold_stats;
+      run(cached, "obda-sql", &cold_stats);
+      obda::AnswerStats hot_stats;
+      if (run(cached, "obda-cached", &hot_stats).has_value()) {
+        if (cold_stats.cache.stored && !hot_stats.cache.hit) {
+          diffs.push_back(label +
+                          " [obda-cached]: stored plan was not reused");
+        }
+        if (hot_stats.cache.hit && hot_stats.rewrite.iterations != 0) {
+          diffs.push_back(label +
+                          " [obda-cached]: cache hit still rewrote the "
+                          "query");
+        }
+      }
+      run(uncached, "obda-uncached", nullptr);
+    }
+
+    if (options.evaluator_paths) {
+      // Cold columnar compile, then a hot pass that exercises the cached
+      // plan's precompiled programs.
+      obda::AnswerStats cstats;
+      if (run(columnar, "columnar", &cstats).has_value() &&
+          cstats.sql_blocks > 0 &&
+          std::string(cstats.eval.engine) != "columnar") {
+        diffs.push_back(label + " [columnar]: stats report engine '" +
+                        cstats.eval.engine + "'");
+      }
+      run(columnar, "columnar-cached", nullptr);
+      run(nested, "nested-loop", nullptr);
     }
 
     // Metamorphic sweep: a randomised physical join order must not change
     // the answer set.
-    for (uint64_t seed : options.join_order_seeds) {
-      obda::AnswerOptions shuffled;
-      shuffled.engine = rdb::EvalEngine::kColumnar;
-      shuffled.bypass_cache = true;
-      shuffled.join_order_seed = seed;
-      run(shuffled, nullptr, "columnar-seed" + std::to_string(seed));
-    }
-  }
-  return diffs;
-}
-
-std::vector<std::string> CheckConstraintPruning(
-    const benchgen::Workload& w, const ConstraintPruningOptions& options) {
-  std::vector<std::string> diffs;
-  const Vocabulary& vocab = w.ontology.vocab();
-
-  auto system =
-      obda::ObdaSystem::Create(w.ontology, w.mappings, w.database,
-                               query::RewriteMode::kClassified);
-  if (!system.ok()) {
-    diffs.push_back("ObdaSystem::Create failed: " +
-                    system.status().ToString());
-    return diffs;
-  }
-  ChaseOracle chase(w.ontology.tbox(), vocab, w.abox, options.chase_depth);
-
-  for (const auto& cq : w.queries) {
-    const std::string label = cq.ToString(vocab);
-
-    auto chase_rows = chase.CertainAnswers(cq);
-    TupleSet want(chase_rows.begin(), chase_rows.end());
-
-    // Both passes bypass the plan cache: pruned and unpruned plans are
-    // keyed apart, but this harness exists to compare the *cold compile*
-    // of each path, not a cached replay.
-    obda::AnswerOptions pruned_opts;
-    pruned_opts.bypass_cache = true;
-    obda::AnswerStats pruned_stats;
-    auto pruned = (*system)->Answer(cq, pruned_opts, &pruned_stats);
-    if (!pruned.ok()) {
-      diffs.push_back(label + " [pruned]: " + pruned.status().ToString());
-      continue;
-    }
-    CompareTupleSets(label, want, TupleSet(pruned->begin(), pruned->end()),
-                     "pruned", &diffs);
-
-    obda::AnswerOptions unpruned_opts;
-    unpruned_opts.bypass_cache = true;
-    unpruned_opts.disable_constraint_pruning = true;
-    obda::AnswerStats unpruned_stats;
-    auto unpruned = (*system)->Answer(cq, unpruned_opts, &unpruned_stats);
-    if (!unpruned.ok()) {
-      diffs.push_back(label + " [unpruned]: " +
-                      unpruned.status().ToString());
-      continue;
-    }
-    CompareTupleSets(label, want,
-                     TupleSet(unpruned->begin(), unpruned->end()),
-                     "unpruned", &diffs);
-    CompareTupleSets(label, TupleSet(unpruned->begin(), unpruned->end()),
-                     TupleSet(pruned->begin(), pruned->end()),
-                     "pruned-vs-unpruned", &diffs);
-
-    // Pruning must never *grow* the compiled union, and the unpruned pass
-    // must not report pruning work.
-    if (pruned_stats.rewrite.final_disjuncts >
-        unpruned_stats.rewrite.final_disjuncts) {
-      diffs.push_back(label + ": pruned union has more disjuncts (" +
-                      std::to_string(pruned_stats.rewrite.final_disjuncts) +
-                      ") than unpruned (" +
-                      std::to_string(unpruned_stats.rewrite.final_disjuncts) +
-                      ")");
-    }
-    if (unpruned_stats.rewrite.pruned_disjuncts != 0 ||
-        unpruned_stats.rewrite.pruned_unfoldings != 0) {
-      diffs.push_back(label +
-                      ": disable_constraint_pruning still reported pruning");
+    for (size_t i = 0; i < shuffled.size(); ++i) {
+      run(*shuffled[i],
+          "columnar-seed" + std::to_string(options.join_order_seeds[i]),
+          nullptr);
     }
 
-    auto direct = query::AnswerOverABox(cq, w.ontology.tbox(), w.abox, vocab,
-                                        query::RewriteMode::kPerfectRef);
-    if (!direct.ok()) {
-      diffs.push_back(label + " [abox]: " + direct.status().ToString());
-    } else {
-      CompareTupleSets(label, want, TupleSet(direct->begin(), direct->end()),
-                       "abox-eval", &diffs);
-    }
-
-    if (options.pruned_accumulator) {
-      *options.pruned_accumulator += pruned_stats.rewrite.pruned_disjuncts +
-                                     pruned_stats.rewrite.pruned_unfoldings;
+    if (options.pruning_paths) {
+      // Both pruning paths compile cold: the harness compares each path's
+      // compilation, not a cached replay.
+      obda::AnswerStats pruned_stats;
+      auto pruned = run(uncached, "pruned", &pruned_stats);
+      obda::AnswerStats unpruned_stats;
+      auto plain = run(unpruned, "unpruned", &unpruned_stats);
+      if (!pruned.has_value() || !plain.has_value()) continue;
+      CompareTupleSets(label, *plain, *pruned, "pruned-vs-unpruned", &diffs);
+      // Pruning must never *grow* the compiled union, and the unpruned
+      // path must not report pruning work.
+      if (pruned_stats.rewrite.final_disjuncts >
+          unpruned_stats.rewrite.final_disjuncts) {
+        diffs.push_back(
+            label + ": pruned union has more disjuncts (" +
+            std::to_string(pruned_stats.rewrite.final_disjuncts) +
+            ") than unpruned (" +
+            std::to_string(unpruned_stats.rewrite.final_disjuncts) + ")");
+      }
+      if (unpruned_stats.rewrite.pruned_disjuncts != 0 ||
+          unpruned_stats.rewrite.pruned_unfoldings != 0) {
+        diffs.push_back(label +
+                        ": disable_constraint_pruning still reported pruning");
+      }
+      if (options.pruned_accumulator) {
+        *options.pruned_accumulator += pruned_stats.rewrite.pruned_disjuncts +
+                                       pruned_stats.rewrite.pruned_unfoldings;
+      }
     }
   }
   return diffs;
@@ -577,24 +500,21 @@ std::vector<std::string> CheckBudgetMonotonicity(
     const std::function<void()>& between_passes) {
   std::vector<std::string> diffs;
   const Vocabulary& vocab = w.ontology.vocab();
-  auto system =
-      obda::ObdaSystem::Create(w.ontology, w.mappings, w.database,
-                               query::RewriteMode::kClassified);
-  if (!system.ok()) {
-    diffs.push_back("ObdaSystem::Create failed: " +
-                    system.status().ToString());
+  auto compiled = CompileWorkload(w);
+  if (!compiled.ok()) {
+    diffs.push_back("Compile failed: " + compiled.status().ToString());
     return diffs;
   }
 
-  // The baseline pass bypasses the plan cache so the budgeted pass below
-  // runs the full cold pipeline — otherwise a cached plan would skip the
-  // rewrite/unfold stages whose budget (and fault-site) behaviour this
-  // harness exists to check.
-  obda::AnswerOptions baseline;
-  baseline.bypass_cache = true;
+  // The baseline runs on an engine with no cache, so the budgeted pass
+  // below (on its own, initially empty cache) runs the full cold pipeline
+  // — otherwise a cached plan would skip the rewrite/unfold stages whose
+  // budget (and fault-site) behaviour this harness exists to check.
+  const obda::QueryEngine baseline(*compiled, Uncached());
+  const obda::QueryEngine budgeted(*compiled);
   std::vector<std::optional<TupleSet>> full(w.queries.size());
   for (size_t i = 0; i < w.queries.size(); ++i) {
-    auto rows = (*system)->Answer(w.queries[i], baseline);
+    auto rows = baseline.Answer(w.queries[i]);
     if (rows.ok()) full[i] = TupleSet(rows->begin(), rows->end());
   }
   if (between_passes) between_passes();
@@ -602,7 +522,7 @@ std::vector<std::string> CheckBudgetMonotonicity(
   for (size_t i = 0; i < w.queries.size(); ++i) {
     if (!full[i].has_value()) continue;  // no clean baseline for this query
     obda::AnswerStats stats;
-    auto rows = (*system)->Answer(w.queries[i], options, &stats);
+    auto rows = budgeted.Answer(w.queries[i], options, &stats);
     if (!rows.ok()) continue;  // a clean failure is an acceptable outcome
     TupleSet degraded(rows->begin(), rows->end());
     TupleSet extra;

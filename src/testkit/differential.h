@@ -9,7 +9,8 @@
 #include "benchgen/workload.h"
 #include "common/exec_budget.h"
 #include "dllite/ontology.h"
-#include "obda/system.h"
+#include "obda/answer.h"
+#include "query/rewriter.h"
 
 namespace olite::testkit {
 
@@ -44,63 +45,47 @@ struct ClassifierDiffOptions {
 std::vector<std::string> CompareClassifiers(
     const dllite::Ontology& onto, const ClassifierDiffOptions& options = {});
 
-/// Options for `CompareAnswerPaths`.
-struct AnswerDiffOptions {
+/// Options for `CheckAnswerPaths`. Each flag selects a family of answer
+/// paths; every path is one `obda::QueryEngine` over the workload's one
+/// compiled snapshot (classified rewriting), differing from the served
+/// default only in its cache or plan-shaping options.
+struct AnswerPathOptions {
   /// Null-generation cutoff of the chase oracle; must exceed the largest
   /// query component's atom count (see testkit/chase_oracle.h).
   uint32_t chase_depth = 8;
-};
-
-/// Differential query answering over every query of `w`: the full OBDA
-/// pipeline (classified rewrite → unfold → SQL on the sources), direct
-/// evaluation (PerfectRef rewrite → materialised ABox) and the chase
-/// oracle must produce identical certain-answer sets. Returns discrepancy
-/// descriptions; empty = agreement.
-std::vector<std::string> CompareAnswerPaths(
-    const benchgen::Workload& w, const AnswerDiffOptions& options = {});
-
-/// Options for `CompareEvaluators`.
-struct EvaluatorDiffOptions {
-  /// Null-generation cutoff of the chase oracle (see
-  /// testkit/chase_oracle.h).
-  uint32_t chase_depth = 8;
-  /// Seeds for the join-order metamorphic sweep: under each seed the
-  /// columnar engine runs every block under a random join order, which
-  /// must not change any answer. Empty = skip the sweep.
-  std::vector<uint64_t> join_order_seeds = {1, 7, 0xBADCAFE};
-};
-
-/// Differential *evaluator* conformance over every query of `w`: the
-/// columnar engine (cold-compiled and plan-cache-hot) and the nested-loop
-/// engine must produce identical certain-answer sets, refereed by the
-/// chase oracle and by direct ABox evaluation; a randomised join-order
-/// sweep then checks that physical join order never changes answers.
-/// Returns discrepancy descriptions; empty = agreement.
-std::vector<std::string> CompareEvaluators(
-    const benchgen::Workload& w, const EvaluatorDiffOptions& options = {});
-
-/// Options for `CheckConstraintPruning`.
-struct ConstraintPruningOptions {
-  /// Null-generation cutoff of the chase oracle (see
-  /// testkit/chase_oracle.h).
-  uint32_t chase_depth = 8;
-  /// When set, accumulates the pruning work observed (suppressed disjuncts
-  /// plus dropped unfoldings) across every query checked. Sweeps assert it
-  /// is non-zero at the end — a "pruning sweep" whose constraint-rich
-  /// workloads never actually pruned anything tests nothing.
+  /// Plan-cache paths: a caching engine answers each query cold and then
+  /// replays it (a stored plan must be hit, and a hit rewrites nothing);
+  /// an engine with no cache answers it again.
+  bool cache_paths = true;
+  /// Evaluator paths: a columnar engine answers cold (its stats must name
+  /// `columnar`) and then from its cache; a nested-loop engine answers
+  /// cold.
+  bool evaluator_paths = false;
+  /// One columnar path per seed, each randomising the join order of every
+  /// block: physical join order must not change any answer.
+  std::vector<uint64_t> join_order_seeds;
+  /// Pruning paths: the constraint-pruned cold compile and an engine with
+  /// pruning off must agree, the pruned union must never have more
+  /// disjuncts, and the unpruned path must report no pruning.
+  bool pruning_paths = false;
+  /// When set (with `pruning_paths`), accumulates the pruning work
+  /// observed (suppressed disjuncts plus dropped unfoldings) across every
+  /// query checked. Sweeps assert it is non-zero at the end — a "pruning
+  /// sweep" whose constraint-rich workloads never pruned anything tests
+  /// nothing.
   uint64_t* pruned_accumulator = nullptr;
 };
 
-/// Differential *pruning* conformance over every query of `w`: the default
-/// (constraint-pruned) pipeline and the pipeline with
-/// `disable_constraint_pruning` must produce identical certain-answer
-/// sets, both refereed by the chase oracle and by direct ABox evaluation;
-/// the pruned compile must never produce a *larger* union than the
-/// unpruned one. Returns discrepancy descriptions; empty = agreement.
-/// Shrinkable: wrap a failing (config, seed) in a ConformanceCase and
-/// ddmin with this checker as the predicate.
-std::vector<std::string> CheckConstraintPruning(
-    const benchgen::Workload& w, const ConstraintPruningOptions& options = {});
+/// The answer referee, over every query of `w`: compiles the workload
+/// once, runs the chase oracle and direct evaluation (PerfectRef rewrite →
+/// materialised ABox) once per query, then answers through every selected
+/// path. All of them must produce the chase oracle's certain-answer set,
+/// and each path's structural assertions must hold. Returns discrepancy
+/// descriptions; empty = agreement. Shrinkable: wrap a failing (config,
+/// seed) in a ConformanceCase and ddmin with this checker as the
+/// predicate.
+std::vector<std::string> CheckAnswerPaths(
+    const benchgen::Workload& w, const AnswerPathOptions& options = {});
 
 // -- metamorphic properties -------------------------------------------------
 

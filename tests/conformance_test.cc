@@ -23,7 +23,7 @@
 #include "common/fault_injection.h"
 #include "common/rng.h"
 #include "core/classifier.h"
-#include "obda/system.h"
+#include "obda/answer.h"
 #include "query/abox_eval.h"
 #include "testkit/chase_oracle.h"
 #include "testkit/corpus.h"
@@ -226,9 +226,9 @@ TEST(ConformanceSweep, DifferentialAndMetamorphicAgreement) {
     ASSERT_TRUE(diffs.empty())
         << "classifier discrepancies at seed " << seed << JoinDiffs(diffs);
 
-    testkit::AnswerDiffOptions aopts;
+    testkit::AnswerPathOptions aopts;
     aopts.chase_depth = SweepConfig(seed).max_atoms_per_query + 1;
-    diffs = testkit::CompareAnswerPaths(w, aopts);
+    diffs = testkit::CheckAnswerPaths(w, aopts);
     ASSERT_TRUE(diffs.empty())
         << "answer discrepancies at seed " << seed << JoinDiffs(diffs);
 
@@ -275,19 +275,21 @@ TEST(ConformanceSweep, ConstraintPruningAgreesWithOracles) {
   uint64_t pruned_total = 0;
   for (uint64_t seed = base; seed < base + num_seeds; ++seed) {
     Workload w = benchgen::GenerateWorkload(PruningSweepConfig(seed));
-    testkit::ConstraintPruningOptions opts;
+    testkit::AnswerPathOptions opts;
     opts.chase_depth = PruningSweepConfig(seed).max_atoms_per_query + 1;
+    opts.cache_paths = false;
+    opts.pruning_paths = true;
     opts.pruned_accumulator = &pruned_total;
-    auto diffs = testkit::CheckConstraintPruning(w, opts);
+    auto diffs = testkit::CheckAnswerPaths(w, opts);
     if (!diffs.empty()) {
       // Shrink before failing: the report carries a minimal corpus-format
       // repro instead of a 20-concept workload.
       ConformanceCase c = testkit::CaseFromWorkload(w);
-      testkit::ConstraintPruningOptions ropts;
-      ropts.chase_depth = opts.chase_depth;
+      testkit::AnswerPathOptions ropts = opts;
+      ropts.pruned_accumulator = nullptr;
       auto fails = [&](const ConformanceCase& candidate) {
-        return !testkit::CheckConstraintPruning(
-                    testkit::ToWorkload(candidate), ropts)
+        return !testkit::CheckAnswerPaths(testkit::ToWorkload(candidate),
+                                          ropts)
                     .empty();
       };
       ConformanceCase shrunk = testkit::Shrink(c, fails);
@@ -309,12 +311,14 @@ TEST(EvaluatorConformance, ColumnarAgreesWithNestedLoopAndOracles) {
   const uint64_t base = EnvOr("OLITE_CONFORMANCE_SEED_BASE", 0);
   for (uint64_t seed = base; seed < base + num_seeds; ++seed) {
     Workload w = benchgen::GenerateWorkload(SweepConfig(seed));
-    testkit::EvaluatorDiffOptions opts;
+    testkit::AnswerPathOptions opts;
     opts.chase_depth = SweepConfig(seed).max_atoms_per_query + 1;
+    opts.cache_paths = false;
+    opts.evaluator_paths = true;
     // Two fixed seeds plus one varying with the sweep seed keep the
     // join-order metamorphic check cheap but fresh.
     opts.join_order_seeds = {1, 0xBADCAFE, seed + 17};
-    auto diffs = testkit::CompareEvaluators(w, opts);
+    auto diffs = testkit::CheckAnswerPaths(w, opts);
     ASSERT_TRUE(diffs.empty())
         << "evaluator discrepancies at seed " << seed << JoinDiffs(diffs);
   }

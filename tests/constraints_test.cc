@@ -13,8 +13,9 @@
 #include "benchgen/workload.h"
 #include "common/fault_injection.h"
 #include "mapping/mapping.h"
+#include "obda/compiled_ontology.h"
 #include "obda/constraints.h"
-#include "obda/system.h"
+#include "obda/query_engine.h"
 #include "rdb/stats.h"
 #include "rdb/table.h"
 
@@ -288,21 +289,22 @@ TEST(SourceConstraintsFuzz, DegradedInferenceKeepsAnswersExact) {
     cfg.source_inclusion_fraction = 0.5;
     benchgen::Workload w = benchgen::GenerateWorkload(cfg);
 
-    auto clean = ObdaSystem::Create(w.ontology, w.mappings, w.database,
-                                    query::RewriteMode::kClassified);
+    auto clean = CompiledOntology::Compile(w.ontology, w.mappings, w.database,
+                                           query::RewriteMode::kClassified);
     ASSERT_TRUE(clean.ok()) << clean.status().ToString();
 
     fault::FaultPlan plan;
     plan.fail_every = 2;  // deterministic: every 2nd view evaluation fails
     fault::Injector::Global().Arm(fault::Site::kRdbExecute, plan);
-    auto degraded = ObdaSystem::Create(w.ontology, w.mappings, w.database,
-                                       query::RewriteMode::kClassified);
+    auto degraded =
+        CompiledOntology::Compile(w.ontology, w.mappings, w.database,
+                                  query::RewriteMode::kClassified);
     fault::Injector::Global().DisarmAll();
     ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
 
     for (const auto& cq : w.queries) {
-      auto want = (*clean)->Answer(cq);
-      auto got = (*degraded)->Answer(cq);
+      auto want = QueryEngine(*clean).Answer(cq);
+      auto got = QueryEngine(*degraded).Answer(cq);
       ASSERT_TRUE(want.ok()) << want.status().ToString();
       ASSERT_TRUE(got.ok()) << got.status().ToString();
       EXPECT_EQ(std::set<AnswerTuple>(want->begin(), want->end()),

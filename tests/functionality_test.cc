@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "dllite/ontology.h"
 #include "mapping/parser.h"
-#include "obda/system.h"
+#include "obda/compiled_ontology.h"
+#include "obda/query_engine.h"
 
 namespace olite {
 namespace {
@@ -65,7 +68,7 @@ TEST(FunctionalityTest, DlLiteARestriction) {
 }
 
 struct ObdaFixture {
-  std::unique_ptr<obda::ObdaSystem> sys;
+  std::unique_ptr<obda::QueryEngine> sys;
   Status create_status;
 
   explicit ObdaFixture(const char* tbox_text, bool duplicate_subject) {
@@ -85,11 +88,11 @@ struct ObdaFixture {
     auto mappings = mapping::ParseMappings(
         "P(x, y) <- SELECT s, o FROM t\n", parsed->vocab());
     EXPECT_TRUE(mappings.ok()) << mappings.status().ToString();
-    auto result = obda::ObdaSystem::Create(std::move(parsed).value(),
-                                           std::move(mappings).value(),
-                                           std::move(db));
+    auto result = obda::CompiledOntology::Compile(
+        std::move(parsed).value(), std::move(mappings).value(),
+        std::move(db));
     create_status = result.status();
-    if (result.ok()) sys = std::move(result).value();
+    if (result.ok()) sys = std::make_unique<obda::QueryEngine>(*result);
   }
 };
 

@@ -517,8 +517,8 @@ TEST(OnDemandClosureTest, RandomGraphAgreesWithBfsOracle) {
     // Both directions, as classification uses the view on the transpose.
     for (const Digraph& d : {g, g.Reversed()}) {
       auto oracle = ComputeClosure(d, ClosureEngine::kBfs);
-      // The view owns its digraph: build it from a temporary copy.
-      auto view = OnDemandClosure(Digraph(d));
+      // The view shares ownership of its digraph: hand it a copy.
+      auto view = OnDemandClosure(std::make_shared<const Digraph>(d));
       for (NodeId u = 0; u < n; ++u) {
         EXPECT_EQ(view->ReachableFrom(u), oracle->ReachableFrom(u))
             << "trial " << trial << " node " << u;

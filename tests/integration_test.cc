@@ -12,7 +12,8 @@
 #include "core/taxonomy.h"
 #include "diagram/diagram.h"
 #include "mapping/parser.h"
-#include "obda/system.h"
+#include "obda/compiled_ontology.h"
+#include "obda/query_engine.h"
 
 namespace olite {
 namespace {
@@ -86,31 +87,31 @@ holds(x, y)    <- SELECT cid, contract_no FROM contracts
                                          onto->vocab());
   ASSERT_TRUE(mappings.ok()) << mappings.status().ToString();
 
-  auto sys = obda::ObdaSystem::Create(std::move(onto).value(),
-                                      std::move(mappings).value(),
-                                      std::move(db));
-  ASSERT_TRUE(sys.ok()) << sys.status().ToString();
+  auto compiled = obda::CompiledOntology::Compile(
+      std::move(onto).value(), std::move(mappings).value(), std::move(db));
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  const obda::QueryEngine engine(*compiled);
 
   // Consistency of the virtual ABox (Customer vs Contract disjointness:
   // contract individuals come only from holds-ranges — no overlap).
-  auto consistent = (*sys)->CheckConsistency();
+  auto consistent = engine.CheckConsistency();
   ASSERT_TRUE(consistent.ok()) << consistent.status().ToString();
   EXPECT_TRUE(consistent->consistent);
 
   // Certain answers: every customer holds some contract — even c2 whose
   // contract is not in the data.
-  auto holders = (*sys)->Answer("q(x) :- holds(x, y)");
+  auto holders = engine.Answer("q(x) :- holds(x, y)");
   ASSERT_TRUE(holders.ok()) << holders.status().ToString();
   EXPECT_EQ(holders->size(), 2u);
 
   // Actual contract tuples only for c1.
-  auto tuples = (*sys)->Answer("q(x, y) :- holds(x, y)");
+  auto tuples = engine.Answer("q(x, y) :- holds(x, y)");
   ASSERT_TRUE(tuples.ok());
   ASSERT_EQ(tuples->size(), 1u);
   EXPECT_EQ((*tuples)[0], (obda::AnswerTuple{"c1", "K-100"}));
 
   // VIPs are customers.
-  auto customers = (*sys)->Answer("q(x) :- Customer(x)");
+  auto customers = engine.Answer("q(x) :- Customer(x)");
   ASSERT_TRUE(customers.ok());
   EXPECT_EQ(customers->size(), 2u);
 }

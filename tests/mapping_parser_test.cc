@@ -1,7 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "mapping/parser.h"
-#include "obda/system.h"
+#include "obda/compiled_ontology.h"
+#include "obda/query_engine.h"
 
 namespace olite::mapping {
 namespace {
@@ -222,14 +223,14 @@ salary(x, v)     <- SELECT eid, pay FROM emp
                                 onto.vocab());
   ASSERT_TRUE(mappings.ok()) << mappings.status().ToString();
 
-  auto sys = obda::ObdaSystem::Create(std::move(onto),
-                                      std::move(mappings).value(),
-                                      std::move(db));
-  ASSERT_TRUE(sys.ok()) << sys.status().ToString();
-  auto professors = (*sys)->Answer("q(x) :- Professor(x)");
+  auto compiled = obda::CompiledOntology::Compile(
+      std::move(onto), std::move(mappings).value(), std::move(db));
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  const obda::QueryEngine engine(*compiled);
+  auto professors = engine.Answer("q(x) :- Professor(x)");
   ASSERT_TRUE(professors.ok());
   EXPECT_EQ(professors->size(), 2u);
-  auto assistants = (*sys)->Answer("q(x) :- AssistantProf(x)");
+  auto assistants = engine.Answer("q(x) :- AssistantProf(x)");
   ASSERT_TRUE(assistants.ok());
   ASSERT_EQ(assistants->size(), 1u);
   EXPECT_EQ((*assistants)[0][0], "alan");

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -16,7 +17,8 @@
 #include "common/thread_pool.h"
 #include "mapping/mapping.h"
 #include "obda/serving_engine.h"
-#include "obda/system.h"
+#include "obda/compiled_ontology.h"
+#include "obda/query_engine.h"
 
 namespace olite::obda {
 namespace {
@@ -88,12 +90,14 @@ exists teaches- <= Course
             .ok());
   }
 
-  std::unique_ptr<ObdaSystem> Make(
-      query::RewriteMode mode = query::RewriteMode::kPerfectRef) {
-    auto sys = ObdaSystem::Create(std::move(onto), std::move(mappings),
-                                  std::move(db), mode);
-    EXPECT_TRUE(sys.ok()) << sys.status().ToString();
-    return std::move(sys).value();
+  std::unique_ptr<QueryEngine> Make(
+      query::RewriteMode mode = query::RewriteMode::kPerfectRef,
+      QueryEngineOptions engine_options = {}) {
+    auto c = CompiledOntology::Compile(std::move(onto), std::move(mappings),
+                                       std::move(db), mode);
+    EXPECT_TRUE(c.ok()) << c.status().ToString();
+    return std::make_unique<QueryEngine>(std::move(c).value(),
+                                         engine_options);
   }
 };
 
@@ -127,11 +131,11 @@ struct HeavyFixture {
                     .ok());
   }
 
-  std::unique_ptr<ObdaSystem> Make() {
-    auto sys = ObdaSystem::Create(std::move(onto), std::move(mappings),
-                                  std::move(db));
-    EXPECT_TRUE(sys.ok()) << sys.status().ToString();
-    return std::move(sys).value();
+  std::unique_ptr<QueryEngine> Make() {
+    auto c = CompiledOntology::Compile(std::move(onto), std::move(mappings),
+                                       std::move(db));
+    EXPECT_TRUE(c.ok()) << c.status().ToString();
+    return std::make_unique<QueryEngine>(std::move(c).value());
   }
 };
 
@@ -200,14 +204,15 @@ TEST_P(BudgetLadderTest, SqlBlockCapDegradesSoundly) {
   auto full = full_sys->Answer("q(x) :- Person(x)");
   ASSERT_TRUE(full.ok());
 
+  // This test exercises block-cap truncation; constraint pruning would
+  // collapse the union below the cap and the truncation would never fire.
+  QueryEngineOptions unpruned;
+  unpruned.disable_constraint_pruning = true;
   Fixture fx;
-  auto sys = fx.Make(GetParam());
+  auto sys = fx.Make(GetParam(), unpruned);
   AnswerOptions opts;
   opts.max_sql_blocks = 1;
   opts.allow_degraded = true;
-  // This test exercises block-cap truncation; constraint pruning would
-  // collapse the union below the cap and the truncation would never fire.
-  opts.disable_constraint_pruning = true;
   AnswerStats stats;
   auto degraded = sys->Answer("q(x) :- Person(x)", opts, &stats);
   ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();

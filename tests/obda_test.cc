@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
 #include <set>
 
 #include "mapping/mapping.h"
 #include "obda/delta.h"
-#include "obda/system.h"
+#include "obda/compiled_ontology.h"
+#include "obda/query_engine.h"
 #include "obda/unfolder.h"
 
 namespace olite::obda {
@@ -96,12 +98,17 @@ Professor <= delta(salary)
                     .ok());
   }
 
-  std::unique_ptr<ObdaSystem> Make(
+  std::shared_ptr<const CompiledOntology> Compile(
       query::RewriteMode mode = query::RewriteMode::kPerfectRef) {
-    auto sys = ObdaSystem::Create(std::move(onto), std::move(mappings),
-                                  std::move(db), mode);
-    EXPECT_TRUE(sys.ok()) << sys.status().ToString();
-    return std::move(sys).value();
+    auto c = CompiledOntology::Compile(std::move(onto), std::move(mappings),
+                                       std::move(db), mode);
+    EXPECT_TRUE(c.ok()) << c.status().ToString();
+    return std::move(c).value();
+  }
+
+  std::unique_ptr<QueryEngine> Make(
+      query::RewriteMode mode = query::RewriteMode::kPerfectRef) {
+    return std::make_unique<QueryEngine>(Compile(mode));
   }
 };
 
@@ -166,8 +173,7 @@ TEST_P(ObdaModeTest, DirectQuery) {
 }
 
 TEST_P(ObdaModeTest, HierarchyReasoningThroughMappings) {
-  Fixture fx;
-  auto sys = fx.Make(GetParam());
+  const auto snapshot = Fixture().Compile(GetParam());
   // Person is unmapped; answers come from Professor/AssistantProf via the
   // TBox.
   AnswerStats stats;
@@ -176,19 +182,21 @@ TEST_P(ObdaModeTest, HierarchyReasoningThroughMappings) {
   // Observe the raw rewrite shape: constraint-aware pruning (on by
   // default) collapses this union because Person is unmapped and the
   // assistant extension is contained in the professor one.
-  opts.disable_constraint_pruning = true;
-  auto answers = sys->Answer("q(x) :- Person(x)", opts, &stats);
+  QueryEngineOptions unpruned_opts;
+  unpruned_opts.disable_constraint_pruning = true;
+  const QueryEngine unpruned(snapshot, unpruned_opts);
+  auto answers = unpruned.Answer("q(x) :- Person(x)", opts, &stats);
   ASSERT_TRUE(answers.ok()) << answers.status().ToString();
   EXPECT_EQ(answers->size(), 2u);
   EXPECT_GE(stats.rewrite.final_disjuncts, 3u);
   EXPECT_GE(stats.sql_blocks, 2u);
   EXPECT_NE(stats.sql.find("SELECT"), std::string::npos);
 
-  // The default (pruned) path returns the same answers from a smaller
+  // The default (pruned) engine returns the same answers from a smaller
   // union.
   AnswerStats pruned_stats;
-  AnswerOptions pruned_opts;
-  auto pruned = sys->Answer("q(x) :- Person(x)", pruned_opts, &pruned_stats);
+  auto pruned = QueryEngine(snapshot).Answer("q(x) :- Person(x)",
+                                             &pruned_stats);
   ASSERT_TRUE(pruned.ok()) << pruned.status().ToString();
   EXPECT_EQ(std::set<AnswerTuple>(answers->begin(), answers->end()),
             std::set<AnswerTuple>(pruned->begin(), pruned->end()));
@@ -298,19 +306,19 @@ FullProf <= not AssistantProf
     Ontology onto_copy;
     auto rr = dllite::ParseOntology(onto.ToString());
     EXPECT_TRUE(rr.ok());
-    return ObdaSystem::Create(std::move(rr).value(), std::move(m), db);
+    return CompiledOntology::Compile(std::move(rr).value(), std::move(m), db);
   };
 
   auto ok_sys = make_sys(false);
   ASSERT_TRUE(ok_sys.ok()) << ok_sys.status().ToString();
-  auto consistent = (*ok_sys)->CheckConsistency();
+  auto consistent = QueryEngine(*ok_sys).CheckConsistency();
   ASSERT_TRUE(consistent.ok()) << consistent.status().ToString();
   EXPECT_TRUE(consistent->consistent);
 
   // The broken mapping puts 'ada' in both disjoint classes.
   auto bad_sys = make_sys(true);
   ASSERT_TRUE(bad_sys.ok());
-  auto inconsistent = (*bad_sys)->CheckConsistency();
+  auto inconsistent = QueryEngine(*bad_sys).CheckConsistency();
   ASSERT_TRUE(inconsistent.ok()) << inconsistent.status().ToString();
   EXPECT_FALSE(inconsistent->consistent);
   ASSERT_EQ(inconsistent->violations.size(), 1u);
@@ -339,9 +347,10 @@ TEST(ObdaConsistencyTest, InheritedDisjointnessViolation) {
       m.Add(MappingAssertion::ForConcept(onto.vocab().FindConcept("C").value(),
                                          all))
           .ok());
-  auto sys = ObdaSystem::Create(std::move(onto), std::move(m), std::move(db));
+  auto sys =
+      CompiledOntology::Compile(std::move(onto), std::move(m), std::move(db));
   ASSERT_TRUE(sys.ok());
-  auto consistent = (*sys)->CheckConsistency();
+  auto consistent = QueryEngine(*sys).CheckConsistency();
   ASSERT_TRUE(consistent.ok());
   EXPECT_FALSE(consistent->consistent);
 }
@@ -366,9 +375,10 @@ TEST(ObdaConsistencyTest, CheckConsistencyReturnsReportByValue) {
       m.Add(MappingAssertion::ForConcept(onto.vocab().FindConcept("C").value(),
                                          all))
           .ok());
-  auto sys = ObdaSystem::Create(std::move(onto), std::move(m), std::move(db));
+  auto sys =
+      CompiledOntology::Compile(std::move(onto), std::move(m), std::move(db));
   ASSERT_TRUE(sys.ok());
-  auto report = (*sys)->CheckConsistency();
+  auto report = QueryEngine(*sys).CheckConsistency();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_FALSE(report->consistent);
   ASSERT_EQ(report->violations.size(), 1u);
@@ -398,9 +408,10 @@ TEST(ObdaAnswerTest, NearEqualDoublesStayDistinctInAnswers) {
   ASSERT_TRUE(m.Add(MappingAssertion::ForAttribute(
                         onto.vocab().FindAttribute("reading").value(), block))
                   .ok());
-  auto sys = ObdaSystem::Create(std::move(onto), std::move(m), std::move(db));
+  auto sys =
+      CompiledOntology::Compile(std::move(onto), std::move(m), std::move(db));
   ASSERT_TRUE(sys.ok()) << sys.status().ToString();
-  auto answers = (*sys)->Answer("q(v) :- reading(x, v)");
+  auto answers = QueryEngine(*sys).Answer("q(v) :- reading(x, v)");
   ASSERT_TRUE(answers.ok()) << answers.status().ToString();
   ASSERT_EQ(answers->size(), 2u);  // collapsed to 1 under to_string
   EXPECT_NE((*answers)[0][0], (*answers)[1][0]);

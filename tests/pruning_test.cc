@@ -2,8 +2,8 @@
 // the rewriter/unfolder hooks): redundant mapping assertions never change
 // answers, answers are invariant under any constraint-check budget,
 // disabling pruning is answer-neutral on every checked-in corpus case,
-// and concurrent pruned/unpruned answering over one shared plan cache
-// stays exact (the TSan target).
+// and concurrent answering through a pruned and an unpruned engine over
+// one snapshot stays exact (the TSan target).
 
 #include <gtest/gtest.h>
 
@@ -16,7 +16,8 @@
 #include <vector>
 
 #include "benchgen/workload.h"
-#include "obda/system.h"
+#include "obda/compiled_ontology.h"
+#include "obda/query_engine.h"
 #include "testkit/corpus.h"
 #include "testkit/differential.h"
 
@@ -51,9 +52,29 @@ WorkloadConfig RichConfig(uint64_t seed) {
 
 using TupleSet = std::set<AnswerTuple>;
 
-TupleSet AnswerSet(ObdaSystem& sys, const query::ConjunctiveQuery& cq,
-                   const AnswerOptions& opts, AnswerStats* stats = nullptr) {
-  auto rows = sys.Answer(cq, opts, stats);
+std::shared_ptr<const CompiledOntology> Compile(
+    const Workload& w, const mapping::MappingSet& mappings) {
+  auto c = CompiledOntology::Compile(w.ontology, mappings, w.database,
+                                     query::RewriteMode::kClassified);
+  EXPECT_TRUE(c.ok()) << c.status().ToString();
+  return c.ok() ? *c : nullptr;
+}
+
+/// An engine with no plan cache (every call compiles cold), pruning on or
+/// off.
+QueryEngine ColdEngine(std::shared_ptr<const CompiledOntology> snapshot,
+                       bool disable_pruning = false) {
+  QueryEngineOptions opts;
+  opts.plan_cache_capacity = 0;
+  opts.disable_constraint_pruning = disable_pruning;
+  return QueryEngine(std::move(snapshot), opts);
+}
+
+TupleSet AnswerSet(const QueryEngine& engine,
+                   const query::ConjunctiveQuery& cq,
+                   const AnswerOptions& opts = {},
+                   AnswerStats* stats = nullptr) {
+  auto rows = engine.Answer(cq, opts, stats);
   EXPECT_TRUE(rows.ok()) << rows.status().ToString();
   if (!rows.ok()) return {};
   return TupleSet(rows->begin(), rows->end());
@@ -65,29 +86,23 @@ TupleSet AnswerSet(ObdaSystem& sys, const query::ConjunctiveQuery& cq,
 TEST(PruningMetamorphic, RedundantMappingAssertionNeverChangesAnswers) {
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     Workload w = benchgen::GenerateWorkload(RichConfig(seed));
-    auto base = ObdaSystem::Create(w.ontology, w.mappings, w.database,
-                                   query::RewriteMode::kClassified);
-    ASSERT_TRUE(base.ok()) << base.status().ToString();
+    auto base = Compile(w, w.mappings);
+    ASSERT_NE(base, nullptr);
 
     mapping::MappingSet doubled = w.mappings;
     for (const auto& assertion : w.mappings.assertions()) {
       ASSERT_TRUE(doubled.Add(assertion).ok());
     }
-    auto redundant = ObdaSystem::Create(w.ontology, doubled, w.database,
-                                        query::RewriteMode::kClassified);
-    ASSERT_TRUE(redundant.ok()) << redundant.status().ToString();
+    auto redundant = Compile(w, doubled);
+    ASSERT_NE(redundant, nullptr);
 
-    for (const auto& cq : w.queries) {
-      const std::string label =
-          "seed " + std::to_string(seed) + ": " +
-          cq.ToString(w.ontology.vocab());
-      for (bool disable : {false, true}) {
-        AnswerOptions opts;
-        opts.bypass_cache = true;
-        opts.disable_constraint_pruning = disable;
-        EXPECT_EQ(AnswerSet(**base, cq, opts),
-                  AnswerSet(**redundant, cq, opts))
-            << label << (disable ? " (pruning off)" : " (pruning on)");
+    for (bool disable : {false, true}) {
+      const QueryEngine on_base = ColdEngine(base, disable);
+      const QueryEngine on_redundant = ColdEngine(redundant, disable);
+      for (const auto& cq : w.queries) {
+        EXPECT_EQ(AnswerSet(on_base, cq), AnswerSet(on_redundant, cq))
+            << "seed " << seed << ": " << cq.ToString(w.ontology.vocab())
+            << (disable ? " (pruning off)" : " (pruning on)");
       }
     }
   }
@@ -98,24 +113,21 @@ TEST(PruningMetamorphic, RedundantMappingAssertionNeverChangesAnswers) {
 // compiled union only grows — never loses — disjuncts.
 TEST(PruningMetamorphic, AnswersInvariantUnderConstraintCheckBudget) {
   Workload w = benchgen::GenerateWorkload(RichConfig(3));
-  auto sys = ObdaSystem::Create(w.ontology, w.mappings, w.database,
-                                query::RewriteMode::kClassified);
-  ASSERT_TRUE(sys.ok()) << sys.status().ToString();
+  auto snapshot = Compile(w, w.mappings);
+  ASSERT_NE(snapshot, nullptr);
+  const QueryEngine engine = ColdEngine(snapshot);
 
   for (const auto& cq : w.queries) {
-    AnswerOptions unlimited;
-    unlimited.bypass_cache = true;
     AnswerStats full_stats;
-    TupleSet want = AnswerSet(**sys, cq, unlimited, &full_stats);
+    TupleSet want = AnswerSet(engine, cq, {}, &full_stats);
 
     uint64_t prev_disjuncts = 0;
     for (uint64_t cap : {1u, 2u, 4u, 16u, 256u}) {
       AnswerOptions opts;
-      opts.bypass_cache = true;
       opts.allow_degraded = true;  // a truncated sweep is a degradation
       opts.max_constraint_checks = cap;
       AnswerStats stats;
-      TupleSet got = AnswerSet(**sys, cq, opts, &stats);
+      TupleSet got = AnswerSet(engine, cq, opts, &stats);
       EXPECT_EQ(want, got) << cq.ToString(w.ontology.vocab()) << " cap "
                            << cap;
       EXPECT_LE(stats.rewrite.constraint_checks, cap)
@@ -136,7 +148,7 @@ TEST(PruningMetamorphic, AnswersInvariantUnderConstraintCheckBudget) {
 }
 
 // Replay every checked-in corpus case with pruning enabled vs disabled
-// (plus the chase/ABox referees inside CheckConstraintPruning): the two
+// (plus the chase/ABox referees inside CheckAnswerPaths): the two
 // pipelines must agree on every case, including the recorded-discrepancy
 // entries — their mutations corrupt a *classifier*, not answering.
 TEST(PruningMetamorphic, DisabledEqualsEnabledOnEveryCorpusCase) {
@@ -154,29 +166,32 @@ TEST(PruningMetamorphic, DisabledEqualsEnabledOnEveryCorpusCase) {
     buffer << in.rdbuf();
     auto c = testkit::ParseCase(buffer.str());
     ASSERT_TRUE(c.ok()) << path << ": " << c.status().ToString();
-    auto diffs =
-        testkit::CheckConstraintPruning(testkit::ToWorkload(*c));
+    testkit::AnswerPathOptions opts;
+    opts.cache_paths = false;
+    opts.pruning_paths = true;
+    auto diffs = testkit::CheckAnswerPaths(testkit::ToWorkload(*c), opts);
     EXPECT_TRUE(diffs.empty()) << path << ":";
     for (const auto& d : diffs) ADD_FAILURE() << "  " << d;
   }
 }
 
-// Concurrency (the TSan target): one engine, one shared plan cache,
-// several threads interleaving pruned and unpruned calls — the "|np"
-// cache keying must keep the two plan families apart and every answer
-// exact. SourceConstraints is immutable after Infer, so concurrent oracle
-// reads are safe by construction; this test makes TSan check that claim.
+// Concurrency (the TSan target): a pruned and an unpruned engine over one
+// snapshot, each with its own plan cache, and several threads
+// interleaving calls on both — every answer must stay exact.
+// SourceConstraints is immutable after Infer, so concurrent oracle reads
+// are safe by construction; this test makes TSan check that claim.
 TEST(PruningConcurrency, MixedPrunedAndUnprunedCallsStayExact) {
   Workload w = benchgen::GenerateWorkload(RichConfig(5));
-  auto sys = ObdaSystem::Create(w.ontology, w.mappings, w.database,
-                                query::RewriteMode::kClassified);
-  ASSERT_TRUE(sys.ok()) << sys.status().ToString();
+  auto snapshot = Compile(w, w.mappings);
+  ASSERT_NE(snapshot, nullptr);
+  const QueryEngine pruned(snapshot);
+  QueryEngineOptions unpruned_opts;
+  unpruned_opts.disable_constraint_pruning = true;
+  const QueryEngine unpruned(snapshot, unpruned_opts);
 
   std::vector<TupleSet> want;
   for (const auto& cq : w.queries) {
-    AnswerOptions opts;
-    opts.bypass_cache = true;
-    want.push_back(AnswerSet(**sys, cq, opts));
+    want.push_back(AnswerSet(ColdEngine(snapshot), cq));
   }
 
   constexpr size_t kThreads = 4;
@@ -188,9 +203,9 @@ TEST(PruningConcurrency, MixedPrunedAndUnprunedCallsStayExact) {
     workers.emplace_back([&, t] {
       for (size_t i = 0; i < kItersPerThread; ++i) {
         size_t qi = (t + i) % w.queries.size();
-        AnswerOptions opts;
-        opts.disable_constraint_pruning = (t + i) % 2 == 1;
-        auto rows = (*sys)->Answer(w.queries[qi], opts);
+        const bool pruning_off = (t + i) % 2 == 1;
+        auto rows =
+            (pruning_off ? unpruned : pruned).Answer(w.queries[qi]);
         if (!rows.ok()) {
           errors[t].push_back(rows.status().ToString());
           continue;
@@ -198,8 +213,7 @@ TEST(PruningConcurrency, MixedPrunedAndUnprunedCallsStayExact) {
         if (TupleSet(rows->begin(), rows->end()) != want[qi]) {
           errors[t].push_back(
               "wrong answers for query " + std::to_string(qi) +
-              (opts.disable_constraint_pruning ? " (pruning off)"
-                                               : " (pruning on)"));
+              (pruning_off ? " (pruning off)" : " (pruning on)"));
         }
       }
     });

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "mapping/mapping.h"
 #include "obda/compiled_ontology.h"
 #include "obda/query_engine.h"
-#include "obda/system.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -24,7 +24,7 @@ using rdb::Value;
 using rdb::ValueType;
 
 // Same university instance as obda_test.cc, compiled into a shareable
-// snapshot instead of an ObdaSystem.
+// snapshot.
 struct Fixture {
   Ontology onto;
   Database db;
@@ -158,18 +158,23 @@ TEST(QueryEngineTest, AlphaRenamedQueryHitsSameEntry) {
   EXPECT_EQ(engine.cache_metrics().entries, 1u);
 }
 
-TEST(QueryEngineTest, BypassCacheForcesColdPath) {
-  QueryEngine engine(Fixture().Compile());
+TEST(QueryEngineTest, UncachedEngineOverSharedSnapshotRunsColdPath) {
+  const auto snapshot = Fixture().Compile();
+  QueryEngine engine(snapshot);
   ASSERT_TRUE(engine.Answer("q(x) :- Person(x)").ok());
 
-  AnswerOptions bypass;
-  bypass.bypass_cache = true;
-  AnswerStats stats;
-  auto again = engine.Answer("q(x) :- Person(x)", bypass, &stats);
-  ASSERT_TRUE(again.ok());
-  EXPECT_FALSE(stats.cache.hit);
-  EXPECT_FALSE(stats.cache.stored);
-  EXPECT_GT(stats.rewrite.iterations, 0u);
+  QueryEngineOptions no_cache;
+  no_cache.plan_cache_capacity = 0;
+  QueryEngine cold(snapshot, no_cache);
+  for (int i = 0; i < 2; ++i) {
+    AnswerStats stats;
+    auto again = cold.Answer("q(x) :- Person(x)", &stats);
+    ASSERT_TRUE(again.ok());
+    EXPECT_FALSE(stats.cache.hit);
+    EXPECT_FALSE(stats.cache.stored);
+    EXPECT_GT(stats.rewrite.iterations, 0u);
+  }
+  EXPECT_EQ(cold.cache_metrics().entries, 0u);
   EXPECT_EQ(engine.cache_metrics().entries, 1u);  // nothing new stored
 }
 
@@ -426,53 +431,63 @@ TEST(QueryEngineTest, ConcurrentDistinctQueryStress) {
 }
 
 TEST(QueryEngineTest, ConcurrentColumnarEngineStress) {
-  // Hammers one engine from 8 threads with the columnar evaluator forced
-  // on, mixing cache-hot executions of one shared PreparedPlan (whose
-  // shared-subplan cache must be call-local), nested-loop calls and
-  // randomised join orders. Run under TSan in CI; any shared mutable
-  // evaluator state shows up as a race, any engine disagreement as a
-  // failure count.
-  QueryEngine engine(Fixture().Compile(query::RewriteMode::kClassified));
-  AnswerOptions columnar;
-  columnar.engine = rdb::EvalEngine::kColumnar;
-  auto baseline = engine.Answer("q(x, y) :- Professor(x), teaches(x, y)",
-                                columnar);
+  // Hammers engines over one snapshot from 8 threads: a caching columnar
+  // engine (cache-hot executions of one shared PreparedPlan, whose
+  // shared-subplan cache must be call-local), a nested-loop engine and
+  // columnar engines with randomised join orders. Run under TSan in CI;
+  // any shared mutable evaluator state shows up as a race, any engine
+  // disagreement as a failure count.
+  const auto snapshot = Fixture().Compile(query::RewriteMode::kClassified);
+  auto make = [&snapshot](rdb::EvalEngine eval, uint64_t seed) {
+    QueryEngineOptions opts;
+    opts.engine = eval;
+    opts.join_order_seed = seed;
+    return std::make_unique<QueryEngine>(snapshot, opts);
+  };
+  const auto columnar = make(rdb::EvalEngine::kColumnar, 0);
+  const auto nested = make(rdb::EvalEngine::kNestedLoop, 0);
+  std::vector<std::unique_ptr<QueryEngine>> shuffled;
+  for (uint64_t seed : {4u, 109u, 214u}) {
+    shuffled.push_back(make(rdb::EvalEngine::kColumnar, seed));
+  }
+  const char* q = "q(x, y) :- Professor(x), teaches(x, y)";
+  auto baseline = columnar->Answer(q);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
   const std::vector<AnswerTuple> want = Sorted(*baseline);
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&engine, &want, &failures, t] {
+    threads.emplace_back([&, t] {
       for (int i = 0; i < 25; ++i) {
-        AnswerOptions opts;
-        opts.engine = (i % 3 == 2) ? rdb::EvalEngine::kNestedLoop
-                                   : rdb::EvalEngine::kColumnar;
-        if (i % 5 == 4) opts.join_order_seed = t * 100 + i;
+        const QueryEngine& engine =
+            i % 3 == 2   ? *nested
+            : i % 5 == 4 ? *shuffled[(t + i) % shuffled.size()]
+                         : *columnar;
         AnswerStats stats;
-        auto r = engine.Answer("q(x, y) :- Professor(x), teaches(x, y)",
-                               opts, &stats);
+        auto r = engine.Answer(q, &stats);
         if (!r.ok() || Sorted(*r) != want) failures.fetch_add(1);
       }
     });
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(engine.cache_metrics().entries, 1u);
+  EXPECT_EQ(columnar->cache_metrics().entries, 1u);
 }
 
 TEST(QueryEngineTest, AnswerStatsSurfaceEvaluatorCounters) {
-  QueryEngine engine(Fixture().Compile(query::RewriteMode::kClassified));
-  AnswerOptions opts;
+  const auto snapshot = Fixture().Compile(query::RewriteMode::kClassified);
+  QueryEngineOptions opts;
   opts.engine = rdb::EvalEngine::kColumnar;
+  QueryEngine columnar(snapshot, opts);
   AnswerStats stats;
-  auto r = engine.Answer("q(x) :- Person(x)", opts, &stats);
+  auto r = columnar.Answer("q(x) :- Person(x)", &stats);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_STREQ(stats.eval.engine, "columnar");
   EXPECT_GT(stats.eval.batches, 0u);
   EXPECT_GT(stats.eval.rows_scanned, 0u);
   opts.engine = rdb::EvalEngine::kNestedLoop;
-  opts.bypass_cache = true;
-  auto n = engine.Answer("q(x) :- Person(x)", opts, &stats);
+  QueryEngine nested(snapshot, opts);
+  auto n = nested.Answer("q(x) :- Person(x)", &stats);
   ASSERT_TRUE(n.ok());
   EXPECT_STREQ(stats.eval.engine, "nested_loop");
   EXPECT_EQ(Sorted(*r), Sorted(*n));

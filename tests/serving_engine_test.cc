@@ -637,6 +637,58 @@ TEST_F(ServingEngineTest, RefreshAndSwapAppliesMappingRemoval) {
   EXPECT_EQ(Sorted(*serving.Answer(kPersonQuery)), kAnswersA);
 }
 
+// Plan-shaping options are fixed per engine, so a serving layer built
+// with constraint pruning off keys its plans exactly like the default one:
+// a mapping-only delta must migrate the untouched plans (which stay cache
+// hits on the new epoch) and every query must answer as a scratch compile
+// of the edited specification does.
+TEST_F(ServingEngineTest, RefreshAndSwapMigratesPlansWithPruningOff) {
+  ServingEngineOptions opts;
+  opts.engine.enable_metrics = false;
+  opts.engine.disable_constraint_pruning = true;
+  ServingEngine serving(SnapA(), opts);
+  const std::vector<const char*> queries = {
+      kPersonQuery, "q(x) :- AssistantProf(x)", kCourseQuery,
+      "q(x, y) :- teaches(x, y)", "q(x, s) :- salary(x, s)"};
+  for (const char* q : queries) ASSERT_TRUE(serving.Answer(q).ok()) << q;
+
+  std::shared_ptr<const CompiledOntology> snap = serving.snapshot();
+  const uint32_t assistant =
+      snap->ontology().vocab().FindConcept("AssistantProf").value();
+  OntologyDelta d;
+  for (const auto& m : snap->mappings().assertions()) {
+    if (m.kind == mapping::TargetKind::kConcept && m.predicate == assistant) {
+      d.remove_mappings.push_back(SelectorFor(m));
+    }
+  }
+  ASSERT_EQ(d.remove_mappings.size(), 1u);
+
+  DeltaSwapStats ds;
+  auto e = serving.RefreshAndSwap(d, &ds);
+  ASSERT_TRUE(e.ok()) << e.status().ToString();
+  EXPECT_TRUE(ds.selective_invalidation);
+  EXPECT_GT(ds.plans_migrated, 0u);
+
+  // A migrated plan is found under the new epoch's key and hash.
+  AnswerStats course;
+  ASSERT_TRUE(serving.Answer(kCourseQuery, AnswerOptions{}, &course).ok());
+  EXPECT_TRUE(course.cache.hit);
+  EXPECT_EQ(course.serve.epoch, *e);
+
+  auto edited = ApplyMappingDelta(snap->mappings(), d);
+  ASSERT_TRUE(edited.ok()) << edited.status().ToString();
+  auto scratch = CompiledOntology::Compile(snap->ontology(), *edited,
+                                           snap->database());
+  ASSERT_TRUE(scratch.ok()) << scratch.status().ToString();
+  const QueryEngine reference(*scratch, opts.engine);
+  for (const char* q : queries) {
+    auto want = reference.Answer(q);
+    auto got = serving.Answer(q);
+    ASSERT_TRUE(want.ok() && got.ok()) << q;
+    EXPECT_EQ(Sorted(*got), Sorted(*want)) << q;
+  }
+}
+
 TEST_F(ServingEngineTest, RefreshAndSwapDetectsInterleavedSwap) {
   ServingEngineOptions opts;
   opts.engine.enable_metrics = false;
