@@ -65,13 +65,20 @@
 //        --delta-gate         enforce the delta gates (needs
 //                             --delta=both)
 //        --out=<path>         results (default BENCH_churn.json)
+//
+// The JSON output is an array of one row per phase run ("phase": churn,
+// delta, overload), each ending with the build stamp (bench_util.h).
+//
+// The readers and the overload clients are not bench_util's closed-loop
+// runner: readers run until the refreshes end and check every answer
+// against an epoch's oracle, and overload clients expect sheds, where the
+// runner fails on the first error.
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <mutex>
 #include <set>
 #include <string>
@@ -160,146 +167,31 @@ struct OverloadRow {
   double shed_bound_ms = 0;
 };
 
-void WriteJson(const std::string& path, const ChurnRow& c,
-               const DeltaRow* d, const OverloadRow& o) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "[\n");
-  std::fprintf(
-      f,
-      "  {\"phase\": \"churn\", \"threads\": %d, \"answers\": %llu, "
-      "\"swaps\": %llu, \"errors\": %llu, \"discrepancies\": %llu, "
-      "\"final_epoch\": %llu, \"qps\": %.1f, \"hit_rate\": %.4f, "
-      "\"answer_p50_ms\": %.4f, \"answer_p99_ms\": %.4f, "
-      "\"swap_p50_us\": %.2f, \"swap_p99_us\": %.2f, "
-      "\"refresh_p50_ms\": %.2f, \"refresh_max_ms\": %.2f},\n",
-      c.threads, static_cast<unsigned long long>(c.answers),
-      static_cast<unsigned long long>(c.swaps),
-      static_cast<unsigned long long>(c.errors),
-      static_cast<unsigned long long>(c.discrepancies),
-      static_cast<unsigned long long>(c.final_epoch), c.qps, c.hit_rate,
-      c.answer_p50_ms, c.answer_p99_ms, c.swap_p50_us, c.swap_p99_us,
-      c.refresh_p50_ms, c.refresh_max_ms);
-  if (d != nullptr) {
-    std::fprintf(
-        f,
-        "  {\"phase\": \"delta\", \"mode\": \"%s\", \"threads\": %d, "
-        "\"generations\": %llu, \"answers\": %llu, \"errors\": %llu, "
-        "\"discrepancies\": %llu, \"final_epoch\": %llu, "
-        "\"delta_applied\": %llu, \"delta_fallback_scratch\": %llu, "
-        "\"delta_patched_nodes\": %llu, \"delta_reused_stages\": %llu, "
-        "\"delta_reused_views\": %llu, \"delta_plans_invalidated\": %llu, "
-        "\"delta_plans_migrated\": %llu, \"refresh_p50_ms\": %.3f, "
-        "\"refresh_max_ms\": %.3f, \"refresh_us_p50\": %.1f, "
-        "\"refresh_us_p99\": %.1f, \"scratch_p50_ms\": %.3f, "
-        "\"speedup\": %.2f},\n",
-        d->mode.c_str(), d->threads,
-        static_cast<unsigned long long>(d->generations),
-        static_cast<unsigned long long>(d->answers),
-        static_cast<unsigned long long>(d->errors),
-        static_cast<unsigned long long>(d->discrepancies),
-        static_cast<unsigned long long>(d->final_epoch),
-        static_cast<unsigned long long>(d->applied),
-        static_cast<unsigned long long>(d->fallbacks),
-        static_cast<unsigned long long>(d->patched_nodes),
-        static_cast<unsigned long long>(d->reused_stages),
-        static_cast<unsigned long long>(d->reused_views),
-        static_cast<unsigned long long>(d->plans_invalidated),
-        static_cast<unsigned long long>(d->plans_migrated),
-        d->refresh_p50_ms, d->refresh_max_ms, d->refresh_us_p50,
-        d->refresh_us_p99, d->scratch_p50_ms, d->speedup);
-  }
-  std::fprintf(
-      f,
-      "  {\"phase\": \"overload\", \"threads\": %d, \"max_in_flight\": %zu, "
-      "\"queue_depth\": %zu, \"deadline_ms\": %.1f, \"requests\": %llu, "
-      "\"ok\": %llu, \"degraded\": %llu, \"shed\": %llu, \"failed\": %llu, "
-      "\"queued\": %llu, \"in_flight_peak\": %zu, \"shed_rate\": %.4f, "
-      "\"p50_ms\": %.4f, \"p99_ms\": %.4f, \"shed_max_ms\": %.2f, "
-      "\"shed_bound_ms\": %.2f}\n",
-      o.threads, o.max_in_flight, o.queue_depth, o.deadline_ms,
-      static_cast<unsigned long long>(o.requests),
-      static_cast<unsigned long long>(o.ok),
-      static_cast<unsigned long long>(o.degraded),
-      static_cast<unsigned long long>(o.shed),
-      static_cast<unsigned long long>(o.failed),
-      static_cast<unsigned long long>(o.queued), o.in_flight_peak,
-      o.shed_rate, o.p50_ms, o.p99_ms, o.shed_max_ms, o.shed_bound_ms);
-  std::fprintf(f, "]\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  uint32_t num_queries = 12;
-  uint64_t seed = 1;
-  int churn_threads = 4;
-  uint64_t swaps = 12;
-  double drop_fraction = 0.4;
-  size_t max_in_flight = 4;
-  size_t queue_depth = 4;
-  double queue_wait_ms = 100;
-  int saturation = 4;
-  uint64_t overload_requests = 25;
-  double deadline_ms = 200;
-  double latency_ms = 20;
-  double shed_slack_ms = 50;
-  std::string delta_mode = "off";
-  uint32_t delta_count = 10;
-  double delta_min_speedup = 5;
-  bool delta_gate = false;
-  std::string out_path = "BENCH_churn.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--queries=", 10) == 0) {
-      num_queries = static_cast<uint32_t>(std::atoi(argv[i] + 10));
-    } else if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-      seed = std::strtoull(argv[i] + 7, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--churn-threads=", 16) == 0) {
-      churn_threads = std::atoi(argv[i] + 16);
-    } else if (std::strncmp(argv[i], "--swaps=", 8) == 0) {
-      swaps = std::strtoull(argv[i] + 8, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--drop-fraction=", 16) == 0) {
-      drop_fraction = std::atof(argv[i] + 16);
-    } else if (std::strncmp(argv[i], "--max-in-flight=", 16) == 0) {
-      max_in_flight = static_cast<size_t>(std::atoi(argv[i] + 16));
-    } else if (std::strncmp(argv[i], "--queue-depth=", 14) == 0) {
-      queue_depth = static_cast<size_t>(std::atoi(argv[i] + 14));
-    } else if (std::strncmp(argv[i], "--queue-wait-ms=", 16) == 0) {
-      queue_wait_ms = std::atof(argv[i] + 16);
-    } else if (std::strncmp(argv[i], "--saturation=", 13) == 0) {
-      saturation = std::atoi(argv[i] + 13);
-    } else if (std::strncmp(argv[i], "--overload-requests=", 20) == 0) {
-      overload_requests = std::strtoull(argv[i] + 20, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--deadline-ms=", 14) == 0) {
-      deadline_ms = std::atof(argv[i] + 14);
-    } else if (std::strncmp(argv[i], "--latency-ms=", 13) == 0) {
-      latency_ms = std::atof(argv[i] + 13);
-    } else if (std::strncmp(argv[i], "--shed-slack-ms=", 16) == 0) {
-      shed_slack_ms = std::atof(argv[i] + 16);
-    } else if (std::strncmp(argv[i], "--delta=", 8) == 0) {
-      delta_mode = argv[i] + 8;
-    } else if (std::strncmp(argv[i], "--delta-count=", 14) == 0) {
-      delta_count = static_cast<uint32_t>(std::atoi(argv[i] + 14));
-    } else if (std::strncmp(argv[i], "--delta-min-speedup=", 20) == 0) {
-      delta_min_speedup = std::atof(argv[i] + 20);
-    } else if (std::strcmp(argv[i], "--delta-gate") == 0) {
-      delta_gate = true;
-    } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      out_path = argv[i] + 6;
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
-      return 1;
-    }
-  }
-  if (delta_mode != "off" && delta_mode != "on" && delta_mode != "both") {
-    std::fprintf(stderr, "--delta must be off, on or both\n");
-    return 1;
-  }
+  olite::bench::Flags flags(argc, argv);
+  const uint32_t num_queries = flags.Int<uint32_t>("queries", 12);
+  const uint64_t seed = flags.Int<uint64_t>("seed", 1);
+  const int churn_threads = flags.Int("churn-threads", 4, 0);
+  const uint64_t swaps = flags.Int<uint64_t>("swaps", 12);
+  const double drop_fraction = flags.Double("drop-fraction", 0.4);
+  const size_t max_in_flight = flags.Int<size_t>("max-in-flight", 4);
+  const size_t queue_depth = flags.Int<size_t>("queue-depth", 4);
+  const double queue_wait_ms = flags.Double("queue-wait-ms", 100);
+  const int saturation = flags.Int("saturation", 4, 0);
+  const uint64_t overload_requests =
+      flags.Int<uint64_t>("overload-requests", 25);
+  const double deadline_ms = flags.Double("deadline-ms", 200);
+  const double latency_ms = flags.Double("latency-ms", 20);
+  const double shed_slack_ms = flags.Double("shed-slack-ms", 50);
+  const std::string delta_mode =
+      flags.String("delta", "off", {"off", "on", "both"});
+  const uint32_t delta_count = flags.Int<uint32_t>("delta-count", 10);
+  const double delta_min_speedup = flags.Double("delta-min-speedup", 5);
+  const bool delta_gate = flags.Has("delta-gate");
+  const std::string out_path = flags.String("out", "BENCH_churn.json");
+  if (!flags.Finish()) return 1;
   if (delta_gate && delta_mode != "both") {
     std::fprintf(stderr, "--delta-gate needs --delta=both\n");
     return 1;
@@ -823,7 +715,67 @@ int main(int argc, char** argv) {
               over.in_flight_peak, over.max_in_flight, over.p99_ms,
               over.shed_max_ms, over.shed_bound_ms);
 
-  WriteJson(out_path, churn, run_delta ? &delta_row : nullptr, over);
+  std::vector<olite::bench::JsonObject> rows;
+  rows.push_back(olite::bench::JsonObject()
+                     .Add("phase", "churn")
+                     .Add("threads", churn.threads)
+                     .Add("answers", churn.answers)
+                     .Add("swaps", churn.swaps)
+                     .Add("errors", churn.errors)
+                     .Add("discrepancies", churn.discrepancies)
+                     .Add("final_epoch", churn.final_epoch)
+                     .Add("qps", churn.qps)
+                     .Add("hit_rate", churn.hit_rate)
+                     .Add("answer_p50_ms", churn.answer_p50_ms)
+                     .Add("answer_p99_ms", churn.answer_p99_ms)
+                     .Add("swap_p50_us", churn.swap_p50_us)
+                     .Add("swap_p99_us", churn.swap_p99_us)
+                     .Add("refresh_p50_ms", churn.refresh_p50_ms)
+                     .Add("refresh_max_ms", churn.refresh_max_ms));
+  if (run_delta) {
+    const DeltaRow& d = delta_row;
+    rows.push_back(olite::bench::JsonObject()
+                       .Add("phase", "delta")
+                       .Add("mode", d.mode)
+                       .Add("threads", d.threads)
+                       .Add("generations", d.generations)
+                       .Add("answers", d.answers)
+                       .Add("errors", d.errors)
+                       .Add("discrepancies", d.discrepancies)
+                       .Add("final_epoch", d.final_epoch)
+                       .Add("delta_applied", d.applied)
+                       .Add("delta_fallback_scratch", d.fallbacks)
+                       .Add("delta_patched_nodes", d.patched_nodes)
+                       .Add("delta_reused_stages", d.reused_stages)
+                       .Add("delta_reused_views", d.reused_views)
+                       .Add("delta_plans_invalidated", d.plans_invalidated)
+                       .Add("delta_plans_migrated", d.plans_migrated)
+                       .Add("refresh_p50_ms", d.refresh_p50_ms)
+                       .Add("refresh_max_ms", d.refresh_max_ms)
+                       .Add("refresh_us_p50", d.refresh_us_p50)
+                       .Add("refresh_us_p99", d.refresh_us_p99)
+                       .Add("scratch_p50_ms", d.scratch_p50_ms)
+                       .Add("speedup", d.speedup));
+  }
+  rows.push_back(olite::bench::JsonObject()
+                     .Add("phase", "overload")
+                     .Add("threads", over.threads)
+                     .Add("max_in_flight", over.max_in_flight)
+                     .Add("queue_depth", over.queue_depth)
+                     .Add("deadline_ms", over.deadline_ms)
+                     .Add("requests", over.requests)
+                     .Add("ok", over.ok)
+                     .Add("degraded", over.degraded)
+                     .Add("shed", over.shed)
+                     .Add("failed", over.failed)
+                     .Add("queued", over.queued)
+                     .Add("in_flight_peak", over.in_flight_peak)
+                     .Add("shed_rate", over.shed_rate)
+                     .Add("p50_ms", over.p50_ms)
+                     .Add("p99_ms", over.p99_ms)
+                     .Add("shed_max_ms", over.shed_max_ms)
+                     .Add("shed_bound_ms", over.shed_bound_ms));
+  if (!olite::bench::WriteRows(out_path, std::move(rows))) return 1;
 
   // ---- Gates -------------------------------------------------------------
   bool gate_failed = false;

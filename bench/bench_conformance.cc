@@ -15,14 +15,14 @@
 //   {"seeds_checked", "seed_base", "classifier_pairs_compared",
 //    "answer_pairs_compared", "discrepancies_found", "shrink_iterations",
 //    "repros": [{"seed", "path", "first_diff"}], "elapsed_ms"}
+// followed by the build stamp (bench_util.h).
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "benchgen/workload.h"
 #include "common/stopwatch.h"
 #include "testkit/corpus.h"
@@ -61,55 +61,22 @@ olite::benchgen::WorkloadConfig SweepConfig(uint64_t seed) {
   return cfg;
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (c == '\n') {
-      out += "\\n";
-      continue;
-    }
-    out += c;
-  }
-  return out;
-}
-
-struct Repro {
-  uint64_t seed = 0;
-  std::string path;
-  std::string first_diff;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  uint64_t seeds = 200;
-  uint64_t seed_base = 0;
-  uint64_t tableau_every = 8;
-  std::string shrink_dir = ".";
-  std::string out_path = "BENCH_conformance.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--seeds=", 8) == 0) {
-      seeds = std::strtoull(argv[i] + 8, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--seed-base=", 12) == 0) {
-      seed_base = std::strtoull(argv[i] + 12, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--tableau-every=", 16) == 0) {
-      tableau_every = std::strtoull(argv[i] + 16, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--shrink-dir=", 13) == 0) {
-      shrink_dir = argv[i] + 13;
-    } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      out_path = argv[i] + 6;
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
-      return 1;
-    }
-  }
+  olite::bench::Flags flags(argc, argv);
+  const uint64_t seeds = flags.Int<uint64_t>("seeds", 200);
+  const uint64_t seed_base = flags.Int<uint64_t>("seed-base", 0);
+  const uint64_t tableau_every = flags.Int<uint64_t>("tableau-every", 8);
+  const std::string shrink_dir = flags.String("shrink-dir", ".");
+  const std::string out_path = flags.String("out", "BENCH_conformance.json");
+  if (!flags.Finish()) return 1;
 
   uint64_t classifier_pairs = 0;
   uint64_t answer_pairs = 0;
   uint64_t discrepancies = 0;
   uint64_t shrink_iterations = 0;
-  std::vector<Repro> repros;
+  std::vector<olite::bench::JsonObject> repros;
   olite::Stopwatch watch;
 
   for (uint64_t i = 0; i < seeds; ++i) {
@@ -154,51 +121,30 @@ int main(int argc, char** argv) {
     std::ofstream repro(path);
     repro << "# shrunk from sweep seed " << seed << "\n"
           << olite::testkit::SerializeCase(shrunk);
-    repros.push_back({seed, path, diffs.front()});
+    repros.push_back(olite::bench::JsonObject()
+                         .Add("seed", seed)
+                         .Add("path", path)
+                         .Add("first_diff", diffs.front()));
   }
 
   const double elapsed_ms = watch.ElapsedMillis();
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
+  if (!olite::bench::WriteObject(
+          out_path, olite::bench::JsonObject()
+                        .Add("seeds_checked", seeds)
+                        .Add("seed_base", seed_base)
+                        .Add("classifier_pairs_compared", classifier_pairs)
+                        .Add("answer_pairs_compared", answer_pairs)
+                        .Add("discrepancies_found", discrepancies)
+                        .Add("shrink_iterations", shrink_iterations)
+                        .Add("repros", repros)
+                        .Add("elapsed_ms", elapsed_ms))) {
     return 1;
   }
-  std::fprintf(f,
-               "{\n"
-               "  \"seeds_checked\": %llu,\n"
-               "  \"seed_base\": %llu,\n"
-               "  \"classifier_pairs_compared\": %llu,\n"
-               "  \"answer_pairs_compared\": %llu,\n"
-               "  \"discrepancies_found\": %llu,\n"
-               "  \"shrink_iterations\": %llu,\n"
-               "  \"repros\": [",
-               static_cast<unsigned long long>(seeds),
-               static_cast<unsigned long long>(seed_base),
-               static_cast<unsigned long long>(classifier_pairs),
-               static_cast<unsigned long long>(answer_pairs),
-               static_cast<unsigned long long>(discrepancies),
-               static_cast<unsigned long long>(shrink_iterations));
-  for (size_t i = 0; i < repros.size(); ++i) {
-    std::fprintf(f,
-                 "%s\n    {\"seed\": %llu, \"path\": \"%s\", "
-                 "\"first_diff\": \"%s\"}",
-                 i > 0 ? "," : "",
-                 static_cast<unsigned long long>(repros[i].seed),
-                 JsonEscape(repros[i].path).c_str(),
-                 JsonEscape(repros[i].first_diff).c_str());
-  }
-  std::fprintf(f,
-               "%s],\n"
-               "  \"elapsed_ms\": %.1f\n"
-               "}\n",
-               repros.empty() ? "" : "\n  ", elapsed_ms);
-  std::fclose(f);
   std::printf("checked %llu seeds (%llu classifier pairs, %llu answer "
-              "pairs): %llu discrepancies, %zu shrunk repros; wrote %s\n",
+              "pairs): %llu discrepancies, %zu shrunk repros\n",
               static_cast<unsigned long long>(seeds),
               static_cast<unsigned long long>(classifier_pairs),
               static_cast<unsigned long long>(answer_pairs),
-              static_cast<unsigned long long>(discrepancies), repros.size(),
-              out_path.c_str());
+              static_cast<unsigned long long>(discrepancies), repros.size());
   return discrepancies == 0 ? 0 : 2;
 }

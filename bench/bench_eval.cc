@@ -41,24 +41,22 @@
 // where speedup_vs_nested_loop is filled on columnar rows (same workload
 // and thread count, identical request streams). Latency percentiles come
 // from the cell's obs registry (bench.request_us plus the engine's
-// per-stage histograms; the registry is reset between cells). The binary
-// exits non-zero when the shared_prefix acceptance gates fail (>=8
-// disjuncts, shared_node_hits > 0, >=2x speedup) or any engines disagree.
+// per-stage histograms; the registry is reset between cells). Every row
+// ends with the build stamp (bench_util.h). The binary exits non-zero when
+// the shared_prefix acceptance gates fail (>=8 disjuncts,
+// shared_node_hits > 0, >=2x speedup) or any engines disagree.
 
 #include <algorithm>
 #include <array>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <map>
 #include <memory>
 #include <string>
-#include <thread>
+#include <string_view>
 #include <vector>
 
 #include "bench_util.h"
 #include "benchgen/workload.h"
-#include "common/stopwatch.h"
 #include "dllite/ontology.h"
 #include "mapping/mapping.h"
 #include "obda/compiled_ontology.h"
@@ -69,69 +67,12 @@
 
 namespace {
 
-using olite::Stopwatch;
 using olite::dllite::Ontology;
 using olite::obda::AnswerTuple;
 using olite::obda::CompiledOntology;
 using olite::obda::QueryEngine;
 using olite::query::RewriteMode;
 using Snapshot = std::shared_ptr<const CompiledOntology>;
-
-struct JsonRow {
-  std::string workload;
-  std::string engine;
-  int threads = 1;
-  uint64_t requests = 0;
-  double total_ms = 0;
-  double qps = 0;
-  double p50_ms = 0;
-  double p95_ms = 0;
-  double p99_ms = 0;
-  uint64_t disjuncts = 0;
-  olite::rdb::EvalStats eval;
-  double prefix_hit_rate = 0;
-  uint64_t discrepancies = 0;
-  double speedup = 0;  // vs nested_loop, columnar rows only
-  /// Per-stage percentile object rendered from the cell's registry.
-  std::string stages = "{}";
-};
-
-void WriteJson(const std::string& path, const std::vector<JsonRow>& rows) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "[\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const JsonRow& r = rows[i];
-    std::fprintf(
-        f,
-        "  {\"workload\": \"%s\", \"engine\": \"%s\", \"threads\": %d, "
-        "\"requests\": %llu, \"total_ms\": %.2f, \"qps\": %.1f, "
-        "\"p50_ms\": %.4f, \"p95_ms\": %.4f, \"p99_ms\": %.4f, "
-        "\"disjuncts\": %llu, \"batches\": %llu, \"rows_scanned\": %llu, "
-        "\"shared_nodes\": %llu, \"shared_node_hits\": %llu, "
-        "\"prefix_hit_rate\": %.4f, \"join_reorders\": %llu, "
-        "\"discrepancies\": %llu, \"speedup_vs_nested_loop\": %.2f, "
-        "\"stages\": %s}%s\n",
-        r.workload.c_str(), r.engine.c_str(), r.threads,
-        static_cast<unsigned long long>(r.requests), r.total_ms, r.qps,
-        r.p50_ms, r.p95_ms, r.p99_ms,
-        static_cast<unsigned long long>(r.disjuncts),
-        static_cast<unsigned long long>(r.eval.batches),
-        static_cast<unsigned long long>(r.eval.rows_scanned),
-        static_cast<unsigned long long>(r.eval.shared_nodes),
-        static_cast<unsigned long long>(r.eval.shared_node_hits),
-        r.prefix_hit_rate,
-        static_cast<unsigned long long>(r.eval.join_reorders),
-        static_cast<unsigned long long>(r.discrepancies), r.speedup,
-        r.stages.c_str(), i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "]\n");
-  std::fclose(f);
-  std::printf("wrote %s (%zu rows)\n", path.c_str(), rows.size());
-}
 
 // The hand-built OBDA instance: concepts A and B, each with `fan` mapped
 // subclasses filtering one shared table on a tag column, and a role `rel`
@@ -320,113 +261,37 @@ uint64_t CountDiscrepancies(
 }
 
 // One timed cell: `requests` answers split across `threads`, round-robin
-// over the query pool, aggregating the per-call evaluator counters.
-JsonRow RunCell(const Engines& engines, size_t e, const char* workload,
-                const std::vector<olite::query::ConjunctiveQuery>& pool,
-                int threads, uint64_t requests, uint64_t discrepancies,
-                olite::obs::MetricsRegistry* registry) {
-  // Cells share one registry per workload; reset between cells so the
-  // exported histograms cover exactly this cell.
+// over the query pool. Cells share one registry per workload; it is reset
+// first so the exported histograms cover exactly this cell.
+olite::bench::ClosedLoopTotals RunCell(
+    const QueryEngine& engine,
+    const std::vector<olite::query::ConjunctiveQuery>& pool, int threads,
+    uint64_t requests, olite::obs::MetricsRegistry* registry) {
   registry->Reset();
-  olite::obs::Histogram& request_us =
-      registry->histogram(olite::bench::kRequestUs);
-  const QueryEngine& engine = *engines[e];
-  uint64_t per_thread = requests / static_cast<uint64_t>(threads);
-  if (per_thread == 0) per_thread = 1;
-
-  std::vector<olite::rdb::EvalStats> eval_sums(threads);
-  std::vector<uint64_t> disjuncts(threads, 0);
-  Stopwatch wall;
-  std::vector<std::thread> threads_pool;
-  for (int t = 0; t < threads; ++t) {
-    threads_pool.emplace_back([&, t] {
-      for (uint64_t i = 0; i < per_thread; ++i) {
-        const olite::query::ConjunctiveQuery& query =
-            pool[(static_cast<uint64_t>(t) * per_thread + i) % pool.size()];
-        Stopwatch sw;
-        olite::obda::AnswerStats astats;
-        auto r = engine.Answer(query, &astats);
-        request_us.Record(sw.ElapsedMicros());
-        if (!r.ok()) {
-          std::fprintf(stderr, "answer failed: %s\n",
-                       r.status().ToString().c_str());
-          std::exit(1);
-        }
-        eval_sums[t].batches += astats.eval.batches;
-        eval_sums[t].rows_scanned += astats.eval.rows_scanned;
-        eval_sums[t].shared_nodes += astats.eval.shared_nodes;
-        eval_sums[t].shared_node_hits += astats.eval.shared_node_hits;
-        eval_sums[t].join_reorders += astats.eval.join_reorders;
-        if (astats.rewrite.final_disjuncts > disjuncts[t]) {
-          disjuncts[t] = astats.rewrite.final_disjuncts;
-        }
-      }
-    });
+  auto run = olite::bench::RunClosedLoop(
+      engine, threads, requests, registry,
+      [&](int, uint64_t n) -> const olite::query::ConjunctiveQuery& {
+        return pool[n % pool.size()];
+      });
+  if (!run.ok()) {
+    std::fprintf(stderr, "answer failed: %s\n",
+                 run.status().ToString().c_str());
+    std::exit(1);
   }
-  for (auto& th : threads_pool) th.join();
-  double total_ms = wall.ElapsedMillis();
-
-  JsonRow row;
-  row.workload = workload;
-  row.engine = olite::rdb::EvalEngineName(kEngines[e]);
-  row.threads = threads;
-  row.requests = per_thread * static_cast<uint64_t>(threads);
-  row.total_ms = total_ms;
-  row.qps =
-      total_ms > 0 ? 1000.0 * static_cast<double>(row.requests) / total_ms : 0;
-  for (const auto& s : eval_sums) {
-    row.eval.batches += s.batches;
-    row.eval.rows_scanned += s.rows_scanned;
-    row.eval.shared_nodes += s.shared_nodes;
-    row.eval.shared_node_hits += s.shared_node_hits;
-    row.eval.join_reorders += s.join_reorders;
-  }
-  for (uint64_t d : disjuncts) {
-    if (d > row.disjuncts) row.disjuncts = d;
-  }
-  uint64_t prefix_lookups = row.eval.shared_nodes + row.eval.shared_node_hits;
-  row.prefix_hit_rate =
-      prefix_lookups > 0 ? static_cast<double>(row.eval.shared_node_hits) /
-                               static_cast<double>(prefix_lookups)
-                         : 0;
-  row.discrepancies = discrepancies;
-  row.p50_ms = olite::bench::QuantileMs(*registry, olite::bench::kRequestUs,
-                                        0.50);
-  row.p95_ms = olite::bench::QuantileMs(*registry, olite::bench::kRequestUs,
-                                        0.95);
-  row.p99_ms = olite::bench::QuantileMs(*registry, olite::bench::kRequestUs,
-                                        0.99);
-  row.stages = olite::bench::StagePercentilesJson(*registry);
-  return row;
+  return *run;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  uint64_t requests = 24;
-  std::vector<int> thread_counts = {1, 4};
-  int fan = 4;
-  int rows = 800;
-  uint64_t seed = 1;
-  std::string out_path = "BENCH_eval.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--requests=", 11) == 0) {
-      requests = std::strtoull(argv[i] + 11, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      thread_counts = olite::bench::ParseIntList(argv[i] + 10);
-    } else if (std::strncmp(argv[i], "--fan=", 6) == 0) {
-      fan = std::atoi(argv[i] + 6);
-    } else if (std::strncmp(argv[i], "--rows=", 7) == 0) {
-      rows = std::atoi(argv[i] + 7);
-    } else if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-      seed = std::strtoull(argv[i] + 7, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      out_path = argv[i] + 6;
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
-      return 1;
-    }
-  }
+  olite::bench::Flags flags(argc, argv);
+  const uint64_t requests = flags.Int<uint64_t>("requests", 24, 1);
+  const std::vector<int> thread_counts = flags.List<int>("threads", {1, 4}, 1);
+  const int fan = flags.Int("fan", 4, 1);
+  const int rows = flags.Int("rows", 800, 1);
+  const uint64_t seed = flags.Int<uint64_t>("seed", 1);
+  const std::string out_path = flags.String("out", "BENCH_eval.json");
+  if (!flags.Finish()) return 1;
 
   olite::obs::MetricsRegistry hand_registry;
   olite::obs::MetricsRegistry mix_registry;
@@ -452,10 +317,7 @@ int main(int argc, char** argv) {
        std::move(benchgen_pool)},
   };
 
-  std::vector<JsonRow> rows_out;
-  // total_ms per (workload, threads) for the nested-loop baseline, so the
-  // columnar row of the same cell can report its speedup.
-  std::map<std::pair<std::string, int>, double> baseline_ms;
+  std::vector<olite::bench::JsonObject> rows_out;
   std::printf("%-16s %-12s %8s %10s %12s %10s %10s %10s\n", "workload",
               "engine", "threads", "total_ms", "qps", "shared_hit",
               "hit_rate", "speedup");
@@ -464,40 +326,73 @@ int main(int argc, char** argv) {
     uint64_t discrepancies =
         CountDiscrepancies(*workload.engines, workload.name, workload.pool);
     for (int threads : thread_counts) {
+      // The nested-loop cell runs first (kEngines order); the columnar row
+      // of the same workload and width reports its speedup over it.
+      double nested_loop_ms = 0;
       for (size_t e = 0; e < workload.engines->size(); ++e) {
         const olite::rdb::EvalEngine engine = kEngines[e];
-        JsonRow row = RunCell(*workload.engines, e, workload.name,
-                              workload.pool, threads, requests,
-                              discrepancies, workload.registry);
-        auto cell = std::make_pair(row.workload, threads);
+        const olite::bench::ClosedLoopTotals t =
+            RunCell(*(*workload.engines)[e], workload.pool, threads, requests,
+                    workload.registry);
+        const double qps =
+            t.wall_ms > 0 ? 1000.0 * static_cast<double>(t.requests) / t.wall_ms
+                          : 0;
+        double speedup = 0;  // vs nested_loop, columnar rows only
         if (engine == olite::rdb::EvalEngine::kNestedLoop) {
-          baseline_ms[cell] = row.total_ms;
-        } else if (baseline_ms.count(cell) != 0 && row.total_ms > 0) {
-          row.speedup = baseline_ms[cell] / row.total_ms;
+          nested_loop_ms = t.wall_ms;
+        } else if (nested_loop_ms > 0 && t.wall_ms > 0) {
+          speedup = nested_loop_ms / t.wall_ms;
         }
-        rows_out.push_back(row);
+        const uint64_t prefix_lookups =
+            t.eval.shared_nodes + t.eval.shared_node_hits;
+        const double prefix_hit_rate =
+            prefix_lookups > 0 ? static_cast<double>(t.eval.shared_node_hits) /
+                                     static_cast<double>(prefix_lookups)
+                               : 0;
+        rows_out.push_back(
+            olite::bench::JsonObject()
+                .Add("workload", workload.name)
+                .Add("engine", olite::rdb::EvalEngineName(engine))
+                .Add("threads", threads)
+                .Add("requests", t.requests)
+                .Add("total_ms", t.wall_ms)
+                .Add("qps", qps)
+                .Add("p50_ms", t.p50_ms)
+                .Add("p95_ms", t.p95_ms)
+                .Add("p99_ms", t.p99_ms)
+                .Add("disjuncts", t.max_disjuncts)
+                .Add("batches", t.eval.batches)
+                .Add("rows_scanned", t.eval.rows_scanned)
+                .Add("shared_nodes", t.eval.shared_nodes)
+                .Add("shared_node_hits", t.eval.shared_node_hits)
+                .Add("prefix_hit_rate", prefix_hit_rate)
+                .Add("join_reorders", t.eval.join_reorders)
+                .Add("discrepancies", discrepancies)
+                .Add("speedup_vs_nested_loop", speedup)
+                .Add("stages",
+                     olite::bench::StagePercentiles(*workload.registry)));
         std::printf("%-16s %-12s %8d %10.2f %12.1f %10llu %10.4f %10.2f\n",
-                    row.workload.c_str(), row.engine.c_str(), row.threads,
-                    row.total_ms, row.qps,
-                    static_cast<unsigned long long>(row.eval.shared_node_hits),
-                    row.prefix_hit_rate, row.speedup);
+                    workload.name, olite::rdb::EvalEngineName(engine), threads,
+                    t.wall_ms, qps,
+                    static_cast<unsigned long long>(t.eval.shared_node_hits),
+                    prefix_hit_rate, speedup);
 
         // Acceptance gates for the headline workload: the shared-prefix
         // union must actually share (hits > 0) and the columnar engine
         // must win by >=2x.
-        if (row.workload == "shared_prefix" &&
+        if (std::string_view(workload.name) == "shared_prefix" &&
             engine == olite::rdb::EvalEngine::kColumnar) {
-          if (row.disjuncts < 8) {
+          if (t.max_disjuncts < 8) {
             std::fprintf(stderr, "GATE: expected >=8 disjuncts, got %llu\n",
-                         static_cast<unsigned long long>(row.disjuncts));
+                         static_cast<unsigned long long>(t.max_disjuncts));
             gates_ok = false;
           }
-          if (row.eval.shared_node_hits == 0) {
+          if (t.eval.shared_node_hits == 0) {
             std::fprintf(stderr, "GATE: shared_node_hits == 0\n");
             gates_ok = false;
           }
-          if (row.speedup < 2.0) {
-            std::fprintf(stderr, "GATE: speedup %.2f < 2.0\n", row.speedup);
+          if (speedup < 2.0) {
+            std::fprintf(stderr, "GATE: speedup %.2f < 2.0\n", speedup);
             gates_ok = false;
           }
         }
@@ -505,7 +400,7 @@ int main(int argc, char** argv) {
       }
     }
   }
-  WriteJson(out_path, rows_out);
+  if (!olite::bench::WriteRows(out_path, std::move(rows_out))) return 1;
   if (!gates_ok) {
     std::fprintf(stderr, "acceptance gates FAILED\n");
     return 1;

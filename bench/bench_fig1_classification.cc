@@ -28,15 +28,15 @@
 // covering engine x ontology x threads (the cb engine is serial and is
 // recorded once per ontology with threads = 1). Graph rows also carry the
 // classifier's phase split, "build_graph_ms", "closure_ms" (Φ_T) and
-// "unsat_ms" (Ω_T), which the table prints as build/closure/unsat.
+// "unsat_ms" (Ω_T), which the table prints as build/closure/unsat. Every
+// row ends with the build stamp (bench_util.h).
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "benchgen/generator.h"
 #include "benchgen/profiles.h"
 #include "common/stopwatch.h"
@@ -55,81 +55,34 @@ std::string Cell(double ms, bool completed) {
   return buf;
 }
 
-struct JsonRow {
-  std::string engine;
-  std::string ontology;
-  unsigned threads = 1;
-  double ms = 0;
-  bool completed = true;
-  uint64_t subsumptions = 0;
-  std::optional<olite::core::ClassificationStats> phases;  // graph rows
-};
-
-void WriteJson(const std::string& path, const std::vector<JsonRow>& rows) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "[\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const JsonRow& r = rows[i];
-    std::fprintf(f,
-                 "  {\"engine\": \"%s\", \"ontology\": \"%s\", "
-                 "\"threads\": %u, \"ms\": %.3f, \"completed\": %s, "
-                 "\"subsumptions\": %llu",
-                 r.engine.c_str(), r.ontology.c_str(), r.threads, r.ms,
-                 r.completed ? "true" : "false",
-                 static_cast<unsigned long long>(r.subsumptions));
-    if (r.phases.has_value()) {
-      std::fprintf(f,
-                   ", \"build_graph_ms\": %.3f, \"closure_ms\": %.3f, "
-                   "\"unsat_ms\": %.3f",
-                   r.phases->build_graph_ms, r.phases->closure_ms,
-                   r.phases->unsat_ms);
-    }
-    std::fprintf(f, "}%s\n", i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "]\n");
-  std::fclose(f);
-}
-
-std::vector<unsigned> ParseThreadList(const char* s) {
-  std::vector<unsigned> out;
-  while (*s != '\0') {
-    char* end = nullptr;
-    unsigned long v = std::strtoul(s, &end, 10);
-    if (end == s) break;
-    out.push_back(olite::ThreadPool::ResolveThreads(static_cast<unsigned>(v)));
-    s = *end == ',' ? end + 1 : end;
-  }
-  if (out.empty()) out.push_back(1);
-  return out;
+// One row: engine × ontology × threads.
+olite::bench::JsonObject Row(const char* engine, const std::string& ontology,
+                             unsigned threads, double ms, bool completed,
+                             uint64_t subsumptions) {
+  return olite::bench::JsonObject()
+      .Add("engine", engine)
+      .Add("ontology", ontology)
+      .Add("threads", threads)
+      .Add("ms", ms)
+      .Add("completed", completed)
+      .Add("subsumptions", subsumptions);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  double scale = 0.25;
-  double timeout_ms = 15000;
-  bool skip_tableau = false;
-  std::vector<unsigned> thread_list = {1};
-  std::string out_path = "BENCH_fig1.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--scale=", 8) == 0) {
-      scale = std::atof(argv[i] + 8);
-    } else if (std::strncmp(argv[i], "--timeout_ms=", 13) == 0) {
-      timeout_ms = std::atof(argv[i] + 13);
-    } else if (std::strcmp(argv[i], "--skip_tableau") == 0) {
-      skip_tableau = true;
-    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      thread_list = ParseThreadList(argv[i] + 10);
-    } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      out_path = argv[i] + 6;
-    }
+  olite::bench::Flags flags(argc, argv);
+  const double scale = flags.Double("scale", 0.25);
+  const double timeout_ms = flags.Double("timeout_ms", 15000);
+  const bool skip_tableau = flags.Has("skip_tableau");
+  std::vector<unsigned> thread_list = flags.List<unsigned>("threads", {1});
+  const std::string out_path = flags.String("out", "BENCH_fig1.json");
+  if (!flags.Finish()) return 1;
+  for (unsigned& threads : thread_list) {
+    threads = olite::ThreadPool::ResolveThreads(threads);
   }
 
-  std::vector<JsonRow> rows;
+  std::vector<olite::bench::JsonObject> rows;
 
   for (unsigned threads : thread_list) {
     std::printf(
@@ -163,8 +116,10 @@ int main(int argc, char** argv) {
       std::snprintf(phase_cell, sizeof(phase_cell), "%.1f/%.1f/%.1f",
                     phases.build_graph_ms, phases.closure_ms,
                     phases.unsat_ms);
-      rows.push_back(
-          {"graph", name, threads, graph_ms, true, subsumptions, phases});
+      rows.push_back(Row("graph", name, threads, graph_ms, true, subsumptions)
+                         .Add("build_graph_ms", phases.build_graph_ms)
+                         .Add("closure_ms", phases.closure_ms)
+                         .Add("unsat_ms", phases.unsat_ms));
 
       // Consequence-based (CB role), property hierarchy off per the paper.
       // The completion classifier is serial; record it once per ontology.
@@ -178,7 +133,7 @@ int main(int argc, char** argv) {
             onto.tbox(), onto.vocab(), cb_opts);
         double cb_ms = sw.ElapsedMillis();
         cb_cell = Cell(cb_ms, cb.completed);
-        rows.push_back({"cb", name, 1, cb_ms, cb.completed, 0, std::nullopt});
+        rows.push_back(Row("cb", name, 1, cb_ms, cb.completed, 0));
       }
 
       // Tableau (plays Pellet/FaCT++/HermiT).
@@ -193,8 +148,8 @@ int main(int argc, char** argv) {
         auto tab = olite::reasoner::ClassifyWithTableau(*owl, topts);
         double tab_ms = sw.ElapsedMillis();
         tableau_cell = Cell(tab_ms, tab.completed);
-        rows.push_back({"tableau", name, threads, tab_ms, tab.completed,
-                        tab.NumSubsumptions(), std::nullopt});
+        rows.push_back(Row("tableau", name, threads, tab_ms, tab.completed,
+                           tab.NumSubsumptions()));
       }
 
       std::printf("%-15s %9u | %10.1f %24s %10s %8s | %8s %s/%s/%s/%s/%s\n",
@@ -208,12 +163,10 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  WriteJson(out_path, rows);
+  if (!olite::bench::WriteRows(out_path, std::move(rows))) return 1;
   std::printf(
-      "Wrote %s.\n"
       "Note: paper cells are the published Figure 1 values (seconds, "
       "1 h timeout); this harness reports milliseconds on synthetic twins "
-      "at the chosen scale.\n",
-      out_path.c_str());
+      "at the chosen scale.\n");
   return 0;
 }

@@ -38,11 +38,11 @@
 //    "stages": {<stage>: {"count", "p50_us", "p95_us", "p99_us"}, …}}
 // with outcome one of "complete" | "degraded" | "exhausted"; the stage
 // percentiles come from the engine's obs registry, reset per cell (so
-// they cover the cell's reps: one cold compile plus cache hits).
+// they cover the cell's reps: one cold compile plus cache hits), and every
+// row ends with the build stamp (bench_util.h).
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -117,136 +117,29 @@ std::shared_ptr<const olite::obda::CompiledOntology> MakeSnapshot(
   return std::move(compiled).value();
 }
 
-struct JsonRow {
-  std::string mode;
-  std::string ontology;
-  std::string query;
-  std::string pruning;  // on | off
-  double deadline_ms = 0;
-  double ms = 0;
+// What the pruning gate compares between the on and off cells of a pair.
+struct Cell {
   std::string outcome;  // complete | degraded | exhausted
   uint64_t disjuncts = 0;
-  uint64_t pruned_disjuncts = 0;
-  uint64_t pruned_unfoldings = 0;
-  uint64_t constraint_checks = 0;
   uint64_t rows = 0;
-  std::string degradation;
-  /// Per-stage percentile object rendered from the cell's registry.
-  std::string stages = "{}";
 };
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
-void WriteJson(const std::string& path, const std::vector<JsonRow>& rows) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "[\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const JsonRow& r = rows[i];
-    std::fprintf(f,
-                 "  {\"mode\": \"%s\", \"ontology\": \"%s\", "
-                 "\"query\": \"%s\", \"pruning\": \"%s\", "
-                 "\"deadline_ms\": %.1f, \"ms\": %.3f, \"outcome\": \"%s\", "
-                 "\"disjuncts\": %llu, \"pruned_disjuncts\": %llu, "
-                 "\"pruned_unfoldings\": %llu, \"constraint_checks\": %llu, "
-                 "\"rows\": %llu, "
-                 "\"degradation\": \"%s\", \"stages\": %s}%s\n",
-                 r.mode.c_str(), r.ontology.c_str(), r.query.c_str(),
-                 r.pruning.c_str(), r.deadline_ms, r.ms, r.outcome.c_str(),
-                 static_cast<unsigned long long>(r.disjuncts),
-                 static_cast<unsigned long long>(r.pruned_disjuncts),
-                 static_cast<unsigned long long>(r.pruned_unfoldings),
-                 static_cast<unsigned long long>(r.constraint_checks),
-                 static_cast<unsigned long long>(r.rows),
-                 JsonEscape(r.degradation).c_str(), r.stages.c_str(),
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "]\n");
-  std::fclose(f);
-  std::printf("wrote %s (%zu rows)\n", path.c_str(), rows.size());
-}
-
-olite::rdb::EvalEngine ParseEngine(const char* name) {
-  if (std::strcmp(name, "columnar") == 0) {
-    return olite::rdb::EvalEngine::kColumnar;
-  }
-  if (std::strcmp(name, "nested_loop") == 0) {
-    return olite::rdb::EvalEngine::kNestedLoop;
-  }
-  if (std::strcmp(name, "default") != 0) {
-    std::fprintf(stderr, "unknown engine '%s', using default\n", name);
-  }
-  return olite::rdb::EvalEngine::kDefault;
-}
-
-std::vector<double> ParseList(const char* text) {
-  std::vector<double> out;
-  std::string current;
-  for (const char* p = text;; ++p) {
-    if (*p == ',' || *p == '\0') {
-      if (!current.empty()) out.push_back(std::atof(current.c_str()));
-      current.clear();
-      if (*p == '\0') break;
-    } else {
-      current += *p;
-    }
-  }
-  return out;
-}
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<double> deadlines = {0, 5, 50};
-  std::vector<double> depths = {2, 4, 6, 8};
-  int width = 4;
-  int leaf_rows = 40;
-  int reps = 3;
-  olite::rdb::EvalEngine engine_choice = olite::rdb::EvalEngine::kDefault;
-  std::string out_path = "BENCH_rewriting.json";
-  std::string pruning_dim = "both";
-  bool pruning_gate = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--deadline-ms=", 14) == 0) {
-      deadlines = ParseList(argv[i] + 14);
-    } else if (std::strncmp(argv[i], "--depths=", 9) == 0) {
-      depths = ParseList(argv[i] + 9);
-    } else if (std::strncmp(argv[i], "--width=", 8) == 0) {
-      width = std::atoi(argv[i] + 8);
-    } else if (std::strncmp(argv[i], "--rows=", 7) == 0) {
-      leaf_rows = std::atoi(argv[i] + 7);
-    } else if (std::strncmp(argv[i], "--reps=", 7) == 0) {
-      reps = std::atoi(argv[i] + 7);
-    } else if (std::strncmp(argv[i], "--engine=", 9) == 0) {
-      engine_choice = ParseEngine(argv[i] + 9);
-    } else if (std::strncmp(argv[i], "--pruning=", 10) == 0) {
-      pruning_dim = argv[i] + 10;
-      if (pruning_dim != "on" && pruning_dim != "off" &&
-          pruning_dim != "both") {
-        std::fprintf(stderr, "unknown --pruning value '%s'\n",
-                     pruning_dim.c_str());
-        return 1;
-      }
-    } else if (std::strcmp(argv[i], "--pruning-gate") == 0) {
-      pruning_gate = true;
-    } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      out_path = argv[i] + 6;
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
-      return 1;
-    }
-  }
-  if (reps < 1) reps = 1;
+  olite::bench::Flags flags(argc, argv);
+  const std::vector<double> deadlines =
+      flags.List<double>("deadline-ms", {0, 5, 50}, 0);
+  const std::vector<int> depths = flags.List<int>("depths", {2, 4, 6, 8}, 1);
+  const int width = flags.Int("width", 4, 1);
+  const int leaf_rows = flags.Int("rows", 40, 0);
+  const int reps = flags.Int("reps", 3, 1);
+  const olite::rdb::EvalEngine engine_choice = flags.Engine("engine");
+  const std::string pruning_dim =
+      flags.String("pruning", "both", {"on", "off", "both"});
+  const bool pruning_gate = flags.Has("pruning-gate");
+  const std::string out_path = flags.String("out", "BENCH_rewriting.json");
+  if (!flags.Finish()) return 1;
   if (pruning_gate && pruning_dim != "both") {
     std::fprintf(stderr, "--pruning-gate needs --pruning=both\n");
     return 1;
@@ -263,7 +156,15 @@ int main(int argc, char** argv) {
       {"q3_atoms", "q(x, y, z) :- L0_0(x), L0_0(y), L0_0(z)"},
   };
 
-  std::vector<JsonRow> rows;
+  std::vector<olite::bench::JsonObject> rows;
+  // The release gate runs over the unlimited-deadline cells only, where
+  // both pipelines complete exactly: every on/off pair must return the
+  // same number of rows (pruning is answer-preserving), and the summed
+  // pruned union must be at least 2x smaller than the unpruned one. With
+  // --pruning=both the on cell of each pair runs just before its off cell.
+  uint64_t on_disjuncts = 0;
+  uint64_t off_disjuncts = 0;
+  int violations = 0;
   std::printf("engine: %s\n",
               olite::rdb::EvalEngineName(
                   olite::rdb::ResolveEvalEngine(engine_choice)));
@@ -271,10 +172,9 @@ int main(int argc, char** argv) {
               "ontology", "query", "pruning", "deadline_ms", "ms", "outcome",
               "disjuncts");
   for (RewriteMode mode : {RewriteMode::kPerfectRef, RewriteMode::kClassified}) {
-    for (double depth : depths) {
+    for (int depth : depths) {
       olite::obs::MetricsRegistry registry;
-      const auto snapshot =
-          MakeSnapshot(static_cast<int>(depth), width, leaf_rows, mode);
+      const auto snapshot = MakeSnapshot(depth, width, leaf_rows, mode);
       // One engine per pruning setting, indexed like pruning_disabled.
       std::vector<std::unique_ptr<olite::obda::QueryEngine>> engines;
       for (bool disable_pruning : pruning_disabled) {
@@ -286,18 +186,15 @@ int main(int argc, char** argv) {
             std::make_unique<olite::obda::QueryEngine>(snapshot, eng_opts));
       }
       std::string ontology =
-          "layered_d" + std::to_string(static_cast<int>(depth)) + "_w" +
-          std::to_string(width);
+          "layered_d" + std::to_string(depth) + "_w" + std::to_string(width);
       for (const auto& query : kQueries) {
         for (double deadline : deadlines) {
+          Cell on;
           for (size_t p = 0; p < engines.size(); ++p) {
             const bool disable_pruning = pruning_disabled[p];
-            JsonRow row;
-            row.mode = RewriteModeName(mode);
-            row.ontology = ontology;
-            row.query = query.name;
-            row.pruning = disable_pruning ? "off" : "on";
-            row.deadline_ms = deadline;
+            Cell cell;
+            olite::query::RewriteStats rewrite;
+            std::string degradation;
             registry.Reset();  // stage histograms cover exactly this cell
             double best_ms = -1;
             for (int rep = 0; rep < reps; ++rep) {
@@ -310,67 +207,67 @@ int main(int argc, char** argv) {
               double ms = sw.ElapsedMillis();
               if (best_ms < 0 || ms < best_ms) best_ms = ms;
               if (!answers.ok()) {
-                row.outcome = "exhausted";
-                row.degradation = answers.status().ToString();
+                cell.outcome = "exhausted";
+                degradation = answers.status().ToString();
               } else {
-                row.outcome =
+                cell.outcome =
                     stats.degradation.degraded() ? "degraded" : "complete";
-                row.disjuncts = stats.rewrite.final_disjuncts;
-                row.pruned_disjuncts = stats.rewrite.pruned_disjuncts;
-                row.pruned_unfoldings = stats.rewrite.pruned_unfoldings;
-                row.constraint_checks = stats.rewrite.constraint_checks;
-                row.rows = stats.rows;
-                row.degradation = stats.degradation.degraded()
-                                      ? stats.degradation.ToString()
-                                      : "";
+                cell.disjuncts = stats.rewrite.final_disjuncts;
+                cell.rows = stats.rows;
+                rewrite = stats.rewrite;
+                degradation = stats.degradation.degraded()
+                                  ? stats.degradation.ToString()
+                                  : "";
               }
             }
-            row.ms = best_ms;
-            row.stages = olite::bench::StagePercentilesJson(registry);
-            rows.push_back(row);
+            const char* pruning = disable_pruning ? "off" : "on";
+            rows.push_back(
+                olite::bench::JsonObject()
+                    .Add("mode", RewriteModeName(mode))
+                    .Add("ontology", ontology)
+                    .Add("query", query.name)
+                    .Add("pruning", pruning)
+                    .Add("deadline_ms", deadline)
+                    .Add("ms", best_ms)
+                    .Add("outcome", cell.outcome)
+                    .Add("disjuncts", cell.disjuncts)
+                    .Add("pruned_disjuncts", rewrite.pruned_disjuncts)
+                    .Add("pruned_unfoldings", rewrite.pruned_unfoldings)
+                    .Add("constraint_checks", rewrite.constraint_checks)
+                    .Add("rows", cell.rows)
+                    .Add("degradation", degradation)
+                    .Add("stages", olite::bench::StagePercentiles(registry)));
             std::printf("%-12s %-14s %-10s %-8s %12.1f %10.3f %10s %10llu\n",
-                        row.mode.c_str(), row.ontology.c_str(),
-                        row.query.c_str(), row.pruning.c_str(),
-                        row.deadline_ms, row.ms, row.outcome.c_str(),
-                        static_cast<unsigned long long>(row.disjuncts));
+                        RewriteModeName(mode), ontology.c_str(), query.name,
+                        pruning, deadline, best_ms, cell.outcome.c_str(),
+                        static_cast<unsigned long long>(cell.disjuncts));
+            if (!pruning_gate || deadline != 0) continue;
+            if (!disable_pruning) {
+              on = cell;
+              continue;
+            }
+            on_disjuncts += on.disjuncts;
+            off_disjuncts += cell.disjuncts;
+            // A cell that degraded under some non-deadline quota may return
+            // sound-but-partial answers; only exact pairs must agree.
+            if (on.outcome == "complete" && cell.outcome == "complete" &&
+                on.rows != cell.rows) {
+              ++violations;
+              std::fprintf(stderr,
+                           "PRUNING GATE: row-count discrepancy on "
+                           "%s/%s/%s: %llu pruned vs %llu unpruned\n",
+                           RewriteModeName(mode), ontology.c_str(),
+                           query.name,
+                           static_cast<unsigned long long>(on.rows),
+                           static_cast<unsigned long long>(cell.rows));
+            }
           }
         }
       }
     }
   }
-  WriteJson(out_path, rows);
+  if (!olite::bench::WriteRows(out_path, std::move(rows))) return 1;
   if (pruning_gate) {
-    // The release gate runs over the unlimited-deadline cells only, where
-    // both pipelines complete exactly: every on/off pair must return the
-    // same number of rows (pruning is answer-preserving), and the summed
-    // pruned union must be at least 2x smaller than the unpruned one.
-    uint64_t on_disjuncts = 0;
-    uint64_t off_disjuncts = 0;
-    int violations = 0;
-    for (size_t i = 0; i + 1 < rows.size(); ++i) {
-      const JsonRow& on = rows[i];
-      const JsonRow& off = rows[i + 1];
-      if (on.pruning != "on" || off.pruning != "off") continue;
-      if (on.deadline_ms != 0 || off.deadline_ms != 0) continue;
-      if (on.mode != off.mode || on.ontology != off.ontology ||
-          on.query != off.query) {
-        continue;
-      }
-      on_disjuncts += on.disjuncts;
-      off_disjuncts += off.disjuncts;
-      // A cell that degraded under some non-deadline quota may return
-      // sound-but-partial answers; only exact pairs must agree on counts.
-      if (on.outcome != "complete" || off.outcome != "complete") continue;
-      if (on.rows != off.rows) {
-        ++violations;
-        std::fprintf(stderr,
-                     "PRUNING GATE: row-count discrepancy on %s/%s/%s: "
-                     "%llu pruned vs %llu unpruned\n",
-                     on.mode.c_str(), on.ontology.c_str(), on.query.c_str(),
-                     static_cast<unsigned long long>(on.rows),
-                     static_cast<unsigned long long>(off.rows));
-      }
-    }
     if (on_disjuncts == 0 && off_disjuncts == 0) {
       std::fprintf(stderr,
                    "PRUNING GATE: no unlimited-deadline on/off pairs "

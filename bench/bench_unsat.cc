@@ -6,9 +6,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
-#include <cstring>
-
+#include "bench_util.h"
 #include "benchgen/generator.h"
 #include "common/thread_pool.h"
 #include "core/classifier.h"
@@ -69,16 +67,11 @@ BENCHMARK(BM_ClassifyUnsatSweep)
     ->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      g_threads = olite::ThreadPool::ResolveThreads(
-          static_cast<unsigned>(std::strtoul(argv[i] + 10, nullptr, 10)));
-    } else {
-      argv[kept++] = argv[i];
-    }
-  }
-  argc = kept;
+  olite::bench::Flags flags =
+      olite::bench::Flags::Take(&argc, argv, {"threads"});
+  g_threads = olite::ThreadPool::ResolveThreads(
+      flags.Int<unsigned>("threads", 1));
+  if (!flags.Finish()) return 1;
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
