@@ -18,20 +18,19 @@ DynamicClosure::DynamicClosure(const Digraph& g, ThreadPool* pool,
   if (pool == nullptr || pool->num_threads() <= 1) {
     // Component ids ascend in reverse topological order, so every
     // successor component's reach set is final when we merge c.
-    ReachMerger merger(arcs_.NumNodes());
+    Shard shard(arcs_.NumNodes());
     for (NodeId c = 0; c < nc && !latch.Poll(); ++c) {
-      MergeComponent(c, dag, &merger);
+      MergeComponent(c, dag, &shard);
     }
   } else {
     // Level-synchronous propagation: within a level no component can
     // reach another, so their merges only read finalised earlier levels.
-    std::vector<ReachMerger> mergers(pool->num_threads(),
-                                     ReachMerger(arcs_.NumNodes()));
+    std::vector<Shard> shards(pool->num_threads(), Shard(arcs_.NumNodes()));
     for (const auto& level : Levels(dag)) {
       pool->ParallelForShard(0, level.size(), /*grain=*/16,
                              [&](unsigned shard, size_t i) {
                                if (latch.Poll()) return;
-                               MergeComponent(level[i], dag, &mergers[shard]);
+                               MergeComponent(level[i], dag, &shards[shard]);
                              });
     }
   }
@@ -72,25 +71,40 @@ std::vector<std::vector<NodeId>> DynamicClosure::Levels(
   return levels;
 }
 
+std::shared_ptr<NodeId[]> DynamicClosure::Shard::Carve(NodeId n) {
+  if (capacity_ - used_ < n) {
+    capacity_ = static_cast<NodeId>(std::max<uint64_t>(
+        n, std::clamp(handed_out_, kMinChunkIds, kMaxChunkIds)));
+    chunk_ = std::make_shared_for_overwrite<NodeId[]>(capacity_);
+    used_ = 0;
+  }
+  std::shared_ptr<NodeId[]> slice(chunk_, chunk_.get() + used_);  // aliasing
+  used_ += n;
+  handed_out_ += n;
+  return slice;
+}
+
 void DynamicClosure::MergeComponent(NodeId c, const Digraph& dag,
-                                    ReachMerger* merger) {
+                                    Shard* shard) {
   // The kernel names components by representative, a stable node id.
   auto reach_of = [this](NodeId s) -> const Reach& {
     return reach_[scc_.component_of[s]];
   };
-  const std::span<const NodeId> succs = dag.Successors(c);
-  const size_t size = merger->Merge(
-      c, succs | std::views::transform([this](NodeId d) { return RepOf(d); }),
+  ReachMerger& merger = shard->merger;
+  const size_t size = merger.Merge(
+      c,
+      dag.Successors(c) |
+          std::views::transform([this](NodeId d) { return RepOf(d); }),
       reach_of);
   if (size == 0) return;
   Reach& r = reach_[c];
   r.num_ids = static_cast<NodeId>(size);
-  r.num_nodes = reach_[succs.back()].num_nodes;
-  for (NodeId s : merger->added()) {
+  r.num_nodes = reach_of(merger.head()).num_nodes;
+  for (NodeId s : merger.added()) {
     r.num_nodes += scc_.Members(scc_.component_of[s]).size();
   }
-  auto ids = std::make_shared_for_overwrite<NodeId[]>(size);
-  merger->CopyTo(ids.get());
+  std::shared_ptr<NodeId[]> ids = shard->Carve(r.num_ids);
+  merger.CopyTo(ids.get());
   r.ids = std::move(ids);
 }
 
@@ -191,12 +205,12 @@ std::unique_ptr<DynamicClosure> DynamicClosure::Patched(
   // component, and a split, which leaves a changed arc's tail reachable
   // from every member of each part, both leave the component dirty.
   out->reach_.resize(nc);
-  ReachMerger merger(new_n);
+  Shard shard(new_n);
   for (NodeId c = 0; c < nc; ++c) {
     if (!fall_back && !dirty[c]) {
       out->reach_[c] = reach_[scc_.component_of[out->RepOf(c)]];  // alias
     } else {
-      out->MergeComponent(c, dag, &merger);  // re-derive
+      out->MergeComponent(c, dag, &shard);  // re-derive
     }
   }
   out->FinalizeArcCount();

@@ -31,11 +31,22 @@ namespace olite::graph {
 /// reach vector of every component whose answer set provably did not
 /// change, with zero copying for the untouched bulk of the graph.
 ///
+/// Storage: each reach vector is a slice of a shared chunk, held by a
+/// `shared_ptr` made with the aliasing constructor, so it owns its chunk
+/// jointly with every other slice of it. A chunk lives exactly as long as
+/// some generation still holds a slice of it: aliasing a clean component's
+/// vector into a patched closure keeps that chunk alive, whichever
+/// generation is destroyed first. Each build carves its chunks from one
+/// stream per thread, sized by what the stream has handed out so far
+/// (`kMinChunkIds` up to `kMaxChunkIds`, or one longer vector): a patch
+/// that re-derives a few components pins a few small chunks, a scratch
+/// build a few dozen large ones.
+///
 /// Construction is serial, or level-parallel on a pool: the components of
 /// one longest-path level of the condensation cannot reach each other, so
-/// they merge concurrently with one `ReachMerger` per pool shard. The
-/// result is identical at every width. The build polls its budget once per
-/// component.
+/// they merge concurrently, each pool shard with its own `ReachMerger` and
+/// chunk stream. The result is identical at every width. The build polls its
+/// budget once per component.
 ///
 /// `Patched(next)` builds the closure of `next` from this one:
 ///   1. fresh Tarjan over `next` (linear — the condensation is cheap; the
@@ -110,12 +121,35 @@ class DynamicClosure : public TransitiveClosure {
   /// once built; aliased by every later generation in which the component
   /// stays clean.
   struct Reach {
-    std::shared_ptr<const NodeId[]> ids;  ///< null when empty
+    std::shared_ptr<const NodeId[]> ids;  ///< a chunk slice; null when empty
     NodeId num_ids = 0;
     uint64_t num_nodes = 0;
 
     const NodeId* begin() const { return ids.get(); }
     const NodeId* end() const { return ids.get() + num_ids; }
+    size_t size() const { return num_ids; }
+  };
+
+  /// One thread's build state: the merge kernel, and the chunk stream its
+  /// merged reach vectors are carved from.
+  class Shard {
+   public:
+    explicit Shard(NodeId universe) : merger(universe) {}
+
+    /// Storage for `n` ids, carved from the current chunk; a chunk that
+    /// cannot hold them is left to its slices and a new one started.
+    std::shared_ptr<NodeId[]> Carve(NodeId n);
+
+    ReachMerger merger;
+
+   private:
+    static constexpr uint64_t kMinChunkIds = 256;
+    static constexpr uint64_t kMaxChunkIds = 16 * 1024;
+
+    std::shared_ptr<NodeId[]> chunk_;
+    NodeId used_ = 0;
+    NodeId capacity_ = 0;
+    uint64_t handed_out_ = 0;  ///< ids carved over the stream's life
   };
 
   DynamicClosure() = default;
@@ -133,7 +167,7 @@ class DynamicClosure : public TransitiveClosure {
   /// level is final. Levels (and each level) ascend by id.
   std::vector<std::vector<NodeId>> Levels(const Digraph& dag) const;
   /// Merges component `c`'s downstream reach from its successors.
-  void MergeComponent(NodeId c, const Digraph& dag, ReachMerger* merger);
+  void MergeComponent(NodeId c, const Digraph& dag, Shard* shard);
   void FinalizeArcCount();
 
   Digraph arcs_;  ///< the underlying graph, as given

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <ranges>
 #include <span>
 #include <vector>
@@ -24,15 +25,20 @@ namespace olite::graph {
 /// vector of ids below `universe`.
 ///
 /// Instead of concatenating every successor's list and sorting the lot:
-///   1. The last successor `s0` (the largest component id) contributes
-///      `reach(s0)`, the head, which is never copied into scratch space.
-///      With one successor the answer is the head plus `s0`: no stamps.
+///   1. The successor `h` with the longest reach (on a tie, the larger id)
+///      contributes `reach(h)`, the head, which is never copied into
+///      scratch space: every other survivor's new ids are stamped, copied
+///      and sorted, so the longest list is the one most worth leaving out.
+///      Reach lengths are read from `size()`, so choosing the head scans no
+///      list. With one successor the answer is the head plus that
+///      successor: no stamps.
 ///   2. The other successors are visited back to front, in descending
 ///      component id. A successor reachable from another successor has the
-///      smaller id, so it is visited later and its id is stamped by then:
-///      it is skipped without reading its reach list (on-the-fly
-///      transitive reduction, as in Goralčíková & Koubek 1979). The order
-///      only decides how much is skipped; any order gives the same set.
+///      smaller id, so it is visited later and its id is stamped by then,
+///      as is every id of the head: it is skipped without reading its reach
+///      list (on-the-fly transitive reduction, as in Goralčíková & Koubek
+///      1979). The head and the order only decide how much is skipped and
+///      copied; any choice gives the same set.
 ///   3. The survivors' ids are deduplicated against a stamp array (stamp
 ///      `c + 1`, so the array is never cleared within one build); only these
 ///      distinct ids, `added()`, are sorted. `CopyTo` merges them with the
@@ -48,26 +54,34 @@ class ReachMerger {
   /// `succs` names c's successors in ascending component id: any sized
   /// bidirectional range of ids, such as a view that maps a condensation row
   /// to representatives. `reach_of(s)` returns the sorted reach of successor
-  /// `s`, which must stay valid until `CopyTo`. Then
-  /// reach(c) = reach_of(succs.back()) ∪ added().
+  /// `s` as a contiguous sized range, which must stay valid until `CopyTo`.
+  /// Then reach(c) = reach_of(head()) ∪ added().
   template <typename ReachOf, typename Succs = std::span<const NodeId>>
   size_t Merge(NodeId c, const Succs& succs, ReachOf&& reach_of) {
     head_ = {};
     added_.clear();
     if (std::ranges::empty(succs)) return 0;
-    auto s = std::ranges::rbegin(succs);
+    const auto rbegin = std::ranges::rbegin(succs);
     const auto rend = std::ranges::rend(succs);
-    const NodeId last = *s;
-    const auto& head = reach_of(last);
+    head_id_ = *rbegin;
+    size_t longest = std::ranges::size(reach_of(head_id_));
+    for (auto s = std::next(rbegin); s != rend; ++s) {
+      const size_t length = std::ranges::size(reach_of(*s));
+      if (length > longest) {  // strict: a tie keeps the larger id
+        longest = length;
+        head_id_ = *s;
+      }
+    }
+    const auto& head = reach_of(head_id_);
     head_ = {head.begin(), head.end()};
-    added_.push_back(last);
+    added_.push_back(head_id_);
     if (std::ranges::size(succs) > 1) {
       const uint32_t tag = c + 1;
-      stamp_[last] = tag;
+      stamp_[head_id_] = tag;
       for (NodeId x : head_) stamp_[x] = tag;
-      for (++s; s != rend; ++s) {
+      for (auto s = rbegin; s != rend; ++s) {
         const NodeId id = *s;
-        if (stamp_[id] == tag) continue;  // covered by a survivor
+        if (stamp_[id] == tag) continue;  // the head, or in a merged reach
         stamp_[id] = tag;
         added_.push_back(id);
         for (NodeId x : reach_of(id)) {
@@ -82,7 +96,11 @@ class ReachMerger {
     return head_.size() + added_.size();
   }
 
-  /// The ids of the last result that are not in its head, ascending.
+  /// The successor whose reach is the head of the last result.
+  NodeId head() const { return head_id_; }
+
+  /// The ids of the last result that are not in its head's reach,
+  /// ascending; `head()` itself is one of them.
   std::span<const NodeId> added() const { return added_; }
 
   /// Writes the last result, ascending, to `out[0, size)`.
@@ -92,6 +110,7 @@ class ReachMerger {
 
  private:
   std::vector<uint32_t> stamp_;
+  NodeId head_id_ = 0;
   std::span<const NodeId> head_;
   std::vector<NodeId> added_;
 };

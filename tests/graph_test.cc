@@ -330,23 +330,99 @@ std::vector<NodeId> Written(const ReachMerger& merger, size_t size) {
   return out;
 }
 
+// A successor's reach list that logs every scan. Its length is free to ask
+// for; reading its elements needs `begin()` or `end()`, and each call logs
+// the successor's id into `scanned`.
+struct LoggedReach {
+  std::vector<NodeId> ids;
+  NodeId successor = 0;
+  std::set<NodeId>* scanned = nullptr;
+
+  size_t size() const { return ids.size(); }
+  const NodeId* begin() const {
+    scanned->insert(successor);
+    return ids.data();
+  }
+  const NodeId* end() const {
+    scanned->insert(successor);
+    return ids.data() + ids.size();
+  }
+};
+
+// Reach lists over successor ids 0..reach.size()-1, scans logged.
+std::vector<LoggedReach> Logged(std::vector<std::vector<NodeId>> reach,
+                                std::set<NodeId>* scanned) {
+  std::vector<LoggedReach> out;
+  for (NodeId s = 0; s < reach.size(); ++s) {
+    out.push_back({std::move(reach[s]), s, scanned});
+  }
+  return out;
+}
+
+std::vector<NodeId> Added(const ReachMerger& merger) {
+  return {merger.added().begin(), merger.added().end()};
+}
+
 TEST(ReachMergerTest, SkipsCoveredSuccessorsUnread) {
   // Component space over c3 -> {c0, c1, c2}, where c2 -> c1 -> c0: c1 and c0
-  // are covered by c2, so only c2's reach list is read.
-  const std::vector<std::vector<NodeId>> reach = {{}, {0}, {0, 1}};
-  std::vector<NodeId> read;
-  auto reach_of = [&](NodeId d) -> const std::vector<NodeId>& {
-    read.push_back(d);
-    return reach[d];
-  };
+  // are covered by c2, so only c2's reach list is scanned. The kernel asks
+  // every successor for its length to choose the head; that reads no list.
+  std::set<NodeId> scanned;
+  const std::vector<LoggedReach> reach = Logged({{}, {0}, {0, 1}}, &scanned);
+  auto reach_of = [&](NodeId d) -> const LoggedReach& { return reach[d]; };
   ReachMerger merger(4);
   const std::vector<NodeId> succs = {0, 1, 2};
   const size_t size = merger.Merge(3, succs, reach_of);
   EXPECT_EQ(Written(merger, size), (std::vector<NodeId>{0, 1, 2}));
-  EXPECT_EQ(read, (std::vector<NodeId>{2}));
+  EXPECT_EQ(scanned, (std::set<NodeId>{2}));
   // Only the head successor's own id is new beyond its reach.
-  EXPECT_EQ(std::vector<NodeId>(merger.added().begin(), merger.added().end()),
-            (std::vector<NodeId>{2}));
+  EXPECT_EQ(merger.head(), 2u);
+  EXPECT_EQ(Added(merger), (std::vector<NodeId>{2}));
+}
+
+TEST(ReachMergerTest, HeadIsTheLongestReachNotTheLastSuccessor) {
+  // c7 -> {c1, c5, c6}: c5 reaches {0, 1, 2, 3}, the last successor c6 only
+  // {4}. c5 is the head and is never copied: added() is what lies beyond
+  // it. c1 lies in the head, so it is skipped unread although it is visited
+  // after the survivor c6; c6 is not covered and is scanned.
+  std::set<NodeId> scanned;
+  const std::vector<LoggedReach> reach =
+      Logged({{}, {0}, {}, {}, {}, {0, 1, 2, 3}, {4}}, &scanned);
+  auto reach_of = [&](NodeId d) -> const LoggedReach& { return reach[d]; };
+  ReachMerger merger(8);
+  const std::vector<NodeId> succs = {1, 5, 6};
+  const size_t size = merger.Merge(7, succs, reach_of);
+  EXPECT_EQ(merger.head(), 5u);
+  EXPECT_EQ(Added(merger), (std::vector<NodeId>{4, 5, 6}));
+  EXPECT_EQ(Written(merger, size),
+            (std::vector<NodeId>{0, 1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(scanned, (std::set<NodeId>{5, 6}));
+}
+
+TEST(ReachMergerTest, TiedReachLengthsTakeTheLargerIdAsHead) {
+  // 2 and 7 both reach two ids, and so does 4 in the middle: the head is 7,
+  // the larger id, and the others' lists are stamped into added().
+  std::vector<std::vector<NodeId>> reach(8);
+  reach[2] = {0, 1};
+  reach[4] = {1, 3};
+  reach[7] = {3, 5};
+  auto reach_of = [&](NodeId s) -> const std::vector<NodeId>& {
+    return reach[s];
+  };
+  ReachMerger merger(9);
+  const std::vector<NodeId> succs = {2, 4, 7};
+  size_t size = merger.Merge(8, succs, reach_of);
+  EXPECT_EQ(merger.head(), 7u);
+  EXPECT_EQ(Added(merger), (std::vector<NodeId>{0, 1, 2, 4, 7}));
+  EXPECT_EQ(Written(merger, size),
+            (std::vector<NodeId>{0, 1, 2, 3, 4, 5, 7}));
+  // With 7 shorter, the tie between 2 and 4 goes to 4, not the last.
+  reach[7] = {5};
+  size = merger.Merge(6, succs, reach_of);
+  EXPECT_EQ(merger.head(), 4u);
+  EXPECT_EQ(Added(merger), (std::vector<NodeId>{0, 2, 4, 5, 7}));
+  EXPECT_EQ(Written(merger, size),
+            (std::vector<NodeId>{0, 1, 2, 3, 4, 5, 7}));
 }
 
 TEST(ReachMergerTest, MergesSurvivorsSortedAndDeduplicated) {
@@ -364,9 +440,10 @@ TEST(ReachMergerTest, MergesSurvivorsSortedAndDeduplicated) {
   const std::vector<NodeId> both = {2, 7};
   size_t size = merger.Merge(0, both, reach_of);
   EXPECT_EQ(Written(merger, size), (std::vector<NodeId>{1, 2, 4, 5, 7}));
-  // Beyond the head (7's reach): 2, 5 and 7 itself.
-  EXPECT_EQ(std::vector<NodeId>(merger.added().begin(), merger.added().end()),
-            (std::vector<NodeId>{2, 5, 7}));
+  // Both reach two ids: the tie goes to 7, the head. Beyond its reach: 2, 5
+  // and 7 itself.
+  EXPECT_EQ(merger.head(), 7u);
+  EXPECT_EQ(Added(merger), (std::vector<NodeId>{2, 5, 7}));
   // A single successor is inserted into its own reach without stamps.
   const std::vector<NodeId> one = {2};
   size = merger.Merge(1, one, reach_of);
@@ -568,6 +645,77 @@ TEST(ClosureParallelTest, EnginesAgreeAtEveryWidthOnRandomGraphs) {
         }
       }
     }
+  }
+}
+
+// Twelve gadgets, each a root r -> {previous gadget's root, chain head,
+// stub}, numbered so that Tarjan finishes the previous gadget, then the
+// chain, then the stub. The stub, r's last successor, reaches only the
+// chain's end, so r's head is another successor. Some chains end in a
+// 2-cycle and some reach back into the previous gadget's stub.
+Digraph LongestReachNotLastGraph() {
+  Digraph g;
+  NodeId next = 0;
+  NodeId prev_root = 0;
+  NodeId prev_stub = 0;
+  for (NodeId k = 0; k < 12; ++k) {
+    const NodeId root = next++;
+    const NodeId length = 3 + k % 5;
+    const NodeId chain = next;
+    next += length;
+    const NodeId stub = next++;
+    if (k > 0) g.AddArc(root, prev_root);
+    g.AddArc(root, chain);
+    g.AddArc(root, stub);
+    for (NodeId i = 0; i + 1 < length; ++i) g.AddArc(chain + i, chain + i + 1);
+    g.AddArc(stub, chain + length - 1);
+    if (k % 3 == 1) g.AddArc(chain + length - 1, chain + length - 2);
+    if (k % 2 == 1) g.AddArc(chain, prev_stub);
+    prev_root = root;
+    prev_stub = stub;
+  }
+  g.Finalize();
+  return g;
+}
+
+TEST(ClosureParallelTest, LongestReachHeadAgreesWithBfsOracleAtWidthsOneAndFour) {
+  const Digraph g = LongestReachNotLastGraph();
+  const NodeId n = g.NumNodes();
+  const auto oracle = ComputeClosure(g, ClosureEngine::kBfs);
+  // The premise: some node's last successor component (the largest id) is
+  // not the one that reaches the most components.
+  const SccResult scc = ComputeScc(g);
+  auto reach_length = [&](NodeId c) {
+    std::set<NodeId> reached;
+    for (NodeId v : oracle->ReachableFrom(scc.Members(c).front())) {
+      reached.insert(scc.component_of[v]);
+    }
+    reached.erase(c);
+    return reached.size();
+  };
+  int longest_not_last = 0;
+  for (NodeId u = 0; u < n; ++u) {
+    std::set<NodeId> succs;
+    for (NodeId v : g.Successors(u)) {
+      if (scc.component_of[v] != scc.component_of[u]) {
+        succs.insert(scc.component_of[v]);
+      }
+    }
+    if (succs.empty()) continue;
+    const size_t last = reach_length(*succs.rbegin());
+    for (NodeId d : succs) {
+      if (reach_length(d) > last) {
+        ++longest_not_last;
+        break;
+      }
+    }
+  }
+  ASSERT_GE(longest_not_last, 12);
+  for (unsigned width : {1u, 4u}) {
+    ThreadPool pool(width);
+    auto c = ComputeClosure(g, ClosureEngine::kSccMerge, &pool);
+    SCOPED_TRACE("width " + std::to_string(width));
+    ExpectSameClosure(*c, *oracle, n);
   }
 }
 
@@ -901,6 +1049,73 @@ TEST(DynamicClosureTest, CleanComponentsKeepTheirOldMemberSets) {
   // Both kinds occur, so neither half of the check is vacuous.
   EXPECT_GT(total_clean, 0u);
   EXPECT_GT(total_dirty, 0u);
+}
+
+// Reach vectors are slices of chunks shared across generations: a patched
+// closure's clean components hold slices carved by the generation they were
+// first merged in. Over a base and a chain of three patches (each changing
+// a few rows near the sources, so most components stay clean and their
+// slices are aliased down the chain), the four closures are destroyed in
+// every order, the base first among them, and after each destruction every
+// component of every survivor is queried. Under ASan a slice that outlived
+// its chunk is a use-after-free.
+TEST(DynamicClosureTest, ChunksOutliveTheGenerationThatCarvedThem) {
+  Rng rng(0xC40C);
+  const NodeId n = 160;
+  std::vector<Digraph> graphs;
+  Digraph g(n);
+  for (NodeId u = 0; u + 1 < n; ++u) {
+    for (int k = 0; k < 3; ++k) {
+      g.AddArc(u, static_cast<NodeId>(u + 1 + rng.Uniform(n - u - 1)));
+    }
+    if (rng.Chance(0.1)) g.AddArc(u + 1, u);  // a 2-cycle
+  }
+  g.Finalize();
+  graphs.push_back(g);
+  for (int step = 0; step < 3; ++step) {
+    Digraph next(n);
+    const NodeId changed = static_cast<NodeId>(rng.Uniform(10));
+    for (NodeId u = 0; u < n; ++u) {
+      if (u == changed) {
+        next.AddArc(u, static_cast<NodeId>(u + 1 + rng.Uniform(n - u - 1)));
+        continue;
+      }
+      for (NodeId v : graphs.back().Successors(u)) next.AddArc(u, v);
+    }
+    next.Finalize();
+    graphs.push_back(std::move(next));
+  }
+  std::vector<std::vector<std::vector<NodeId>>> want(graphs.size());
+  std::vector<uint64_t> want_arcs;
+  for (size_t i = 0; i < graphs.size(); ++i) {
+    const auto oracle = ComputeClosure(graphs[i], ClosureEngine::kBfs);
+    for (NodeId u = 0; u < n; ++u) want[i].push_back(oracle->ReachableFrom(u));
+    want_arcs.push_back(oracle->NumClosureArcs());
+  }
+
+  std::vector<size_t> order = {0, 1, 2, 3};
+  do {
+    std::vector<std::unique_ptr<DynamicClosure>> gens;
+    gens.push_back(std::make_unique<DynamicClosure>(graphs[0]));
+    for (size_t i = 1; i < graphs.size(); ++i) {
+      DynamicClosure::PatchStats stats;
+      gens.push_back(gens.back()->Patched(graphs[i], NeverFallBack(), &stats));
+      ASSERT_GT(stats.reused_components, 0u) << "patch " << i;
+      ASSERT_GT(stats.dirty_components, 0u) << "patch " << i;
+    }
+    for (size_t victim : order) {
+      gens[victim].reset();
+      for (size_t i = 0; i < gens.size(); ++i) {
+        if (gens[i] == nullptr) continue;
+        ASSERT_EQ(gens[i]->NumClosureArcs(), want_arcs[i]);
+        for (NodeId u = 0; u < n; ++u) {
+          ASSERT_EQ(gens[i]->ReachableFrom(u), want[i][u])
+              << "generation " << i << " node " << u << " after destroying "
+              << victim;
+        }
+      }
+    }
+  } while (std::next_permutation(order.begin(), order.end()));
 }
 
 // Every engine at every width stops on an exhausted budget with
