@@ -24,25 +24,55 @@ Atom::Kind AtomKindOf(mapping::TargetKind kind) {
   return Atom::Kind::kConcept;
 }
 
-// Canonical, type-tagged rendering of one retrieved tuple (Int(1) and
-// Double(1.0) must stay distinct — they are different SQL values).
-std::string TupleKey(const rdb::Row& row) {
-  std::string k;
-  for (const rdb::Value& v : row) {
-    k += rdb::ValueTypeName(v.type());
-    k += v.ToString();
-    k += '\x1f';
+using IdTuples = std::vector<uint64_t>;
+
+// Encodes a view's rows into sorted, deduplicated id tuples (see
+// SourceConstraints::IdTuples). Values `dict` lacks get `overlay` ids
+// after the dictionary's. Null for a view projecting more than two
+// columns (only constant projections reach one), which stays unknown.
+std::shared_ptr<const IdTuples> EncodeView(const std::vector<rdb::Row>& rows,
+                                           const rdb::ValueDictionary* dict,
+                                           rdb::ValueDictionary* overlay) {
+  const uint64_t dict_size = dict != nullptr ? dict->size() : 0;
+  auto id_of = [&](const rdb::Value& v) -> uint64_t {
+    if (dict != nullptr) {
+      const uint32_t id = dict->Find(v);
+      if (id != rdb::ValueDictionary::kNoId) return id;
+    }
+    return dict_size + overlay->Intern(v);
+  };
+  auto out = std::make_shared<IdTuples>();
+  out->reserve(rows.size());
+  for (const rdb::Row& row : rows) {
+    if (row.size() == 1) {
+      out->push_back(id_of(row[0]));
+    } else if (row.size() == 2) {
+      const uint64_t a = id_of(row[0]);
+      const uint64_t b = id_of(row[1]);
+      out->push_back(((a + 1) << 32) | b);
+    } else {
+      return nullptr;
+    }
   }
-  return k;
+  std::sort(out->begin(), out->end());
+  out->erase(std::unique(out->begin(), out->end()), out->end());
+  return out;
 }
 
-std::string SwappedTupleKey(const rdb::Row& row) {
-  rdb::Row swapped(row.rbegin(), row.rend());
-  return TupleKey(swapped);
+// The element-swapped extension of a role: (a, b) becomes (b, a).
+std::shared_ptr<const IdTuples> SwappedTuples(const IdTuples& ext) {
+  auto out = std::make_shared<IdTuples>();
+  out->reserve(ext.size());
+  for (uint64_t t : ext) {
+    const uint64_t a_plus_1 = t >> 32;
+    const uint64_t b = t & 0xFFFFFFFFULL;
+    out->push_back(a_plus_1 == 0 ? t : ((b + 1) << 32) | (a_plus_1 - 1));
+  }
+  std::sort(out->begin(), out->end());
+  return out;
 }
 
-bool SubsetOf(const std::set<std::string>& sub,
-              const std::set<std::string>& sup) {
+bool SubsetOf(const IdTuples& sub, const IdTuples& sup) {
   return std::includes(sup.begin(), sup.end(), sub.begin(), sub.end());
 }
 
@@ -87,12 +117,21 @@ std::unique_ptr<const SourceConstraints> SourceConstraints::InferImpl(
     const rdb::DatabaseStats& stats, const ConstraintInferenceOptions& options,
     const SourceConstraints* base, uint64_t* reused_views) {
   auto sc = std::unique_ptr<SourceConstraints>(new SourceConstraints);
+  const rdb::SourceIndex* index = stats.index();
+  const rdb::ValueDictionary* dict =
+      index != nullptr ? &index->dictionary() : nullptr;
+  sc->dictionary_fingerprint_ = index != nullptr ? index->fingerprint() : 0;
   // Retained extensions of the base, indexed by view fingerprint. Equal
   // fingerprints mean equal (kind, predicate, SQL) over the same frozen
   // database, hence — Execute being deterministic — an identical
-  // extension, so reuse preserves Infer's bit-exact output.
+  // extension, so reuse preserves Infer's bit-exact output. Retained ids
+  // mean the same values only over the same dictionary and the base's
+  // overlay, which this pass extends.
   std::unordered_multimap<uint64_t, const RetainedView*> base_views;
-  if (base != nullptr) {
+  rdb::ValueDictionary overlay;
+  if (base != nullptr &&
+      base->dictionary_fingerprint_ == sc->dictionary_fingerprint_) {
+    overlay = base->overlay_;
     for (const RetainedView& rv : base->retained_views_) {
       if (rv.tuples != nullptr) base_views.emplace(rv.fingerprint, &rv);
     }
@@ -115,10 +154,10 @@ std::unique_ptr<const SourceConstraints> SourceConstraints::InferImpl(
   const auto& assertions = mappings.assertions();
   sc->view_empty_.assign(assertions.size(), 0);
   sc->view_dominated_.assign(assertions.size(), 0);
-  // views[i].tuples null = unknown. Swapped renderings are filled in the
-  // same evaluation pass (re-evaluating later could fail differently and
-  // leave a *partial* swapped set, which would unsoundly certify inverse
-  // inclusions).
+  // views[i].tuples null = unknown. A role predicate's swapped extension
+  // is derived from these same tuples, never re-evaluated (a second
+  // evaluation could fail differently and leave a *partial* swapped set,
+  // which would unsoundly certify inverse inclusions).
   std::vector<RetainedView> views(assertions.size());
   std::vector<char> view_reused(assertions.size(), 0);
   std::map<uint64_t, std::vector<size_t>> by_pred;  // deterministic order
@@ -129,10 +168,9 @@ std::unique_ptr<const SourceConstraints> SourceConstraints::InferImpl(
     if (auto it = base_views.find(views[i].fingerprint);
         it != base_views.end()) {
       view_reused[i] = 1;
-      // Known base view with the same fingerprint: its extension (and
-      // swapped rendering) is what re-execution would retrieve.
+      // Known base view with the same fingerprint: its extension is what
+      // re-execution would retrieve.
       views[i].tuples = it->second->tuples;
-      views[i].swapped = it->second->swapped;
       if (reused_views != nullptr) ++*reused_views;
       if (views[i].tuples->empty()) {
         sc->view_empty_[i] = 1;
@@ -144,28 +182,22 @@ std::unique_ptr<const SourceConstraints> SourceConstraints::InferImpl(
     q.blocks.push_back(m.source);
     rdb::EvalOptions eopts;
     eopts.max_rows = options.max_extension_rows;
+    eopts.index = index;
     Result<std::vector<rdb::Row>> rows = rdb::Execute(db, q, eopts);
-    if (!rows.ok()) {
+    std::shared_ptr<const IdTuples> tuples =
+        rows.ok() ? EncodeView(*rows, dict, &overlay) : nullptr;
+    if (tuples == nullptr) {
       // Evaluation failure (cap overflow, injected fault, …): the view —
       // and with it the predicate — stays unknown, which disables every
       // prune it could have justified. Never a reason to fail Compile.
       sc->summary_.complete = false;
       continue;
     }
-    auto tuples = std::make_shared<std::set<std::string>>();
-    auto swapped = std::make_shared<std::set<std::string>>();
-    for (const rdb::Row& row : rows.value()) {
-      tuples->insert(TupleKey(row));
-      if (m.kind == mapping::TargetKind::kRole) {
-        swapped->insert(SwappedTupleKey(row));
-      }
-    }
     if (tuples->empty()) {
       sc->view_empty_[i] = 1;
       ++sc->summary_.empty_views;
     }
     views[i].tuples = std::move(tuples);
-    views[i].swapped = std::move(swapped);
   }
 
   // -- per-predicate extensions + dominated views ----------------------------
@@ -185,11 +217,11 @@ std::unique_ptr<const SourceConstraints> SourceConstraints::InferImpl(
   auto known = [&](size_t i) { return views[i].tuples != nullptr; };
   auto empty = [&](size_t i) { return known(i) && views[i].tuples->empty(); };
   // Extension of each fully-known predicate, plus the element-swapped
-  // rendering for roles (inverse-inclusion checks). Shared so a
+  // extension for roles (inverse-inclusion checks). Shared so a
   // single-view predicate aliases its view's extension instead of
   // copying it (the overwhelmingly common shape).
-  std::map<uint64_t, std::shared_ptr<const std::set<std::string>>> ext;
-  std::map<uint64_t, std::shared_ptr<const std::set<std::string>>> swapped_ext;
+  std::map<uint64_t, std::shared_ptr<const IdTuples>> ext;
+  std::map<uint64_t, std::shared_ptr<const IdTuples>> swapped_ext;
   // Predicates whose full view-fingerprint multiset matches the base with
   // every view reused: their merged extension is bit-identical to the
   // base's, so pairwise inclusion verdicts between two such predicates
@@ -225,18 +257,21 @@ std::unique_ptr<const SourceConstraints> SourceConstraints::InferImpl(
     ++sc->summary_.predicates;
     PredInfo info;
     bool all_known = true;
-    std::shared_ptr<const std::set<std::string>> merged;
+    std::shared_ptr<const IdTuples> merged;
     if (view_indices.size() == 1 && known(view_indices[0])) {
       merged = views[view_indices[0]].tuples;
     } else {
-      auto built = std::make_shared<std::set<std::string>>();
+      auto built = std::make_shared<IdTuples>();
       for (size_t i : view_indices) {
         if (!known(i)) {
           all_known = false;
           break;
         }
-        built->insert(views[i].tuples->begin(), views[i].tuples->end());
+        built->insert(built->end(), views[i].tuples->begin(),
+                      views[i].tuples->end());
       }
+      std::sort(built->begin(), built->end());
+      built->erase(std::unique(built->begin(), built->end()), built->end());
       merged = std::move(built);
     }
     if (all_known && options.max_extension_rows != 0 &&
@@ -289,17 +324,7 @@ std::unique_ptr<const SourceConstraints> SourceConstraints::InferImpl(
     if (all_known && !info.empty) {
       auto kind = static_cast<Atom::Kind>(pred_key >> 32);
       if (kind == Atom::Kind::kRole) {
-        if (view_indices.size() == 1 &&
-            views[view_indices[0]].swapped != nullptr) {
-          swapped_ext[pred_key] = views[view_indices[0]].swapped;
-        } else {
-          auto sw = std::make_shared<std::set<std::string>>();
-          for (size_t i : view_indices) {
-            if (views[i].swapped == nullptr) continue;
-            sw->insert(views[i].swapped->begin(), views[i].swapped->end());
-          }
-          swapped_ext[pred_key] = std::move(sw);
-        }
+        swapped_ext[pred_key] = SwappedTuples(*merged);
       }
       ext[pred_key] = std::move(merged);
     }
@@ -313,8 +338,8 @@ std::unique_ptr<const SourceConstraints> SourceConstraints::InferImpl(
     uint64_t key = 0;
     Atom::Kind kind = Atom::Kind::kConcept;
     uint32_t id = 0;
-    const std::set<std::string>* ext = nullptr;
-    const std::set<std::string>* swapped = nullptr;  // null for non-roles
+    const IdTuples* ext = nullptr;
+    const IdTuples* swapped = nullptr;  // null for non-roles
     bool unchanged = false;
   };
   std::vector<ExtEntry> entries;
@@ -368,7 +393,10 @@ std::unique_ptr<const SourceConstraints> SourceConstraints::InferImpl(
     if (pairs_spent()) break;
   }
 
-  if (options.retain_view_extensions) sc->retained_views_ = std::move(views);
+  if (options.retain_view_extensions) {
+    sc->retained_views_ = std::move(views);
+    sc->overlay_ = std::move(overlay);
+  }
   return sc;
 }
 

@@ -152,14 +152,22 @@ class SourceConstraints final : public query::ConstraintOracle {
     return (static_cast<uint64_t>(sub) << 32) | sup;
   }
 
+  /// A view extension: its tuples encoded through the source index's
+  /// dictionary (values it lacks get overlay ids), sorted and
+  /// deduplicated. A tuple of arity 1 is its id; one of arity 2 is
+  /// `(a + 1) << 32 | b`, so the two arities never collide. Equal id
+  /// tuples are exactly equal type-tagged SQL renderings, so set sizes,
+  /// inclusions and the pair budget's order match a string-keyed set.
+  using IdTuples = std::vector<uint64_t>;
+
   /// One retained view extension (ConstraintInferenceOptions::
   /// retain_view_extensions), parallel to `MappingSet::assertions()`.
+  /// Role predicates derive their swapped extension from these ids.
   struct RetainedView {
     uint64_t fingerprint = 0;
-    /// Null when the view's evaluation failed (status stayed unknown).
-    std::shared_ptr<const std::set<std::string>> tuples;
-    /// Element-swapped rendering; only populated for role views.
-    std::shared_ptr<const std::set<std::string>> swapped;
+    /// Null when the view's evaluation failed or it projects more than two
+    /// columns (status stayed unknown).
+    std::shared_ptr<const IdTuples> tuples;
   };
 
   /// Shared implementation of Infer/Refresh; `base` (nullable) supplies
@@ -183,6 +191,13 @@ class SourceConstraints final : public query::ConstraintOracle {
   std::set<std::pair<std::string, std::string>> key_columns_;
   /// Empty unless retain_view_extensions was set.
   std::vector<RetainedView> retained_views_;
+  /// `SourceIndex::fingerprint()` of the dictionary the retained ids were
+  /// encoded against; a refresh over another dictionary reuses nothing.
+  uint64_t dictionary_fingerprint_ = 0;
+  /// Values the dictionary lacked (constant projections, rows of another
+  /// database than the index's); their ids follow the dictionary's. A refresh
+  /// starts from this overlay so retained ids keep their meaning.
+  rdb::ValueDictionary overlay_;
   /// Per-predicate sorted view fingerprints (retain_view_extensions
   /// only). A refresh whose predicate reproduces this multiset — with
   /// every view reused — has a bit-identical extension, so cross-

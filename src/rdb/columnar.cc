@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <optional>
 #include <random>
+#include <span>
 #include <string_view>
 
 #include "common/fault_injection.h"
@@ -293,22 +295,45 @@ bool RowPasses(const Step& step, const Row& row) {
   return true;
 }
 
-// Batched filtered scan of a step's table into row indices. Fault site and
-// batch counter tick once per batch; the sink polls the budget per row.
-// Sets *aborted (and returns OK) when the sink stops evaluation.
-Status FilterScan(const Step& step, EvalSink* sink, EvalStats* stats,
-                  std::vector<uint32_t>* out, bool* aborted) {
+// The rows holding the value of a step's first INT or TEXT constant filter,
+// ascending, when `index` covers the step's table; nullopt means read every
+// row. A DOUBLE filter never picks the range: +0.0 and -0.0 compare equal
+// but are two dictionary values.
+std::optional<std::span<const uint32_t>> IndexedRange(
+    const Step& step, const SourceIndex* index) {
+  if (index == nullptr) return std::nullopt;
+  for (const auto& [col, value] : step.filters) {
+    if (value.type() != ValueType::kDouble) {
+      return index->EqualRows(*step.table, col, value);
+    }
+  }
+  return std::nullopt;
+}
+
+// Batched filtered scan of a step's table, or of its indexed range when
+// `index` covers the table, into ascending row indices. Fault site and
+// batch counter tick once per batch of rows read; the sink polls the
+// budget per row read. Sets *aborted (and returns OK) when the sink stops
+// evaluation.
+Status FilterScan(const Step& step, const SourceIndex* index, EvalSink* sink,
+                  EvalStats* stats, std::vector<uint32_t>* out,
+                  bool* aborted) {
   const auto& rows = step.table->rows();
-  for (size_t base = 0; base < rows.size(); base += kBatchRows) {
+  const auto range = IndexedRange(step, index);
+  const uint32_t* range_rows = range ? range->data() : nullptr;
+  const size_t n = range ? range->size() : rows.size();
+  for (size_t base = 0; base < n; base += kBatchRows) {
     OLITE_RETURN_IF_ERROR(fault::InjectAt(fault::Site::kRdbExecute));
     if (stats != nullptr) ++stats->batches;
-    const size_t end = std::min(rows.size(), base + kBatchRows);
-    for (size_t i = base; i < end; ++i) {
+    const size_t end = std::min(n, base + kBatchRows);
+    for (size_t k = base; k < end; ++k) {
       if (!sink->PollScan()) {
         *aborted = true;
         return Status::Ok();
       }
-      if (RowPasses(step, rows[i])) out->push_back(static_cast<uint32_t>(i));
+      const auto i =
+          range_rows != nullptr ? range_rows[k] : static_cast<uint32_t>(k);
+      if (RowPasses(step, rows[i])) out->push_back(i);
     }
   }
   return Status::Ok();
@@ -326,11 +351,13 @@ void AppendTuple(const Chunk& prefix, size_t i, uint32_t r, Chunk* next) {
 // join columns, batched probe over the prefix tuples (cross product when no
 // join predicate connects the step).
 Status JoinStep(const std::vector<Step>& steps, size_t k, const Chunk& prefix,
-                EvalSink* sink, EvalStats* stats, Chunk* next, bool* aborted) {
+                const SourceIndex* index, EvalSink* sink, EvalStats* stats,
+                Chunk* next, bool* aborted) {
   const Step& step = steps[k];
   if (prefix.rows == 0) return Status::Ok();  // short-circuit: stays empty
   std::vector<uint32_t> matches;
-  OLITE_RETURN_IF_ERROR(FilterScan(step, sink, stats, &matches, aborted));
+  OLITE_RETURN_IF_ERROR(
+      FilterScan(step, index, sink, stats, &matches, aborted));
   if (*aborted || matches.empty()) return Status::Ok();
   if (step.joins.empty()) {
     // Cross product (rare: a disconnected FROM entry).
@@ -429,7 +456,6 @@ std::vector<BlockProgram> CompilePlan(const std::vector<ResolvedBlock>& blocks,
 Status EvalPlan(const std::vector<BlockProgram>& programs,
                 const EvalOptions& options, EvalSink* sink, EvalStats* stats,
                 size_t* blocks_done) {
-  (void)options;
   // Only prefixes appearing in ≥2 blocks are worth materialising in the
   // shared cache.
   std::unordered_map<std::string, size_t> key_blocks;
@@ -460,12 +486,12 @@ Status EvalPlan(const std::vector<BlockProgram>& programs,
       auto next = std::make_shared<Chunk>();
       next->cols.resize(k + 1);
       if (k == 0) {
-        OLITE_RETURN_IF_ERROR(
-            FilterScan(step, sink, stats, &next->cols[0], &aborted));
+        OLITE_RETURN_IF_ERROR(FilterScan(step, options.index, sink, stats,
+                                         &next->cols[0], &aborted));
         next->rows = next->cols[0].size();
       } else {
-        OLITE_RETURN_IF_ERROR(
-            JoinStep(prog.steps, k, *cur, sink, stats, next.get(), &aborted));
+        OLITE_RETURN_IF_ERROR(JoinStep(prog.steps, k, *cur, options.index,
+                                       sink, stats, next.get(), &aborted));
       }
       if (aborted) break;  // partial intermediate: never cache it
       cur = std::move(next);

@@ -147,10 +147,12 @@ std::vector<BlockProgram> CompilePlan(const std::vector<ResolvedBlock>& blocks,
                                       const DatabaseStats* stats,
                                       uint64_t shuffle_seed = 0);
 
-/// Evaluates the compiled plan into `sink`: batched scans, hash joins and
-/// projection, with the fault site `kRdbExecute` firing once per block and
-/// once per batch, and the budget polled per batch. Returns non-OK only
-/// for an injected fault; budget/cap exhaustion latches in the sink.
+/// Evaluates the compiled plan into `sink`: batched scans (of the equality
+/// range of `options.index` when set, see `EvalOptions::index`), hash
+/// joins and projection, with the fault site `kRdbExecute` firing once per
+/// block and once per batch, and the budget polled per row read. Returns
+/// non-OK only for an injected fault; budget/cap exhaustion latches in the
+/// sink.
 /// `blocks_done` (optional) counts fully evaluated blocks; `stats`
 /// (optional) accumulates evaluator counters.
 Status EvalPlan(const std::vector<BlockProgram>& programs,

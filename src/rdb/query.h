@@ -111,6 +111,9 @@ struct EvalStats {
   std::vector<double> block_us;
 };
 
+class DatabaseStats;  // rdb/stats.h
+class SourceIndex;    // rdb/stats.h
+
 /// Budget controls for `Execute`.
 struct EvalOptions {
   /// Shared budget: the kRows quota caps materialised distinct rows, the
@@ -132,6 +135,14 @@ struct EvalOptions {
   /// (recompiled per call). Answers must not change — the conformance
   /// metamorphic check sweeps seeds to prove it.
   uint64_t join_order_seed = 0;
+  /// Equality index of the database being queried (`DatabaseStats::
+  /// index()`). The columnar engine's filtered scan then reads only the
+  /// rows in the index range of a step's first INT or TEXT constant
+  /// filter, still checking every filter on them; DOUBLE filters and
+  /// tables the index was not built from scan in full. Batches, fault
+  /// hits and budget polls count the rows read. The nested-loop engine
+  /// ignores it. May be null.
+  const SourceIndex* index = nullptr;
   /// Evaluator counters, reset and filled when non-null.
   EvalStats* eval_stats = nullptr;
 };
@@ -142,8 +153,6 @@ struct EvalOptions {
 /// fires it per batch).
 Result<std::vector<Row>> Execute(const Database& db, const SqlQuery& query,
                                  const EvalOptions& options = {});
-
-class DatabaseStats;  // rdb/stats.h
 
 /// Options for `PreparedPlan::Prepare`.
 struct PrepareOptions {

@@ -6,16 +6,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <limits>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "benchgen/workload.h"
 #include "common/fault_injection.h"
+#include "common/hash.h"
 #include "mapping/mapping.h"
 #include "obda/compiled_ontology.h"
 #include "obda/constraints.h"
+#include "obda/delta.h"
 #include "obda/query_engine.h"
+#include "rdb/query.h"
 #include "rdb/stats.h"
 #include "rdb/table.h"
 
@@ -315,6 +321,47 @@ TEST(SourceConstraintsFuzz, DegradedInferenceKeepsAnswersExact) {
   }
 }
 
+// A fault on a batch of the indexed equality scan a filtered view runs
+// degrades that view, and only it, to unknown.
+TEST(SourceConstraintsFuzz, FaultInIndexedScanLeavesViewUnknown) {
+  if (rdb::ResolveEvalEngine(rdb::EvalEngine::kDefault) !=
+      rdb::EvalEngine::kColumnar) {
+    GTEST_SKIP() << "only the columnar engine scans index ranges";
+  }
+  Database db;
+  ASSERT_TRUE(db.CreateTable({"facts",
+                              {{"kind", ValueType::kString},
+                               {"s", ValueType::kString}}})
+                  .ok());
+  for (int r = 0; r < 3000; ++r) {
+    ASSERT_TRUE(db.Insert("facts", {Value::Str(r % 3 == 0 ? "a" : "b"),
+                                    Value::Str("i" + std::to_string(r))})
+                    .ok());
+  }
+  MappingSet mappings;
+  SelectBlock kind_a = TableBlock("facts", false);
+  kind_a.filters = {{{0, "kind"}, Value::Str("a")}};
+  ASSERT_TRUE(mappings.Add(MappingAssertion::ForConcept(0, kind_a)).ok());
+  const auto stats = rdb::DatabaseStats::Collect(db);
+  auto clean = SourceConstraints::Infer(mappings, db, stats);
+  ASSERT_TRUE(clean->summary().complete);
+  EXPECT_TRUE(clean->ExactMapping(Atom::Kind::kConcept, 0));
+
+  // Hit 1 is the block, hit 2 the first batch of the 1 000-row range.
+  fault::FaultPlan plan;
+  plan.fail_every = 2;
+  fault::Injector::Global().Arm(fault::Site::kRdbExecute, plan);
+  auto degraded = SourceConstraints::Infer(mappings, db, stats);
+  const uint64_t failures =
+      fault::Injector::Global().failures(fault::Site::kRdbExecute);
+  fault::Injector::Global().DisarmAll();
+  EXPECT_EQ(failures, 1u);
+  EXPECT_FALSE(degraded->summary().complete);
+  EXPECT_EQ(degraded->summary().known_extensions, 0u);
+  EXPECT_FALSE(degraded->Empty(Atom::Kind::kConcept, 0));
+  EXPECT_FALSE(degraded->ExactMapping(Atom::Kind::kConcept, 0));
+}
+
 // ---------------------------------------------------------------------------
 // Refresh (per-view reuse) and DiffAffectedPreds (delta attribution)
 // ---------------------------------------------------------------------------
@@ -462,6 +509,359 @@ TEST(SourceConstraintsRefresh, DiffRefusesWhenKeyFactsChange) {
   std::vector<uint64_t> affected;
   EXPECT_FALSE(with_key->DiffAffectedPreds(*without_key, mappings, mappings,
                                            &affected));
+}
+
+
+// ---------------------------------------------------------------------------
+// Identity pins: the facts of an inference, recorded once and asserted
+// unchanged, so a change to how extensions are stored or compared cannot
+// move a single verdict.
+// ---------------------------------------------------------------------------
+
+/// Every fact the public surface exposes, one line each: the summary,
+/// per-predicate emptiness and exact mappings, every holding inclusion and
+/// inverse inclusion between distinct-or-equal predicates, per-view flags
+/// and key columns.
+std::string FactListing(const SourceConstraints& sc,
+                        const MappingSet& mappings, const Database& db,
+                        const dllite::Vocabulary& vocab) {
+  std::string out = "summary " + sc.summary().ToString() + "\n";
+  const std::pair<Atom::Kind, size_t> kinds[] = {
+      {Atom::Kind::kConcept, vocab.NumConcepts()},
+      {Atom::Kind::kRole, vocab.NumRoles()},
+      {Atom::Kind::kAttribute, vocab.NumAttributes()}};
+  for (const auto& [kind, n] : kinds) {
+    const std::string k = std::to_string(static_cast<int>(kind));
+    for (uint32_t a = 0; a < n; ++a) {
+      const std::string p = k + ":" + std::to_string(a);
+      if (sc.Empty(kind, a)) out += "empty " + p + "\n";
+      if (sc.ExactMapping(kind, a)) out += "exact " + p + "\n";
+      for (uint32_t b = 0; b < n; ++b) {
+        const std::string pair = p + " " + std::to_string(b) + "\n";
+        if (a != b && sc.Included(kind, a, b)) out += "incl " + pair;
+        if (sc.IncludedInverse(kind, a, b)) out += "inv " + pair;
+      }
+    }
+  }
+  for (size_t i = 0; i < mappings.assertions().size(); ++i) {
+    if (sc.EmptyView(i)) out += "empty_view " + std::to_string(i) + "\n";
+    if (sc.DominatedView(i)) {
+      out += "dominated_view " + std::to_string(i) + "\n";
+    }
+  }
+  for (const auto& [name, table] : db.tables()) {
+    for (const auto& col : table.schema().columns) {
+      if (sc.IsKeyColumn(name, col.name)) {
+        out += "key " + name + "." + col.name + "\n";
+      }
+    }
+  }
+  return out;
+}
+
+std::string Hex(uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+/// The conformance sweep's workload shape, constraint-rich (redundant
+/// duplicate mappings and source-materialised inclusions).
+benchgen::WorkloadConfig PinSweepConfig(uint64_t seed) {
+  benchgen::WorkloadConfig cfg;
+  cfg.ontology.name = "conformance";
+  cfg.ontology.seed = 2 * seed + 1;
+  cfg.ontology.num_concepts = 12 + static_cast<uint32_t>(seed % 14);
+  cfg.ontology.num_roles = 3 + static_cast<uint32_t>(seed % 3);
+  cfg.ontology.num_attributes = static_cast<uint32_t>(seed % 2);
+  cfg.ontology.num_roots = 2;
+  cfg.ontology.avg_branching = 2.0 + static_cast<double>(seed % 3);
+  cfg.ontology.multi_parent_prob = 0.2;
+  cfg.ontology.role_hierarchy_fraction = 0.5;
+  cfg.ontology.domain_range_fraction = 0.3;
+  cfg.ontology.qualified_exists_per_concept = 0.2;
+  cfg.ontology.unqualified_exists_per_concept = 0.2;
+  cfg.ontology.disjointness_fraction = 0.2;
+  cfg.ontology.role_disjointness_fraction = 0.1;
+  cfg.seed = seed + 1000;
+  cfg.num_individuals = 16;
+  cfg.num_concept_assertions = 24;
+  cfg.num_role_assertions = 24;
+  cfg.num_attribute_assertions = (seed % 2 == 1) ? 6 : 0;
+  cfg.num_queries = 0;
+  cfg.redundant_mapping_fraction = 0.5;
+  cfg.source_inclusion_fraction = 0.5;
+  return cfg;
+}
+
+TEST(ConstraintIdentity, SweepSeedsKeepEveryFact) {
+  uint64_t digest = kFnv1aBasis;
+  size_t inclusions = 0, dominated = 0, inverse = 0;
+  for (uint64_t seed = 0; seed < 60; ++seed) {
+    benchgen::Workload w = benchgen::GenerateWorkload(PinSweepConfig(seed));
+    auto sc = InferOver(w.mappings, w.database);
+    digest = Fnv1a(
+        FactListing(*sc, w.mappings, w.database, w.ontology.vocab()), digest);
+    inclusions += sc->summary().inclusions;
+    dominated += sc->summary().dominated_views;
+    inverse += sc->summary().inverse_inclusions;
+  }
+  // The sweep must exercise every fact class it pins.
+  EXPECT_GT(inclusions, 0u);
+  EXPECT_GT(dominated, 0u);
+  EXPECT_GT(inverse, 0u);
+  EXPECT_EQ(Hex(digest), "2f7565f95550b2c8");
+}
+
+TEST(ConstraintIdentity, BenchmarkSpecKeepsEveryFact) {
+  // The full-size spec of the OBDA benchmark (perfbench's SpecConfig).
+  benchgen::WorkloadConfig c;
+  c.ontology.name = "obda-bench";
+  c.ontology.seed = 1;
+  c.ontology.num_concepts = 1000;
+  c.ontology.num_roles = 50;
+  c.ontology.num_attributes = 4;
+  c.ontology.multi_parent_prob = 0.2;
+  c.ontology.role_hierarchy_fraction = 0.3;
+  c.ontology.domain_range_fraction = 0.4;
+  c.ontology.unqualified_exists_per_concept = 0.1;
+  c.ontology.qualified_exists_per_concept = 0.05;
+  c.ontology.disjointness_fraction = 0.05;
+  c.seed = 1;
+  c.num_individuals = 5000;
+  c.num_concept_assertions = 20000;
+  c.num_role_assertions = 20000;
+  c.num_attribute_assertions = 5000;
+  c.redundant_mapping_fraction = 0.1;
+  c.source_inclusion_fraction = 0.2;
+  c.num_queries = 0;
+  benchgen::Workload w = benchgen::GenerateWorkload(c);
+  ConstraintInferenceOptions opts;
+  opts.retain_view_extensions = true;
+  auto sc = InferOver(w.mappings, w.database, opts);
+  EXPECT_EQ(sc->summary().ToString(),
+            "predicates=929 known=929 empty=0 inclusions=4 "
+            "inverse_inclusions=0 exact_mappings=929 dominated_views=92 "
+            "empty_views=0 key_columns=582 truncated");
+  EXPECT_EQ(Hex(Fnv1a(FactListing(*sc, w.mappings, w.database,
+                                  w.ontology.vocab()))),
+            "5d4474db6d4267bf");
+}
+
+// Values whose identity is easy to get wrong: Int(1) against Double(1.0),
+// +0.0 against -0.0 (equal as SQL values, rendered apart), NaN (never
+// equal to itself, every payload rendered alike), and strings holding a
+// quote or the unit separator. Pinned to the verdicts of string-keyed
+// extensions.
+struct EdgeFixture {
+  Database db;
+  MappingSet mappings;
+  dllite::Vocabulary vocab;
+
+  EdgeFixture() {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_TRUE(db.CreateTable({"nums",
+                                {{"i", ValueType::kInt},
+                                 {"d", ValueType::kDouble}}})
+                    .ok());
+    const std::pair<int64_t, double> nums[] = {
+        {1, 1.0}, {0, 0.0}, {0, -0.0}, {2, nan}, {3, nan}, {4, -nan},
+        {5, 1.0}};
+    for (const auto& [i, d] : nums) {
+      EXPECT_TRUE(db.Insert("nums", {Value::Int(i), Value::Double(d)}).ok());
+    }
+    EXPECT_TRUE(db.CreateTable({"strs",
+                                {{"s", ValueType::kString},
+                                 {"o", ValueType::kString}}})
+                    .ok());
+    const std::pair<const char*, const char*> strs[] = {
+        {"a'b", "x"},   {"a", "'b"},       {"a\x1f", "b"}, {"a", "\x1f" "b"},
+        {"1", "x"},     {"x", "a'b"},      {"x", "a"},     {"b", "a\x1f"},
+        {"a'", "'b"}};
+    for (const auto& [a, b] : strs) {
+      EXPECT_TRUE(db.Insert("strs", {Value::Str(a), Value::Str(b)}).ok());
+    }
+    // Keys as a hashed distinct count sees them: ±0.0 are two values and
+    // each NaN is its own, so `d` is a key; `dup` repeats 1.0.
+    EXPECT_TRUE(db.CreateTable({"dkeys",
+                                {{"d", ValueType::kDouble},
+                                 {"dup", ValueType::kDouble},
+                                 {"s", ValueType::kString}}})
+                    .ok());
+    const std::tuple<double, double, const char*> dkeys[] = {
+        {0.0, 1.0, "a'b"}, {-0.0, 1.0, "a''b"}, {nan, 2.0, "a\x1f"},
+        {nan, 3.0, "a"}};
+    for (const auto& [d, dup, str] : dkeys) {
+      EXPECT_TRUE(db.Insert("dkeys", {Value::Double(d), Value::Double(dup),
+                                      Value::Str(str)})
+                      .ok());
+    }
+    auto block = [](const std::string& table, std::vector<std::string> cols,
+                    std::vector<rdb::EqConst> filters) {
+      SelectBlock b;
+      b.from_tables = {table};
+      for (auto& c : cols) b.select.push_back({0, std::move(c)});
+      b.filters = std::move(filters);
+      return b;
+    };
+    auto concept_view = [&](uint32_t c, SelectBlock b) {
+      EXPECT_TRUE(mappings.Add(MappingAssertion::ForConcept(c, b)).ok());
+    };
+    concept_view(0, block("nums", {"i"}, {}));
+    concept_view(1, block("nums", {"d"}, {}));
+    concept_view(2, block("nums", {"d"}, {{{0, "i"}, Value::Int(0)}}));
+    concept_view(3, block("nums", {"d"}, {{{0, "d"}, Value::Double(0.0)}}));
+    concept_view(4, block("nums", {"d"}, {{{0, "d"}, Value::Double(-0.0)}}));
+    concept_view(5, block("nums", {"d"}, {{{0, "i"}, Value::Int(2)}}));
+    concept_view(6, block("nums", {"d"}, {{{0, "i"}, Value::Int(3)}}));
+    concept_view(7, block("nums", {"d"}, {{{0, "i"}, Value::Int(4)}}));
+    concept_view(8, block("nums", {"d"}, {{{0, "i"}, Value::Int(2)}}));
+    concept_view(8, block("nums", {"d"}, {{{0, "i"}, Value::Int(3)}}));
+    concept_view(9, block("nums", {"d"}, {{{0, "d"}, Value::Double(nan)}}));
+    concept_view(10, block("nums", {"d"}, {{{0, "d"}, Value::Double(1.0)}}));
+    concept_view(11, block("nums", {"d"}, {{{0, "i"}, Value::Int(1)}}));
+    concept_view(12, block("strs", {"s"}, {}));
+    concept_view(13, block("strs", {"o"}, {}));
+    concept_view(14, block("strs", {"s"}, {{{0, "o"}, Value::Str("'b")}}));
+    concept_view(15, block("strs", {"o"}, {{{0, "s"}, Value::Str("a")}}));
+    concept_view(16, block("strs", {"s"}, {{{0, "s"}, Value::Str("a\x1f")}}));
+    concept_view(17, block("strs", {"s"}, {{{0, "s"}, Value::Str("1")}}));
+    concept_view(18, block("strs", {"s"}, {{{0, "s"}, Value::Str("zz")}}));
+    concept_view(19, block("dkeys", {"d"}, {{{0, "s"}, Value::Str("a''b")}}));
+    concept_view(20, block("dkeys", {"s"}, {}));
+    concept_view(21, block("dkeys", {"d"}, {}));
+    auto role_view = [&](uint32_t r, SelectBlock b) {
+      EXPECT_TRUE(mappings.Add(MappingAssertion::ForRole(r, b)).ok());
+    };
+    role_view(0, block("strs", {"s", "o"}, {}));
+    role_view(1, block("strs", {"o", "s"}, {}));
+    role_view(2, block("strs", {"s", "o"}, {{{0, "s"}, Value::Str("a")}}));
+    role_view(3, block("strs", {"o", "s"}, {{{0, "s"}, Value::Str("x")}}));
+    role_view(4, block("nums", {"i", "d"}, {}));
+    role_view(5, block("nums", {"i", "d"}, {{{0, "d"}, Value::Double(0.0)}}));
+    role_view(5, block("nums", {"i", "d"}, {{{0, "i"}, Value::Int(0)}}));
+    EXPECT_TRUE(
+        mappings
+            .Add(MappingAssertion::ForAttribute(0, block("nums", {"i", "d"},
+                                                         {})))
+            .ok());
+    EXPECT_TRUE(
+        mappings
+            .Add(MappingAssertion::ForAttribute(
+                1, block("nums", {"i", "d"}, {{{0, "i"}, Value::Int(0)}})))
+            .ok());
+    for (int c = 0; c < 22; ++c) vocab.InternConcept("C" + std::to_string(c));
+    for (int r = 0; r < 6; ++r) vocab.InternRole("R" + std::to_string(r));
+    for (int u = 0; u < 2; ++u) vocab.InternAttribute("U" + std::to_string(u));
+  }
+};
+
+TEST(ConstraintIdentity, EdgeValuesKeepTodaysVerdicts) {
+  EdgeFixture fx;
+  auto sc = InferOver(fx.mappings, fx.db);
+  const std::string listing = FactListing(*sc, fx.mappings, fx.db, fx.vocab);
+  EXPECT_EQ(sc->summary().ToString(),
+            "predicates=30 known=30 empty=2 inclusions=45 "
+            "inverse_inclusions=4 exact_mappings=28 dominated_views=2 "
+            "empty_views=2 key_columns=2 complete");
+  EXPECT_EQ(Hex(Fnv1a(listing)), "e565d952cf2b2cec") << listing;
+  // The verdicts the digest guards, spelled out.
+  EXPECT_FALSE(sc->Included(Atom::Kind::kConcept, 0, 1));  // Int vs Double
+  EXPECT_TRUE(sc->Included(Atom::Kind::kConcept, 2, 3));   // {±0.0} both
+  EXPECT_TRUE(sc->Included(Atom::Kind::kConcept, 3, 4));   // filters match
+  EXPECT_TRUE(sc->Included(Atom::Kind::kConcept, 5, 6));   // NaN is NaN
+  EXPECT_FALSE(sc->Included(Atom::Kind::kConcept, 5, 7));  // NaN vs -NaN
+  EXPECT_TRUE(sc->Empty(Atom::Kind::kConcept, 9));         // = NaN: none
+  EXPECT_TRUE(sc->DominatedView(9));  // concept 8's second NaN view
+  EXPECT_TRUE(sc->Included(Atom::Kind::kConcept, 16, 20));  // "a\x1f"
+  EXPECT_TRUE(sc->Included(Atom::Kind::kConcept, 19, 3));   // 'a''b' → 0.0
+  EXPECT_TRUE(sc->IncludedInverse(Atom::Kind::kRole, 0, 1));
+  EXPECT_TRUE(sc->IsKeyColumn("dkeys", "d"));  // ±0.0 apart, NaN ≠ NaN
+  EXPECT_TRUE(sc->IsKeyColumn("dkeys", "s"));
+  EXPECT_FALSE(sc->IsKeyColumn("dkeys", "dup"));
+  EXPECT_FALSE(sc->IsKeyColumn("nums", "d"));
+}
+
+
+// Values the source index lacks (a constant projection, or statistics of
+// another database) take overlay ids; verdicts do not change, and a
+// refresh keeps the base's overlay ids meaningful.
+TEST(ConstraintIdentity, OverlayIdsKeepVerdicts) {
+  Database db;
+  ASSERT_TRUE(db.CreateTable({"t", {{"s", ValueType::kString}}}).ok());
+  ASSERT_TRUE(db.Insert("t", {Value::Str("a")}).ok());
+  ASSERT_TRUE(db.Insert("t", {Value::Str("b")}).ok());
+  auto tagged = [](const char* tag) {
+    SelectBlock b = TableBlock("t", false);
+    b.const_select = {{1, Value::Str(tag)}};
+    return b;
+  };
+  MappingSet base_maps;
+  ASSERT_TRUE(base_maps.Add(MappingAssertion::ForConcept(0, tagged("k"))).ok());
+  ASSERT_TRUE(base_maps.Add(MappingAssertion::ForConcept(1, tagged("k"))).ok());
+  MappingSet next = base_maps;
+  ASSERT_TRUE(next.Add(MappingAssertion::ForConcept(2, tagged("z"))).ok());
+  ASSERT_TRUE(next.Add(MappingAssertion::ForConcept(3, tagged("k"))).ok());
+  ConstraintInferenceOptions opts;
+  opts.retain_view_extensions = true;
+  const Database empty_db;
+  const Database* stats_dbs[] = {&db, &empty_db};
+  for (const Database* stats_db : stats_dbs) {
+    const auto stats = rdb::DatabaseStats::Collect(*stats_db);
+    auto base = SourceConstraints::Infer(base_maps, db, stats, opts);
+    uint64_t reused = 0;
+    auto refreshed =
+        SourceConstraints::Refresh(*base, next, db, stats, opts, &reused);
+    auto scratch = SourceConstraints::Infer(next, db, stats, opts);
+    EXPECT_EQ(reused, 2u);
+    for (const auto* sc : {refreshed.get(), scratch.get()}) {
+      EXPECT_TRUE(sc->Included(Atom::Kind::kConcept, 0, 1));
+      EXPECT_TRUE(sc->Included(Atom::Kind::kConcept, 3, 0));
+      EXPECT_FALSE(sc->Included(Atom::Kind::kConcept, 0, 2));
+      EXPECT_FALSE(sc->Included(Atom::Kind::kConcept, 2, 3));
+      EXPECT_EQ(sc->summary().inclusions, 6u);
+    }
+  }
+}
+
+// Chained refreshes over seeded delta sequences of three shapes (add-only,
+// mixed, removal-heavy), each step checked against a scratch inference
+// with its own statistics.
+TEST(ConstraintIdentity, RefreshChainsEqualScratchInference) {
+  uint64_t reused_total = 0;
+  for (uint64_t seed = 0; seed < 24; ++seed) {
+    benchgen::Workload w = benchgen::GenerateWorkload(PinSweepConfig(seed));
+    benchgen::DeltaSequenceConfig dc;
+    dc.seed = seed ^ 0x5EEDULL;
+    dc.num_deltas = 6;
+    dc.mapping_change_fraction = 0.8;
+    dc.remove_fraction = 0.3 * static_cast<double>(seed % 3);
+    dc.max_changes = 1 + static_cast<uint32_t>(seed % 6);
+    const auto deltas = benchgen::GenerateDeltaSequence(w, dc);
+    ConstraintInferenceOptions opts;
+    opts.retain_view_extensions = true;
+    const auto stats = rdb::DatabaseStats::Collect(w.database);
+    std::unique_ptr<const SourceConstraints> prev =
+        SourceConstraints::Infer(w.mappings, w.database, stats, opts);
+    MappingSet maps = w.mappings;
+    for (size_t d = 0; d < deltas.size(); ++d) {
+      auto next = ApplyMappingDelta(maps, deltas[d]);
+      ASSERT_TRUE(next.ok()) << next.status().ToString();
+      uint64_t reused = 0;
+      auto refreshed = SourceConstraints::Refresh(*prev, *next, w.database,
+                                                  stats, opts, &reused);
+      auto scratch = InferOver(*next, w.database, opts);
+      ASSERT_EQ(
+          FactListing(*refreshed, *next, w.database, w.ontology.vocab()),
+          FactListing(*scratch, *next, w.database, w.ontology.vocab()))
+          << "seed " << seed << ", delta " << d;
+      reused_total += reused;
+      maps = std::move(*next);
+      prev = std::move(refreshed);
+    }
+  }
+  EXPECT_GT(reused_total, 0u);
 }
 
 }  // namespace

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <random>
+#include <string>
+#include <tuple>
+#include <vector>
 
+#include "common/fault_injection.h"
 #include "rdb/query.h"
 #include "rdb/stats.h"
 #include "rdb/table.h"
@@ -377,6 +383,211 @@ TEST(ColumnarTest, CrossProductBlockAgreesAcrossEngines) {
   ASSERT_TRUE(nested.ok());
   EXPECT_EQ(*col, *nested);
   EXPECT_EQ(col->size(), 6u);  // 2 professors × 3 courses
+}
+
+
+// ---------------------------------------------------------------------------
+// SourceIndex and indexed equality scans
+// ---------------------------------------------------------------------------
+
+TEST(SourceIndexTest, RangesDistinctsAndForeignTables) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Database db;
+  ASSERT_TRUE(db.CreateTable({"t",
+                              {{"i", ValueType::kInt},
+                               {"d", ValueType::kDouble},
+                               {"s", ValueType::kString}}})
+                  .ok());
+  const std::tuple<int64_t, double, const char*> rows[] = {
+      {1, 0.0, "a"}, {2, -0.0, "b"}, {1, nan, "a"}, {3, nan, "a'"},
+      {1, 1.0, "b"}};
+  for (const auto& [i, d, str] : rows) {
+    ASSERT_TRUE(
+        db.Insert("t", {Value::Int(i), Value::Double(d), Value::Str(str)})
+            .ok());
+  }
+  DatabaseStats stats = DatabaseStats::Collect(db);
+  ASSERT_NE(stats.index(), nullptr);
+  const SourceIndex& index = *stats.index();
+  const Table& t = **db.GetTable("t");
+  auto rows_of = [&](size_t col, const Value& v) {
+    auto span = index.EqualRows(t, col, v);
+    EXPECT_TRUE(span.has_value());
+    return span ? std::vector<uint32_t>(span->begin(), span->end())
+                : std::vector<uint32_t>{};
+  };
+  EXPECT_EQ(rows_of(0, Value::Int(1)), (std::vector<uint32_t>{0, 2, 4}));
+  EXPECT_EQ(rows_of(2, Value::Str("a")), (std::vector<uint32_t>{0, 2}));
+  EXPECT_TRUE(rows_of(0, Value::Int(9)).empty());       // absent value
+  EXPECT_TRUE(rows_of(0, Value::Str("a")).empty());     // other column's
+  EXPECT_TRUE(rows_of(0, Value::Double(1.0)).empty());  // Int(1) ≠ 1.0
+  // Dictionary identity: ±0.0 apart, NaN payloads of one sign together.
+  EXPECT_EQ(rows_of(1, Value::Double(-0.0)), (std::vector<uint32_t>{1}));
+  EXPECT_EQ(rows_of(1, Value::Double(nan)), (std::vector<uint32_t>{2, 3}));
+  // Distinct counts as a hashed set counts them: each NaN cell is its own.
+  const TableStats* ts = stats.Find("t");
+  ASSERT_NE(ts, nullptr);
+  EXPECT_EQ(ts->Distinct(0), 3u);
+  EXPECT_EQ(ts->Distinct(1), 5u);  // 0.0, -0.0, NaN, NaN, 1.0
+  EXPECT_EQ(ts->Distinct(2), 3u);
+  // An equal table elsewhere, or this one after a write, is not indexed.
+  Database copy = db;
+  EXPECT_FALSE(index.EqualRows(**copy.GetTable("t"), 0, Value::Int(1)));
+  ASSERT_TRUE(
+      db.Insert("t", {Value::Int(1), Value::Double(2.0), Value::Str("c")})
+          .ok());
+  EXPECT_FALSE(index.EqualRows(t, 0, Value::Int(1)));
+}
+
+/// Renders result rows type-tagged and sorted, so results compare as sets
+/// of SQL values even where `Value ==` is not an equivalence (±0.0).
+std::vector<std::string> Rendered(const std::vector<Row>& rows) {
+  std::vector<std::string> out;
+  for (const Row& row : rows) {
+    std::string r;
+    for (const Value& v : row) {
+      r += ValueTypeName(v.type());
+      r += v.ToString();
+      r += '|';
+    }
+    out.push_back(std::move(r));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// Random tables over small INT/TEXT/DOUBLE domains and random select
+// blocks (present, absent and cross-type constants, several filters,
+// self-equalities, joins): the indexed columnar scan must return what the
+// full columnar scan and the nested-loop engine return.
+TEST(SourceIndexTest, IndexedScanEqualsFullScanAndNestedLoop) {
+  std::mt19937_64 rng(20261019);
+  auto pick = [&](size_t n) { return static_cast<size_t>(rng() % n); };
+  const std::vector<Value> ints = {Value::Int(0), Value::Int(1),
+                                   Value::Int(2), Value::Int(7)};
+  const std::vector<Value> texts = {Value::Str("x"), Value::Str("y"),
+                                    Value::Str("a'b"), Value::Str("\x1f")};
+  const std::vector<Value> doubles = {Value::Double(0.0), Value::Double(-0.0),
+                                      Value::Double(1.0), Value::Double(2.5)};
+  const std::vector<Value> absent = {Value::Int(99), Value::Str("absent"),
+                                     Value::Double(9.5)};
+  const std::vector<Column> cols = {{"i", ValueType::kInt},
+                                    {"s", ValueType::kString},
+                                    {"d", ValueType::kDouble},
+                                    {"j", ValueType::kInt}};
+  auto domain = [&](size_t c) -> const std::vector<Value>& {
+    return c == 1 ? texts : c == 2 ? doubles : ints;
+  };
+  Database db;
+  for (const char* name : {"t0", "t1"}) {
+    ASSERT_TRUE(db.CreateTable({name, cols}).ok());
+    const size_t n = name[1] == '0' ? 1500 : 100;  // t0 spans batches
+    for (size_t r = 0; r < n; ++r) {
+      Row row;
+      for (size_t c = 0; c < cols.size(); ++c) {
+        row.push_back(domain(c)[pick(domain(c).size())]);
+      }
+      ASSERT_TRUE(db.Insert(name, std::move(row)).ok());
+    }
+  }
+  const DatabaseStats stats = DatabaseStats::Collect(db);
+  int narrowed = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    SelectBlock b;
+    b.from_tables = {"t0"};
+    if (pick(3) == 0) b.from_tables.push_back("t1");
+    const size_t ntables = b.from_tables.size();
+    for (size_t k = 0; k < 1 + pick(2); ++k) {
+      b.select.push_back({pick(ntables), cols[pick(cols.size())].name});
+    }
+    for (size_t k = 0; k < pick(4); ++k) {
+      const size_t c = pick(cols.size());
+      const size_t how = pick(6);
+      Value v = how == 0   ? absent[pick(absent.size())]
+                : how == 1 ? domain(pick(cols.size()))[0]  // maybe cross-type
+                           : domain(c)[pick(domain(c).size())];
+      b.filters.push_back({{pick(ntables), cols[c].name}, std::move(v)});
+    }
+    if (pick(4) == 0) b.joins.push_back({{0, "i"}, {0, "j"}});  // self-eq
+    if (ntables == 2) {
+      const size_t c = pick(cols.size());
+      b.joins.push_back({{0, cols[c].name}, {1, cols[c].name}});
+    }
+    SqlQuery q;
+    q.blocks.push_back(b);
+    if (pick(3) == 0) {  // a second block sharing the scan
+      SelectBlock b2 = b;
+      b2.filters.push_back({{0, "s"}, texts[pick(texts.size())]});
+      q.blocks.push_back(b2);
+    }
+    EvalStats full_stats, indexed_stats;
+    EvalOptions opts;
+    opts.engine = EvalEngine::kColumnar;
+    opts.eval_stats = &full_stats;
+    auto full = Execute(db, q, opts);
+    opts.index = stats.index();
+    opts.eval_stats = &indexed_stats;
+    auto indexed = Execute(db, q, opts);
+    auto nested = RunWith(db, q, EvalEngine::kNestedLoop);
+    ASSERT_TRUE(full.ok() && indexed.ok() && nested.ok()) << q.ToString();
+    EXPECT_EQ(Rendered(*indexed), Rendered(*full)) << q.ToString();
+    // The columnar hash join keys +0.0 and -0.0 apart while the nested
+    // loop joins them (`Value ==`), with or without the index; a join on
+    // `d` is compared between the columnar scans only.
+    const bool joins_doubles = std::any_of(
+        b.joins.begin(), b.joins.end(),
+        [](const EqJoin& j) { return j.lhs.column == "d"; });
+    if (!joins_doubles) {
+      EXPECT_EQ(Rendered(*indexed), Rendered(*nested)) << q.ToString();
+    }
+    EXPECT_LE(indexed_stats.rows_scanned, full_stats.rows_scanned);
+    if (indexed_stats.rows_scanned < full_stats.rows_scanned) ++narrowed;
+  }
+  // The index must actually have narrowed scans.
+  EXPECT_GT(narrowed, 100);
+}
+
+// The indexed scan fires the fault site once per batch of the rows it
+// reads: a failure planted at any of its hits fails the evaluation.
+TEST(SourceIndexTest, FaultSiteFiresPerBatchOfTheIndexedRange) {
+  Database db;
+  ASSERT_TRUE(db.CreateTable({"t",
+                              {{"k", ValueType::kString},
+                               {"v", ValueType::kInt}}})
+                  .ok());
+  for (int64_t r = 0; r < 5000; ++r) {
+    ASSERT_TRUE(
+        db.Insert("t", {Value::Str(r % 2 == 0 ? "even" : "odd"), Value::Int(r)})
+            .ok());
+  }
+  const DatabaseStats stats = DatabaseStats::Collect(db);
+  SqlQuery q;
+  SelectBlock b;
+  b.from_tables = {"t"};
+  b.select = {{0, "v"}};
+  b.filters = {{{0, "k"}, Value::Str("even")}};
+  q.blocks.push_back(b);
+  EvalOptions opts;
+  opts.engine = EvalEngine::kColumnar;
+  opts.index = stats.index();
+  auto& injector = fault::Injector::Global();
+  injector.Arm(fault::Site::kRdbExecute, {});
+  auto clean = Execute(db, q, opts);
+  const uint64_t hits = injector.hits(fault::Site::kRdbExecute);
+  injector.DisarmAll();
+  ASSERT_TRUE(clean.ok());
+  EXPECT_EQ(clean->size(), 2500u);
+  // One block hit, ceil(2500 / 1024) = 3 scan batches and 3 projection
+  // batches: the full scan would read ceil(5000 / 1024) = 5 batches.
+  EXPECT_EQ(hits, 1u + 3u + 3u);
+  for (uint64_t n = 1; n <= hits; ++n) {
+    fault::FaultPlan plan;
+    plan.fail_every = n;
+    injector.Arm(fault::Site::kRdbExecute, plan);
+    auto failed = Execute(db, q, opts);
+    injector.DisarmAll();
+    EXPECT_EQ(failed.status().code(), StatusCode::kInternal) << "hit " << n;
+  }
 }
 
 }  // namespace
