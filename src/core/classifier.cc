@@ -279,9 +279,7 @@ Classification RefreshClassification(const Classification& base,
       stats->fell_back_scratch = true;
       stats->patched_nodes = g.nodes.NumNodes();
     }
-    ClassificationOptions copts;
-    copts.threads = options.threads;
-    return Classify(tbox, vocab, copts);
+    return Classify(tbox, vocab);
   };
   if (base_fwd == nullptr || !layout_stable) {
     return scratch();

@@ -170,9 +170,6 @@ struct RefreshOptions {
   /// Dirty-node fraction above which the dynamic-closure patch (and hence
   /// the whole refresh) falls back to a from-scratch merge.
   double fallback_fraction = 0.25;
-  /// Threads for the *fallback* scratch classification; the patch path
-  /// itself is serial (it is cheap by construction).
-  unsigned threads = 1;
 };
 
 /// Telemetry from `RefreshClassification`, fed into `snapshot.delta_*`.

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/fault_injection.h"
-#include "common/hash.h"
 #include "core/tbox_graph.h"
 
 namespace olite::obda {
@@ -103,8 +102,9 @@ bool ComputeChangedPreds(const CompiledOntology& base,
                          const OntologyDelta& delta,
                          std::vector<uint64_t>* out) {
   out->clear();
-  const bool tbox_changed =
-      base.fingerprints().closure != next.fingerprints().closure;
+  // A TBox delta that leaves the digraph as it was yields empty arc and
+  // qualified-existential diffs below, hence no seeds.
+  const bool tbox_changed = !delta.TBoxEmpty();
 
   // TBox digraphs: reuse the classification's when one exists, else build
   // (linear in the TBox).
@@ -206,63 +206,12 @@ bool ComputeChangedPreds(const CompiledOntology& base,
 
 }  // namespace
 
-uint64_t StageFingerprints::Combined() const {
-  uint64_t h = Fnv1aWord(mappings);
-  h = Fnv1aWord(schema, h);
-  h = Fnv1aWord(closure, h);
-  return Fnv1aWord(constraints, h);
-}
-
-void CompiledOntology::BuildRewriters() {
+void CompiledOntology::BuildRewriter() {
   query::RewriterOptions options;
   options.mode = mode_;
   options.constraints = constraints_.get();
   options.classification = classification_;
   rewriter_.emplace(ontology_.tbox(), ontology_.vocab(), options);
-  if (mode_ == query::RewriteMode::kClassified) {
-    // Pre-built fallback for the budget-exhaustion ladder: classified
-    // rewriting that runs out of budget is retried as plain PerfectRef.
-    query::RewriterOptions fb;
-    fb.mode = query::RewriteMode::kPerfectRef;
-    fb.constraints = constraints_.get();
-    fallback_rewriter_ = std::make_shared<const query::Rewriter>(
-        ontology_.tbox(), ontology_.vocab(), fb);
-  } else {
-    fallback_rewriter_ = nullptr;
-  }
-}
-
-void CompiledOntology::ComputeFingerprints() {
-  uint64_t m = kFnv1aBasis;
-  for (const mapping::MappingAssertion& a : mappings_.assertions()) {
-    m = Fnv1aWord(MappingViewFingerprint(a), m);
-  }
-  fingerprints_.mappings = m;
-
-  uint64_t s = kFnv1aBasis;
-  for (const auto& [name, table] : database_->tables()) {
-    s = Fnv1a(name, s);
-    for (const auto& col : table.schema().columns) s = Fnv1a(col.name, s);
-    const rdb::TableStats* ts = db_stats_->Find(name);
-    if (ts != nullptr) {
-      s = Fnv1aWord(ts->rows, s);
-      for (const rdb::ColumnStats& cs : ts->columns) {
-        s = Fnv1aWord(cs.distinct, s);
-      }
-    }
-  }
-  fingerprints_.schema = s;
-
-  uint64_t c = Fnv1a(ontology_.tbox().ToString(ontology_.vocab()));
-  c = Fnv1aWord(ontology_.vocab().NumConcepts(), c);
-  c = Fnv1aWord(ontology_.vocab().NumRoles(), c);
-  c = Fnv1aWord(ontology_.vocab().NumAttributes(), c);
-  fingerprints_.closure = c;
-
-  // Constraint inference consumes the mapping views, the schema/stats and
-  // nothing of the TBox.
-  fingerprints_.constraints =
-      Fnv1aWord(fingerprints_.schema, Fnv1aWord(fingerprints_.mappings));
 }
 
 Result<std::shared_ptr<const CompiledOntology>> CompiledOntology::Compile(
@@ -293,8 +242,7 @@ Result<std::shared_ptr<const CompiledOntology>> CompiledOntology::Compile(
     co->classification_ = std::make_shared<const core::Classification>(
         core::Classify(co->ontology_.tbox(), co->ontology_.vocab()));
   }
-  co->BuildRewriters();
-  co->ComputeFingerprints();
+  co->BuildRewriter();
   return std::shared_ptr<const CompiledOntology>(std::move(co));
 }
 
@@ -373,14 +321,12 @@ Result<std::shared_ptr<const CompiledOntology>> CompiledOntology::Refresh(
   // asserted-axiom index below is rebuilt, which is already linear.)
 
   if (!tbox_changed && !mappings_changed) {
-    // Nothing the rewriters read changed: share them wholesale (a Rewriter
+    // Nothing the rewriter reads changed: share it wholesale (a Rewriter
     // copy shares its immutable Impl).
     co->rewriter_ = base->rewriter_;
-    co->fallback_rewriter_ = base->fallback_rewriter_;
   } else {
-    co->BuildRewriters();
+    co->BuildRewriter();
   }
-  co->ComputeFingerprints();
   info.changed_preds_exact =
       ComputeChangedPreds(*base, *co, delta, &info.changed_preds);
   return std::shared_ptr<const CompiledOntology>(std::move(co));

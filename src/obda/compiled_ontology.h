@@ -18,19 +18,6 @@
 
 namespace olite::obda {
 
-/// Content fingerprints of the cacheable compile stages. Two snapshots
-/// with an equal stage fingerprint hold an identical artifact for that
-/// stage; `Refresh` reuses the base's artifact whenever the inputs that
-/// feed the stage did not change (and the fingerprints then match by
-/// construction).
-struct StageFingerprints {
-  uint64_t mappings = 0;     ///< parsed mapping program (per-view content)
-  uint64_t schema = 0;       ///< database schema + collected statistics
-  uint64_t closure = 0;      ///< TBox text + signature sizes
-  uint64_t constraints = 0;  ///< constraint stage = mappings ⊕ schema inputs
-  uint64_t Combined() const;
-};
-
 /// How a snapshot produced by `CompiledOntology::Refresh` relates to its
 /// base — the delta-compilation telemetry surfaced through
 /// `ServingEngine`'s `snapshot.delta_*` instruments.
@@ -44,8 +31,9 @@ struct RefreshInfo {
   uint64_t patched_nodes = 0;      ///< closure nodes re-derived
   uint64_t reused_components = 0;  ///< closure reach vectors aliased
   uint64_t reused_views = 0;       ///< constraint view evaluations skipped
-  /// Of the four cacheable stages (mappings, schema+stats, closure,
-  /// constraints), how many were shared wholesale from the base.
+  /// Of the four stages a delta can leave untouched (mappings,
+  /// schema+stats, closure, constraints), how many were shared wholesale
+  /// from the base.
   uint32_t reused_stages = 0;
   /// True when `changed_preds` precisely bounds the predicates whose
   /// compiled plans may differ from the base's; false forces callers to
@@ -60,8 +48,9 @@ struct RefreshInfo {
 /// The offline phase of the serving stack (the Mastro architecture's
 /// compile-once artifact): everything `Answer` needs that depends only on
 /// the OBDA specification — the TBox with its classified closure and
-/// applicable-axiom index (inside the rewriters), the mapping→predicate
-/// view index, and the schema-validated database — built once and frozen.
+/// applicable-axiom index (inside the rewriter), the mapping→predicate
+/// view index, the source constraints, and the schema-validated database
+/// with its statistics — built once and frozen.
 ///
 /// Compilation is staged, and each stage artifact is held by
 /// `shared_ptr<const>` so `Refresh` can build a *delta* snapshot that
@@ -69,7 +58,8 @@ struct RefreshInfo {
 /// statistics always, the source constraints when the mappings are
 /// untouched (otherwise only the changed views are re-evaluated), and the
 /// classification when the TBox is untouched (otherwise the closure is
-/// patched incrementally via `core::RefreshClassification`).
+/// patched incrementally via `core::RefreshClassification`). Which stages
+/// the delta touches is read off the delta itself.
 ///
 /// Immutable after `Compile`/`Refresh` and therefore freely shareable:
 /// any number of `QueryEngine`s (and threads inside each) may answer
@@ -79,7 +69,7 @@ struct RefreshInfo {
 class CompiledOntology {
  public:
   /// Validates the mappings against the database schema, checks the
-  /// DL-Lite_A functionality restriction, and builds the rewriter(s) —
+  /// DL-Lite_A functionality restriction, and builds the rewriter —
   /// including the TBox classification closure when `mode` is
   /// kClassified.
   static Result<std::shared_ptr<const CompiledOntology>> Compile(
@@ -125,21 +115,14 @@ class CompiledOntology {
   /// The rewriter for the configured mode.
   const query::Rewriter& rewriter() const { return *rewriter_; }
 
-  /// PerfectRef rewriter used as the budget-exhaustion fallback when the
-  /// primary mode is kClassified; null otherwise.
-  const query::Rewriter* fallback_rewriter() const {
-    return fallback_rewriter_.get();
-  }
-
-  const StageFingerprints& fingerprints() const { return fingerprints_; }
   const RefreshInfo& refresh_info() const { return refresh_info_; }
 
  private:
   CompiledOntology() = default;
 
-  /// Shared tail of Compile/Refresh: stage fingerprints + rewriters.
-  void BuildRewriters();
-  void ComputeFingerprints();
+  /// Shared tail of Compile/Refresh: the rewriter over the snapshot's
+  /// TBox, constraints and classification.
+  void BuildRewriter();
 
   dllite::Ontology ontology_;
   mapping::MappingSet mappings_;
@@ -155,8 +138,6 @@ class CompiledOntology {
   /// Rewriter shares its immutable Impl, so an untouched-spec refresh
   /// reuses the whole compiled rewriter.
   std::optional<query::Rewriter> rewriter_;
-  std::shared_ptr<const query::Rewriter> fallback_rewriter_;
-  StageFingerprints fingerprints_;
   RefreshInfo refresh_info_;
 };
 

@@ -127,13 +127,14 @@ std::unique_ptr<const SourceConstraints> SourceConstraints::InferImpl(
   // extension, so reuse preserves Infer's bit-exact output. Retained ids
   // mean the same values only over the same dictionary and the base's
   // overlay, which this pass extends.
-  std::unordered_multimap<uint64_t, const RetainedView*> base_views;
+  std::unordered_map<uint64_t, const ViewTuples*> base_views;
   rdb::ValueDictionary overlay;
   if (base != nullptr &&
       base->dictionary_fingerprint_ == sc->dictionary_fingerprint_) {
     overlay = base->overlay_;
-    for (const RetainedView& rv : base->retained_views_) {
-      if (rv.tuples != nullptr) base_views.emplace(rv.fingerprint, &rv);
+    for (size_t i = 0; i < base->retained_views_.size(); ++i) {
+      const ViewTuples& tuples = base->retained_views_[i];
+      if (tuples != nullptr) base_views.emplace(base->view_fps_[i], &tuples);
     }
   }
 
@@ -154,25 +155,26 @@ std::unique_ptr<const SourceConstraints> SourceConstraints::InferImpl(
   const auto& assertions = mappings.assertions();
   sc->view_empty_.assign(assertions.size(), 0);
   sc->view_dominated_.assign(assertions.size(), 0);
-  // views[i].tuples null = unknown. A role predicate's swapped extension
-  // is derived from these same tuples, never re-evaluated (a second
+  // views[i] null = unknown. A role predicate's swapped extension is
+  // derived from these same tuples, never re-evaluated (a second
   // evaluation could fail differently and leave a *partial* swapped set,
   // which would unsoundly certify inverse inclusions).
-  std::vector<RetainedView> views(assertions.size());
+  std::vector<ViewTuples> views(assertions.size());
   std::vector<char> view_reused(assertions.size(), 0);
+  std::vector<uint64_t>& fps = sc->view_fps_;
+  fps.resize(assertions.size());
   std::map<uint64_t, std::vector<size_t>> by_pred;  // deterministic order
   for (size_t i = 0; i < assertions.size(); ++i) {
     const mapping::MappingAssertion& m = assertions[i];
     by_pred[PredKey(AtomKindOf(m.kind), m.predicate)].push_back(i);
-    views[i].fingerprint = MappingViewFingerprint(m);
-    if (auto it = base_views.find(views[i].fingerprint);
-        it != base_views.end()) {
+    fps[i] = MappingViewFingerprint(m);
+    if (auto it = base_views.find(fps[i]); it != base_views.end()) {
       view_reused[i] = 1;
       // Known base view with the same fingerprint: its extension is what
       // re-execution would retrieve.
-      views[i].tuples = it->second->tuples;
+      views[i] = *it->second;
       if (reused_views != nullptr) ++*reused_views;
-      if (views[i].tuples->empty()) {
+      if (views[i]->empty()) {
         sc->view_empty_[i] = 1;
         ++sc->summary_.empty_views;
       }
@@ -184,8 +186,7 @@ std::unique_ptr<const SourceConstraints> SourceConstraints::InferImpl(
     eopts.max_rows = options.max_extension_rows;
     eopts.index = index;
     Result<std::vector<rdb::Row>> rows = rdb::Execute(db, q, eopts);
-    std::shared_ptr<const IdTuples> tuples =
-        rows.ok() ? EncodeView(*rows, dict, &overlay) : nullptr;
+    ViewTuples tuples = rows.ok() ? EncodeView(*rows, dict, &overlay) : nullptr;
     if (tuples == nullptr) {
       // Evaluation failure (cap overflow, injected fault, …): the view —
       // and with it the predicate — stays unknown, which disables every
@@ -197,7 +198,7 @@ std::unique_ptr<const SourceConstraints> SourceConstraints::InferImpl(
       sc->view_empty_[i] = 1;
       ++sc->summary_.empty_views;
     }
-    views[i].tuples = std::move(tuples);
+    views[i] = std::move(tuples);
   }
 
   // -- per-predicate extensions + dominated views ----------------------------
@@ -214,8 +215,8 @@ std::unique_ptr<const SourceConstraints> SourceConstraints::InferImpl(
     ++pair_tests;
     return true;
   };
-  auto known = [&](size_t i) { return views[i].tuples != nullptr; };
-  auto empty = [&](size_t i) { return known(i) && views[i].tuples->empty(); };
+  auto known = [&](size_t i) { return views[i] != nullptr; };
+  auto empty = [&](size_t i) { return known(i) && views[i]->empty(); };
   // Extension of each fully-known predicate, plus the element-swapped
   // extension for roles (inverse-inclusion checks). Shared so a
   // single-view predicate aliases its view's extension instead of
@@ -232,10 +233,10 @@ std::unique_ptr<const SourceConstraints> SourceConstraints::InferImpl(
   std::unordered_set<uint64_t> unchanged_preds;
   const bool base_copyable = base != nullptr && base->summary_.complete;
   for (const auto& [pred_key, view_indices] : by_pred) {
-    std::vector<uint64_t> fps;
-    fps.reserve(view_indices.size());
-    for (size_t i : view_indices) fps.push_back(views[i].fingerprint);
-    std::sort(fps.begin(), fps.end());
+    std::vector<uint64_t> pred_fps;
+    pred_fps.reserve(view_indices.size());
+    for (size_t i : view_indices) pred_fps.push_back(fps[i]);
+    std::sort(pred_fps.begin(), pred_fps.end());
     if (base_copyable) {
       bool all_reused = true;
       for (size_t i : view_indices) {
@@ -246,20 +247,20 @@ std::unique_ptr<const SourceConstraints> SourceConstraints::InferImpl(
       }
       if (all_reused) {
         auto it = base->retained_pred_fps_.find(pred_key);
-        if (it != base->retained_pred_fps_.end() && it->second == fps) {
+        if (it != base->retained_pred_fps_.end() && it->second == pred_fps) {
           unchanged_preds.insert(pred_key);
         }
       }
     }
     if (options.retain_view_extensions) {
-      sc->retained_pred_fps_.emplace(pred_key, std::move(fps));
+      sc->retained_pred_fps_.emplace(pred_key, std::move(pred_fps));
     }
     ++sc->summary_.predicates;
     PredInfo info;
     bool all_known = true;
     std::shared_ptr<const IdTuples> merged;
     if (view_indices.size() == 1 && known(view_indices[0])) {
-      merged = views[view_indices[0]].tuples;
+      merged = views[view_indices[0]];
     } else {
       auto built = std::make_shared<IdTuples>();
       for (size_t i : view_indices) {
@@ -267,8 +268,7 @@ std::unique_ptr<const SourceConstraints> SourceConstraints::InferImpl(
           all_known = false;
           break;
         }
-        built->insert(built->end(), views[i].tuples->begin(),
-                      views[i].tuples->end());
+        built->insert(built->end(), views[i]->begin(), views[i]->end());
       }
       std::sort(built->begin(), built->end());
       built->erase(std::unique(built->begin(), built->end()), built->end());
@@ -294,8 +294,8 @@ std::unique_ptr<const SourceConstraints> SourceConstraints::InferImpl(
       if (!known(i) || empty(i)) continue;
       for (size_t j : view_indices) {
         if (j == i || !known(j)) continue;
-        const auto& vi = *views[i].tuples;
-        const auto& vj = *views[j].tuples;
+        const auto& vi = *views[i];
+        const auto& vj = *views[j];
         if (vi.size() > vj.size() || (vi.size() == vj.size() && j > i)) {
           continue;
         }
@@ -467,7 +467,7 @@ bool SourceConstraints::DiffAffectedPreds(
     for (size_t i = 0; i < assertions.size(); ++i) {
       const mapping::MappingAssertion& m = assertions[i];
       per_pred[PredKey(AtomKindOf(m.kind), m.predicate)].emplace_back(
-          MappingViewFingerprint(m), sc.view_empty_[i], sc.view_dominated_[i]);
+          sc.view_fps_[i], sc.view_empty_[i], sc.view_dominated_[i]);
     }
     for (auto& [key, profile] : per_pred) std::sort(profile.begin(),
                                                     profile.end());

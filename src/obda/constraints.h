@@ -160,15 +160,11 @@ class SourceConstraints final : public query::ConstraintOracle {
   /// inclusions and the pair budget's order match a string-keyed set.
   using IdTuples = std::vector<uint64_t>;
 
-  /// One retained view extension (ConstraintInferenceOptions::
-  /// retain_view_extensions), parallel to `MappingSet::assertions()`.
-  /// Role predicates derive their swapped extension from these ids.
-  struct RetainedView {
-    uint64_t fingerprint = 0;
-    /// Null when the view's evaluation failed or it projects more than two
-    /// columns (status stayed unknown).
-    std::shared_ptr<const IdTuples> tuples;
-  };
+  /// One view extension, parallel to `MappingSet::assertions()`. Role
+  /// predicates derive their swapped extension from these ids. Null when
+  /// the view's evaluation failed or it projects more than two columns
+  /// (status stayed unknown).
+  using ViewTuples = std::shared_ptr<const IdTuples>;
 
   /// Shared implementation of Infer/Refresh; `base` (nullable) supplies
   /// retained extensions to reuse by fingerprint.
@@ -189,8 +185,12 @@ class SourceConstraints final : public query::ConstraintOracle {
   std::vector<uint8_t> view_dominated_;
   std::unordered_set<uint64_t> exact_;
   std::set<std::pair<std::string, std::string>> key_columns_;
-  /// Empty unless retain_view_extensions was set.
-  std::vector<RetainedView> retained_views_;
+  /// `MappingViewFingerprint` of every assertion, parallel to
+  /// `MappingSet::assertions()`: the keys of refresh reuse and of the
+  /// per-view facts `DiffAffectedPreds` matches across mapping edits.
+  std::vector<uint64_t> view_fps_;
+  /// Parallel to `view_fps_`; empty unless retain_view_extensions was set.
+  std::vector<ViewTuples> retained_views_;
   /// `SourceIndex::fingerprint()` of the dictionary the retained ids were
   /// encoded against; a refresh over another dictionary reuses nothing.
   uint64_t dictionary_fingerprint_ = 0;

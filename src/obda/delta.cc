@@ -67,17 +67,20 @@ Result<dllite::TBox> ApplyTBoxDelta(const dllite::TBox& base,
 
 Result<mapping::MappingSet> ApplyMappingDelta(const mapping::MappingSet& base,
                                               const OntologyDelta& delta) {
-  // Work on selector renderings so removal matching and the surviving
-  // order are both deterministic.
+  // Match removals on selector renderings so removal matching and the
+  // surviving order are both deterministic; only candidates of the
+  // selector's kind and predicate are rendered.
   const auto& assertions = base.assertions();
   std::vector<uint8_t> removed(assertions.size(), 0);
   for (const OntologyDelta::MappingSelector& sel : delta.remove_mappings) {
     bool found = false;
     for (size_t i = 0; i < assertions.size(); ++i) {
-      if (removed[i]) continue;
-      OntologyDelta::MappingSelector cand = SelectorFor(assertions[i]);
-      if (cand.kind == sel.kind && cand.predicate == sel.predicate &&
-          cand.sql == sel.sql) {
+      const mapping::MappingAssertion& cand = assertions[i];
+      if (removed[i] || cand.kind != sel.kind ||
+          cand.predicate != sel.predicate) {
+        continue;
+      }
+      if (SelectorFor(cand).sql == sel.sql) {
         removed[i] = 1;
         found = true;
         break;

@@ -168,8 +168,7 @@ Result<std::vector<AnswerTuple>> QueryEngine::Execute(
     stats->stage = StageTimings{};
     stats->serve.epoch = epoch_;
   }
-  std::optional<ExecBudget> owned;        // built from opts' caps
-  std::optional<ExecBudget> retry_owned;  // fresh quotas for the ladder retry
+  std::optional<ExecBudget> owned;  // built from opts' caps
   const ExecBudget* budget = opts.budget;
   if (budget == nullptr) {
     BudgetCaps caps;
@@ -251,41 +250,12 @@ Result<std::vector<AnswerTuple>> QueryEngine::Execute(
   req.degradation = &degradation;
   req.disable_constraint_pruning = disable_constraint_pruning_;
 
-  const query::Rewriter* fallback = compiled_->fallback_rewriter();
   query::RewriteStats rstats;
-  // Stage attribution across the fallback retry: the retry resets rstats,
-  // so the first attempt's timers are banked here and added back.
-  double rewrite_us_acc = 0;
-  double minimize_us_acc = 0;
   Result<query::UnionQuery> rewritten =
       compiled_->rewriter().Rewrite(cq, req, &rstats);
-  if (!rewritten.ok() &&
-      rewritten.status().code() == StatusCode::kResourceExhausted &&
-      fallback != nullptr && budget != nullptr && !budget->Exhausted()) {
-    // Fallback ladder, rung 1: the classified strategy blew a quota but
-    // wall-clock remains — retry as plain PerfectRef. When we own the
-    // budget, the retry gets fresh quota counters under the *remaining*
-    // deadline; an external budget is the caller's to manage, so the
-    // retry draws from whatever it has left.
-    degradation.Add("rewrite",
-                    "classified rewriting exhausted its budget; retried as "
-                    "perfectref");
-    if (owned.has_value()) {
-      BudgetCaps caps = owned->caps();
-      if (owned->has_deadline()) caps.deadline_ms = owned->RemainingMillis();
-      retry_owned.emplace(caps);
-      budget = &*retry_owned;
-      req.budget = budget;
-      eopts.budget = budget;
-    }
-    rewrite_us_acc += rstats.expand_us;
-    minimize_us_acc += rstats.minimize_us;
-    rstats = query::RewriteStats{};
-    rewritten = fallback->Rewrite(cq, req, &rstats);
-  }
   if (stats != nullptr) {
-    stats->stage.rewrite_us = rewrite_us_acc + rstats.expand_us;
-    stats->stage.minimize_us = minimize_us_acc + rstats.minimize_us;
+    stats->stage.rewrite_us = rstats.expand_us;
+    stats->stage.minimize_us = rstats.minimize_us;
   }
   if (!rewritten.ok()) return finish(rewritten.status());
 

@@ -129,7 +129,7 @@ class QueryEngine {
 
   /// Budgeted answering (see AnswerOptions): bounded wall-clock and
   /// per-stage quotas, cooperative cancellation, and — with
-  /// `allow_degraded` — a fallback ladder that trades completeness for
+  /// `allow_degraded` — stage-by-stage cuts that trade completeness for
   /// staying inside the budget while keeping answers sound.
   Result<std::vector<AnswerTuple>> Answer(std::string_view query_text,
                                           const AnswerOptions& options,

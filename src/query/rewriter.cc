@@ -269,7 +269,7 @@ class Rewriter::Impl {
       MinimizeStats mstats;
       MinimizeOptions mopts;
       mopts.budget = budget;
-      mopts.max_checks = options_.max_prune_checks;
+      mopts.max_checks = kMaxPruneChecks;
       // The minimisation sweep's oracle lookups ride the containment-check
       // quota rather than kConstraintChecks: each lookup happens inside a
       // homomorphism test that is already metered.

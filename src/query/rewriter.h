@@ -67,6 +67,11 @@ struct RewriteStats {
   double minimize_us = 0;
 };
 
+/// Component-local quota for the O(n²) prune_subsumed sweep: past this
+/// many homomorphism tests the remaining pairs are skipped (sound, the
+/// union just stays larger).
+inline constexpr uint64_t kMaxPruneChecks = 250000;
+
 /// Options for `Rewriter::Rewrite`.
 struct RewriterOptions {
   RewriteMode mode = RewriteMode::kPerfectRef;
@@ -75,10 +80,6 @@ struct RewriterOptions {
   /// Drop output disjuncts contained in another disjunct (UCQ
   /// minimisation via the homomorphism criterion — see containment.h).
   bool prune_subsumed = true;
-  /// Component-local quota for the O(n²) prune_subsumed sweep: past this
-  /// many homomorphism tests the remaining pairs are skipped (sound, the
-  /// union just stays larger). 0 = unlimited.
-  uint64_t max_prune_checks = 250000;
   /// Source-constraint oracle (see obda/constraints.h) enabling
   /// constraint-aware pruning: hierarchy rewriting steps whose child
   /// disjunct is covered at the source are suppressed from the output (but

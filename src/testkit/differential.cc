@@ -729,16 +729,50 @@ std::vector<std::string> CheckSwapLinearizability(
 
 namespace {
 
-std::string HexFp(uint64_t v) {
-  std::ostringstream os;
-  os << std::hex << v;
-  return os.str();
+/// The inputs of a snapshot's compile stages, rendered for exact
+/// comparison: the TBox text and signature sizes, the mapping assertions
+/// in order (as `SelectorFor` renders them), and every table's columns
+/// with its row and distinct counts.
+struct StageInputs {
+  std::string tbox;
+  std::string mappings;
+  std::string schema;
+};
+
+StageInputs RenderStageInputs(const obda::CompiledOntology& co) {
+  StageInputs out;
+  const Vocabulary& v = co.ontology().vocab();
+  out.tbox = co.ontology().tbox().ToString(v) + "|" +
+             std::to_string(v.NumConcepts()) + "/" +
+             std::to_string(v.NumRoles()) + "/" +
+             std::to_string(v.NumAttributes());
+  for (const mapping::MappingAssertion& m : co.mappings().assertions()) {
+    const obda::OntologyDelta::MappingSelector sel = obda::SelectorFor(m);
+    out.mappings += std::to_string(static_cast<int>(sel.kind)) + " " +
+                    std::to_string(sel.predicate) + " " + sel.sql + "\n";
+  }
+  for (const auto& [name, table] : co.database().tables()) {
+    out.schema += name + "(";
+    for (const auto& col : table.schema().columns) {
+      out.schema += col.name + " ";
+    }
+    out.schema += ")";
+    if (const rdb::TableStats* ts = co.db_stats().Find(name)) {
+      out.schema += " rows=" + std::to_string(ts->rows) + " distinct=";
+      for (const rdb::ColumnStats& cs : ts->columns) {
+        out.schema += std::to_string(cs.distinct) + ",";
+      }
+    }
+    out.schema += "\n";
+  }
+  return out;
 }
 
 /// Structural comparison of a refreshed snapshot against the from-scratch
-/// compile of the same edited specification: stage fingerprints,
-/// classification listings, constraint summary + per-view facts +
-/// per-predicate oracle answers, and the answers of every workload query.
+/// compile of the same edited specification: stage inputs (TBox,
+/// mappings, schema and statistics), classification listings, constraint
+/// summary + per-view facts + per-predicate oracle answers, and the
+/// answers of every workload query.
 void CompareCompiled(const std::string& tag,
                      const std::shared_ptr<const obda::CompiledOntology>& sp,
                      const std::shared_ptr<const obda::CompiledOntology>& rp,
@@ -747,16 +781,14 @@ void CompareCompiled(const std::string& tag,
                      std::vector<std::string>* diffs) {
   const obda::CompiledOntology& scratch = *sp;
   const obda::CompiledOntology& refreshed = *rp;
-  const obda::StageFingerprints& fs = scratch.fingerprints();
-  const obda::StageFingerprints& fr = refreshed.fingerprints();
-  if (fs.mappings != fr.mappings || fs.schema != fr.schema ||
-      fs.closure != fr.closure || fs.constraints != fr.constraints) {
-    diffs->push_back(tag + ": stage fingerprints diverge: scratch=" +
-                     HexFp(fs.mappings) + "/" + HexFp(fs.schema) + "/" +
-                     HexFp(fs.closure) + "/" + HexFp(fs.constraints) +
-                     " refresh=" + HexFp(fr.mappings) + "/" +
-                     HexFp(fr.schema) + "/" + HexFp(fr.closure) + "/" +
-                     HexFp(fr.constraints));
+  const StageInputs is = RenderStageInputs(scratch);
+  const StageInputs ir = RenderStageInputs(refreshed);
+  if (is.tbox != ir.tbox) diffs->push_back(tag + ": TBoxes diverge");
+  if (is.mappings != ir.mappings) {
+    diffs->push_back(tag + ": mapping programs diverge");
+  }
+  if (is.schema != ir.schema) {
+    diffs->push_back(tag + ": schemas or statistics diverge");
   }
 
   const core::Classification* cs = scratch.classification();

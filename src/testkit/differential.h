@@ -160,7 +160,8 @@ struct DeltaCompileOptions {
 /// over a seeded delta sequence (each refresh building on the previous
 /// refreshed snapshot, exactly as a long-lived server would) and compares
 /// every refreshed snapshot against a from-scratch `Compile` of the
-/// identically edited specification — stage fingerprints, the
+/// identically edited specification — the TBox text, the mapping
+/// assertions in order, each table's row and distinct counts, the
 /// classification closure (subsumer sets and unsatisfiable sets of every
 /// named predicate), the constraint summary with its per-view facts, and
 /// the answers of every workload query must all match exactly. Also

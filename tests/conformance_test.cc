@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -21,9 +22,11 @@
 
 #include "benchgen/workload.h"
 #include "common/fault_injection.h"
+#include "common/hash.h"
 #include "common/rng.h"
 #include "core/classifier.h"
 #include "obda/answer.h"
+#include "obda/compiled_ontology.h"
 #include "query/abox_eval.h"
 #include "testkit/chase_oracle.h"
 #include "testkit/corpus.h"
@@ -345,15 +348,32 @@ TEST(ServingConformance, AnswersAreSwapLinearizable) {
   }
 }
 
+/// The delta sequence and rewrite mode the delta sweep runs for `seed`.
+testkit::DeltaCompileOptions DeltaSweepOptions(uint64_t seed) {
+  testkit::DeltaCompileOptions opts;
+  opts.sequence.seed = seed ^ 0xDE17A5EEDULL;
+  opts.sequence.num_deltas = 6;
+  opts.sequence.functionality_fraction = (seed % 4 == 0) ? 0.15 : 0.0;
+  if (seed % 8 == 3) {
+    // Planted last so the fallback path is swept without every later
+    // generation inheriting (and re-paying for) the densified closure.
+    opts.sequence.large_delta_index = 5;
+    opts.sequence.large_delta_changes = 24;
+  }
+  opts.mode = (seed % 3 == 0) ? query::RewriteMode::kPerfectRef
+                              : query::RewriteMode::kClassified;
+  return opts;
+}
+
 // Delta-compilation conformance: on >= 200 seeded workloads, a chain of
 // seeded specification deltas is compiled twice per generation — once by
 // `CompiledOntology::Refresh` building on the previous refreshed snapshot
 // (the serving path) and once from scratch on the identically edited
-// specification — and everything observable must agree: stage
-// fingerprints, subsumer/unsat listings, constraint facts, and every
-// workload query's answers. Every 8th seed plants one oversized delta so
-// the scratch-fallback path is swept too; mode and functionality churn
-// vary with the seed. Override the sweep size with
+// specification — and everything observable must agree: TBox text,
+// mapping program, table statistics, subsumer/unsat listings, constraint
+// facts, and every workload query's answers. Every 8th seed plants one
+// oversized delta so the scratch-fallback path is swept too; mode and
+// functionality churn vary with the seed. Override the sweep size with
 // OLITE_DELTA_CONFORMANCE_SEEDS. A failing seed is ddmin-shrunk to a
 // minimal corpus-format repro before the test reports it.
 TEST(DeltaConformance, RefreshAgreesWithScratchCompile) {
@@ -361,18 +381,7 @@ TEST(DeltaConformance, RefreshAgreesWithScratchCompile) {
   const uint64_t base = EnvOr("OLITE_CONFORMANCE_SEED_BASE", 0);
   for (uint64_t seed = base; seed < base + num_seeds; ++seed) {
     Workload w = benchgen::GenerateWorkload(SweepConfig(seed));
-    testkit::DeltaCompileOptions opts;
-    opts.sequence.seed = seed ^ 0xDE17A5EEDULL;
-    opts.sequence.num_deltas = 6;
-    opts.sequence.functionality_fraction = (seed % 4 == 0) ? 0.15 : 0.0;
-    if (seed % 8 == 3) {
-      // Planted last so the fallback path is swept without every later
-      // generation inheriting (and re-paying for) the densified closure.
-      opts.sequence.large_delta_index = 5;
-      opts.sequence.large_delta_changes = 24;
-    }
-    opts.mode = (seed % 3 == 0) ? query::RewriteMode::kPerfectRef
-                                : query::RewriteMode::kClassified;
+    const testkit::DeltaCompileOptions opts = DeltaSweepOptions(seed);
     auto diffs = testkit::CheckDeltaCompile(w, opts);
     if (!diffs.empty()) {
       ConformanceCase c = testkit::CaseFromWorkload(w);
@@ -389,6 +398,59 @@ TEST(DeltaConformance, RefreshAgreesWithScratchCompile) {
              << testkit::SerializeCase(shrunk);
     }
   }
+}
+
+// What every refresh of the delta sweep's first 20 sequences reports
+// about itself, pinned: whether its changed-predicate bound is exact and
+// which predicates it names (the set that drives selective plan
+// invalidation), how many compile stages and constraint views it shared
+// with its base, and whether the closure patch fell back to scratch.
+// Fixed seeds, so OLITE_CONFORMANCE_SEED_BASE does not move it.
+TEST(RefreshTelemetry, DeltaSweepSequencesKeepTheirTelemetry) {
+  std::string listing;
+  size_t refreshes = 0, exact = 0, scratch_fallbacks = 0;
+  uint64_t reused_stages = 0, reused_views = 0, changed_preds = 0;
+  for (uint64_t seed = 0; seed < 20; ++seed) {
+    Workload w = benchgen::GenerateWorkload(SweepConfig(seed));
+    const testkit::DeltaCompileOptions opts = DeltaSweepOptions(seed);
+    const auto deltas = benchgen::GenerateDeltaSequence(w, opts.sequence);
+    auto compiled = obda::CompiledOntology::Compile(w.ontology, w.mappings,
+                                                    w.database, opts.mode);
+    ASSERT_TRUE(compiled.ok()) << "seed " << seed;
+    std::shared_ptr<const obda::CompiledOntology> chained = *compiled;
+    for (size_t di = 0; di < deltas.size(); ++di) {
+      auto next = obda::CompiledOntology::Refresh(chained, deltas[di]);
+      ASSERT_TRUE(next.ok()) << "seed " << seed << " delta " << di << ": "
+                             << next.status().ToString();
+      const obda::RefreshInfo& info = (*next)->refresh_info();
+      uint64_t preds = kFnv1aBasis;
+      for (uint64_t token : info.changed_preds) preds = Fnv1aWord(token, preds);
+      std::ostringstream line;
+      line << seed << "/" << di << " exact=" << info.changed_preds_exact
+           << " preds=" << info.changed_preds.size() << ":" << std::hex
+           << preds << std::dec << " stages=" << info.reused_stages
+           << " views=" << info.reused_views
+           << " scratch=" << info.fell_back_scratch << "\n";
+      listing += line.str();
+      ++refreshes;
+      exact += info.changed_preds_exact ? 1 : 0;
+      scratch_fallbacks += info.fell_back_scratch ? 1 : 0;
+      reused_stages += info.reused_stages;
+      reused_views += info.reused_views;
+      changed_preds += info.changed_preds.size();
+      chained = *std::move(next);
+    }
+  }
+  EXPECT_EQ(refreshes, 120u);
+  EXPECT_EQ(exact, 120u) << listing;
+  EXPECT_EQ(scratch_fallbacks, 24u) << listing;
+  EXPECT_EQ(reused_stages, 245u) << listing;
+  EXPECT_EQ(reused_views, 1363u) << listing;
+  EXPECT_EQ(changed_preds, 934u) << listing;
+  char digest[17];
+  std::snprintf(digest, sizeof(digest), "%016llx",
+                static_cast<unsigned long long>(Fnv1a(listing)));
+  EXPECT_EQ(std::string(digest), "d7cda64b62446658") << listing;
 }
 
 // Satellite: cross-engine agreement on deliberately unsatisfiable
