@@ -102,41 +102,6 @@ class ShardedLruCache {
     ++shard.insertions;
   }
 
-  /// Drops every entry in every shard and returns how many were dropped.
-  /// Accounting is exact: each dropped entry counts as one eviction, so the
-  /// invariant `insertions == entries + evictions` holds across any mix of
-  /// Put, capacity eviction and Clear. Shards are cleared one at a time
-  /// (per-shard lock, like every other operation), so a concurrent Put can
-  /// land in an already-cleared shard and survive — callers that need
-  /// stronger guarantees tag their keys (the serving stack's epoch tags
-  /// make a surviving stale insert unreachable rather than wrong).
-  size_t Clear() {
-    size_t dropped = 0;
-    for (auto& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard->mu);
-      dropped += shard->lru.size();
-      shard->evictions += shard->lru.size();
-      shard->index.clear();
-      shard->lru.clear();
-    }
-    return dropped;
-  }
-
-  /// Erases `key` if present; returns true when an entry was removed (it
-  /// counts as one eviction, preserving `insertions == entries +
-  /// evictions`).
-  bool Erase(const Key& key, uint64_t hash) {
-    if (!enabled()) return false;
-    Shard& shard = *shards_[ShardOf(hash)];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.index.find(key);
-    if (it == shard.index.end()) return false;
-    shard.lru.erase(it->second);
-    shard.index.erase(it);
-    ++shard.evictions;
-    return true;
-  }
-
   /// Copies every (key, value) pair, shard by shard (per-shard lock, most
   /// recent first within a shard). A concurrent Put/eviction can make the
   /// snapshot miss or double-see an entry — fine for the migration and

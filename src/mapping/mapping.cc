@@ -30,37 +30,43 @@ Status MappingSet::Add(MappingAssertion assertion) {
 
 Status MappingSet::Validate(const rdb::Database& db) const {
   for (size_t i = 0; i < assertions_.size(); ++i) {
-    const rdb::SelectBlock& block = assertions_[i].source;
-    std::vector<const rdb::Table*> tables;
-    for (const auto& name : block.from_tables) {
-      auto t = db.GetTable(name);
-      if (!t.ok()) {
-        return Status(t.status().code(), "mapping #" + std::to_string(i) +
-                                             ": " + t.status().message());
-      }
-      tables.push_back(*t);
+    OLITE_RETURN_IF_ERROR(ValidateAssertion(i, db));
+  }
+  return Status::Ok();
+}
+
+Status MappingSet::ValidateAssertion(size_t i,
+                                     const rdb::Database& db) const {
+  const rdb::SelectBlock& block = assertions_[i].source;
+  std::vector<const rdb::Table*> tables;
+  for (const auto& name : block.from_tables) {
+    auto t = db.GetTable(name);
+    if (!t.ok()) {
+      return Status(t.status().code(), "mapping #" + std::to_string(i) +
+                                           ": " + t.status().message());
     }
-    auto check = [&](const rdb::ColumnRef& ref) -> Status {
-      if (ref.table_index >= tables.size()) {
-        return Status::OutOfRange("mapping #" + std::to_string(i) +
-                                  ": table index out of range");
-      }
-      if (!tables[ref.table_index]->schema().ColumnIndex(ref.column)) {
-        return Status::NotFound(
-            "mapping #" + std::to_string(i) + ": no column '" + ref.column +
-            "' in table '" +
-            tables[ref.table_index]->schema().table_name + "'");
-      }
-      return Status::Ok();
-    };
-    for (const auto& ref : block.select) OLITE_RETURN_IF_ERROR(check(ref));
-    for (const auto& j : block.joins) {
-      OLITE_RETURN_IF_ERROR(check(j.lhs));
-      OLITE_RETURN_IF_ERROR(check(j.rhs));
+    tables.push_back(*t);
+  }
+  auto check = [&](const rdb::ColumnRef& ref) -> Status {
+    if (ref.table_index >= tables.size()) {
+      return Status::OutOfRange("mapping #" + std::to_string(i) +
+                                ": table index out of range");
     }
-    for (const auto& filt : block.filters) {
-      OLITE_RETURN_IF_ERROR(check(filt.col));
+    if (!tables[ref.table_index]->schema().ColumnIndex(ref.column)) {
+      return Status::NotFound(
+          "mapping #" + std::to_string(i) + ": no column '" + ref.column +
+          "' in table '" + tables[ref.table_index]->schema().table_name +
+          "'");
     }
+    return Status::Ok();
+  };
+  for (const auto& ref : block.select) OLITE_RETURN_IF_ERROR(check(ref));
+  for (const auto& j : block.joins) {
+    OLITE_RETURN_IF_ERROR(check(j.lhs));
+    OLITE_RETURN_IF_ERROR(check(j.rhs));
+  }
+  for (const auto& filt : block.filters) {
+    OLITE_RETURN_IF_ERROR(check(filt.col));
   }
   return Status::Ok();
 }

@@ -50,6 +50,9 @@ class MappingSet {
   /// columns exist). Call once at OBDA-system construction time.
   Status Validate(const rdb::Database& db) const;
 
+  /// `Validate` for assertion #`i` alone; errors name it "mapping #i".
+  Status ValidateAssertion(size_t i, const rdb::Database& db) const;
+
   const std::vector<MappingAssertion>& assertions() const {
     return assertions_;
   }

@@ -211,7 +211,7 @@ void CompiledOntology::BuildRewriter() {
   options.mode = mode_;
   options.constraints = constraints_.get();
   options.classification = classification_;
-  rewriter_.emplace(ontology_.tbox(), ontology_.vocab(), options);
+  rewriter_.emplace(ontology_->tbox(), ontology_->vocab(), options);
 }
 
 Result<std::shared_ptr<const CompiledOntology>> CompiledOntology::Compile(
@@ -224,8 +224,9 @@ Result<std::shared_ptr<const CompiledOntology>> CompiledOntology::Compile(
   OLITE_RETURN_IF_ERROR(
       CheckFunctionalityRestriction(ontology.tbox(), ontology.vocab()));
   auto co = std::shared_ptr<CompiledOntology>(new CompiledOntology);
-  co->ontology_ = std::move(ontology);
-  co->mappings_ = std::move(mappings);
+  co->ontology_ = std::make_shared<const dllite::Ontology>(std::move(ontology));
+  co->mappings_ =
+      std::make_shared<const mapping::MappingSet>(std::move(mappings));
   co->mode_ = mode;
   co->database_ =
       std::make_shared<const rdb::Database>(std::move(database));
@@ -236,11 +237,11 @@ Result<std::shared_ptr<const CompiledOntology>> CompiledOntology::Compile(
   // unchanged views' SQL.
   copts.retain_view_extensions = true;
   co->constraints_ = std::shared_ptr<const SourceConstraints>(
-      SourceConstraints::Infer(co->mappings_, *co->database_, *co->db_stats_,
-                               copts));
+      SourceConstraints::Infer(*co->mappings_, *co->database_,
+                               *co->db_stats_, copts));
   if (mode == query::RewriteMode::kClassified) {
     co->classification_ = std::make_shared<const core::Classification>(
-        core::Classify(co->ontology_.tbox(), co->ontology_.vocab()));
+        core::Classify(co->ontology_->tbox(), co->ontology_->vocab()));
   }
   co->BuildRewriter();
   return std::shared_ptr<const CompiledOntology>(std::move(co));
@@ -269,20 +270,33 @@ Result<std::shared_ptr<const CompiledOntology>> CompiledOntology::Refresh(
   co->db_stats_ = base->db_stats_;
   ++info.reused_stages;
 
-  co->ontology_ = base->ontology_;
+  // Stage: ontology. A TBox delta copies the vocabulary beside the edited
+  // TBox; otherwise the base's ontology is shared whole.
   if (tbox_changed) {
     OLITE_ASSIGN_OR_RETURN(dllite::TBox next_tbox,
-                           ApplyTBoxDelta(base->ontology_.tbox(), delta));
+                           ApplyTBoxDelta(base->ontology().tbox(), delta));
     OLITE_RETURN_IF_ERROR(
-        CheckFunctionalityRestriction(next_tbox, co->ontology_.vocab()));
-    co->ontology_.tbox() = std::move(next_tbox);
+        CheckFunctionalityRestriction(next_tbox, base->ontology().vocab()));
+    auto ontology = std::make_shared<dllite::Ontology>();
+    ontology->vocab() = base->ontology().vocab();
+    ontology->tbox() = std::move(next_tbox);
+    ontology->abox() = base->ontology().abox();
+    co->ontology_ = std::move(ontology);
+  } else {
+    co->ontology_ = base->ontology_;
   }
 
-  // Stage: parsed mapping program.
+  // Stage: parsed mapping program. The base assertions were validated
+  // against the same frozen database, so only the appended tail is.
   if (mappings_changed) {
-    OLITE_ASSIGN_OR_RETURN(co->mappings_,
-                           ApplyMappingDelta(base->mappings_, delta));
-    OLITE_RETURN_IF_ERROR(co->mappings_.Validate(*co->database_));
+    OLITE_ASSIGN_OR_RETURN(mapping::MappingSet mappings,
+                           ApplyMappingDelta(base->mappings(), delta));
+    for (size_t i = mappings.size() - delta.add_mappings.size();
+         i < mappings.size(); ++i) {
+      OLITE_RETURN_IF_ERROR(mappings.ValidateAssertion(i, *co->database_));
+    }
+    co->mappings_ =
+        std::make_shared<const mapping::MappingSet>(std::move(mappings));
   } else {
     co->mappings_ = base->mappings_;
     ++info.reused_stages;
@@ -298,7 +312,7 @@ Result<std::shared_ptr<const CompiledOntology>> CompiledOntology::Refresh(
     ConstraintInferenceOptions copts;
     copts.retain_view_extensions = true;
     co->constraints_ = std::shared_ptr<const SourceConstraints>(
-        SourceConstraints::Refresh(*base->constraints_, co->mappings_,
+        SourceConstraints::Refresh(*base->constraints_, *co->mappings_,
                                    *co->database_, *co->db_stats_, copts,
                                    &info.reused_views));
   }
@@ -311,8 +325,8 @@ Result<std::shared_ptr<const CompiledOntology>> CompiledOntology::Refresh(
     core::RefreshStats rstats;
     co->classification_ = std::make_shared<const core::Classification>(
         core::RefreshClassification(*base->classification_,
-                                    co->ontology_.tbox(),
-                                    co->ontology_.vocab(), {}, &rstats));
+                                    co->ontology_->tbox(),
+                                    co->ontology_->vocab(), {}, &rstats));
     info.fell_back_scratch = rstats.fell_back_scratch;
     info.patched_nodes = rstats.patched_nodes;
     info.reused_components = rstats.reused_components;

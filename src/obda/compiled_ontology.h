@@ -55,11 +55,12 @@ struct RefreshInfo {
 /// Compilation is staged, and each stage artifact is held by
 /// `shared_ptr<const>` so `Refresh` can build a *delta* snapshot that
 /// shares every stage the delta does not touch: the database and its
-/// statistics always, the source constraints when the mappings are
-/// untouched (otherwise only the changed views are re-evaluated), and the
-/// classification when the TBox is untouched (otherwise the closure is
-/// patched incrementally via `core::RefreshClassification`). Which stages
-/// the delta touches is read off the delta itself.
+/// statistics always, the ontology and its classification when the TBox
+/// is untouched (otherwise the closure is patched incrementally via
+/// `core::RefreshClassification`), and the mapping program and source
+/// constraints when the mappings are untouched (otherwise only the added
+/// assertions are validated and only the changed views re-evaluated).
+/// Which stages the delta touches is read off the delta itself.
 ///
 /// Immutable after `Compile`/`Refresh` and therefore freely shareable:
 /// any number of `QueryEngine`s (and threads inside each) may answer
@@ -89,8 +90,8 @@ class CompiledOntology {
       const std::shared_ptr<const CompiledOntology>& base,
       const OntologyDelta& delta);
 
-  const dllite::Ontology& ontology() const { return ontology_; }
-  const mapping::MappingSet& mappings() const { return mappings_; }
+  const dllite::Ontology& ontology() const { return *ontology_; }
+  const mapping::MappingSet& mappings() const { return *mappings_; }
   const rdb::Database& database() const { return *database_; }
   query::RewriteMode mode() const { return mode_; }
 
@@ -124,9 +125,9 @@ class CompiledOntology {
   /// TBox, constraints and classification.
   void BuildRewriter();
 
-  dllite::Ontology ontology_;
-  mapping::MappingSet mappings_;
   // -- stage artifacts, shareable across delta generations ------------------
+  std::shared_ptr<const dllite::Ontology> ontology_;
+  std::shared_ptr<const mapping::MappingSet> mappings_;
   std::shared_ptr<const rdb::Database> database_;
   std::shared_ptr<const rdb::DatabaseStats> db_stats_;
   std::shared_ptr<const SourceConstraints> constraints_;

@@ -40,23 +40,10 @@ Atom MembershipAtom(const BasicConcept& b, const Term& x, size_t* fresh) {
 
 }  // namespace
 
-// Splitmix-style epoch mix for the cache-shard hash: two epochs tagging
-// the same fingerprint land on (usually) different shards, so the hash
-// stays consistent with the epoch-prefixed key.
-uint64_t PlanCacheHash(uint64_t fingerprint_hash, uint64_t epoch) {
-  return fingerprint_hash ^ (epoch * 0x9E3779B97F4A7C15ULL);
-}
-
 QueryEngine::QueryEngine(std::shared_ptr<const CompiledOntology> compiled,
                          QueryEngineOptions options)
     : compiled_(std::move(compiled)),
-      plan_cache_(options.shared_plan_cache != nullptr
-                      ? options.shared_plan_cache
-                      : std::make_shared<PlanCache>(
-                            options.plan_cache_capacity,
-                            options.plan_cache_shards)),
-      epoch_(options.epoch),
-      key_prefix_("e" + std::to_string(options.epoch) + "|"),
+      plan_cache_(options.plan_cache_capacity, options.plan_cache_shards),
       disable_constraint_pruning_(options.disable_constraint_pruning),
       eval_engine_(options.engine),
       join_order_seed_(options.join_order_seed) {
@@ -164,10 +151,7 @@ Result<std::vector<AnswerTuple>> QueryEngine::Execute(
   if (stats == nullptr && (metrics_ != nullptr || sampled)) {
     stats = &local_stats;
   }
-  if (stats != nullptr) {
-    stats->stage = StageTimings{};
-    stats->serve.epoch = epoch_;
-  }
+  if (stats != nullptr) stats->stage = StageTimings{};
   std::optional<ExecBudget> owned;  // built from opts' caps
   const ExecBudget* budget = opts.budget;
   if (budget == nullptr) {
@@ -187,7 +171,7 @@ Result<std::vector<AnswerTuple>> QueryEngine::Execute(
   }
 
   Degradation degradation;
-  const bool use_cache = plan_cache_->enabled() && consult_cache;
+  const bool use_cache = plan_cache_.enabled() && consult_cache;
   rdb::EvalOptions eopts;
   eopts.budget = budget;
   eopts.allow_partial = opts.allow_degraded;
@@ -195,12 +179,6 @@ Result<std::vector<AnswerTuple>> QueryEngine::Execute(
   eopts.engine = eval_engine_;
   eopts.join_order_seed = join_order_seed_;
   query::QueryFingerprint fp;
-  // Epoch-tagged cache coordinates: the key is prefixed "e<epoch>|" and
-  // the shard hash mixes the epoch in, so entries of one snapshot epoch
-  // are invisible to every other (hot-swap correctness; the swap's
-  // Clear() is only memory reclamation).
-  std::string cache_key;
-  uint64_t cache_hash = 0;
   size_t shard = 0;
   // `finish` wraps every return: it stamps the trail and timings into
   // `stats`, then performs the end-of-call observability recording (both
@@ -219,17 +197,15 @@ Result<std::vector<AnswerTuple>> QueryEngine::Execute(
 
   if (use_cache) {
     fp = query::CanonicalFingerprint(cq);
-    cache_key = key_prefix_ + fp.key;
-    cache_hash = PlanCacheHash(fp.hash, epoch_);
-    shard = plan_cache_->ShardOf(cache_hash);
+    shard = plan_cache_.ShardOf(fp.hash);
     if (stats != nullptr) stats->cache.shard = shard;
-    if (auto cached = plan_cache_->Get(cache_key, cache_hash)) {
+    if (auto cached = plan_cache_.Get(fp.key, fp.hash)) {
       // Hot path: the plan is already compiled — nothing to rewrite or
       // unfold. Only evaluation runs, and the per-call budget still
       // governs it (row quota, deadline, cancellation, fault injection).
       if (stats != nullptr) {
         stats->cache.hit = true;
-        stats->cache.evictions = plan_cache_->ShardEvictions(shard);
+        stats->cache.evictions = plan_cache_.ShardEvictions(shard);
         stats->rewrite = query::RewriteStats{};
         stats->rewrite.final_disjuncts = (*cached)->rewrite.final_disjuncts;
         // Carry the compile-time pruning outcome so cached calls still
@@ -315,7 +291,7 @@ Result<std::vector<AnswerTuple>> QueryEngine::Execute(
   // only occurs under a budget, where re-compiling is the safer default.
   if (use_cache && answers.ok() && degradation.events.empty()) {
     // Invalidation coordinates for delta swaps: the original atoms'
-    // predicate tokens and the fingerprint hash the key was derived from.
+    // predicate tokens and the fingerprint hash of the key.
     for (const Atom& atom : cq.atoms) {
       compiled_plan.preds.push_back(
           (static_cast<uint64_t>(atom.kind) << 32) | atom.predicate);
@@ -325,23 +301,45 @@ Result<std::vector<AnswerTuple>> QueryEngine::Execute(
         std::unique(compiled_plan.preds.begin(), compiled_plan.preds.end()),
         compiled_plan.preds.end());
     compiled_plan.fp_hash = fp.hash;
-    plan_cache_->Put(cache_key, cache_hash,
-                     std::make_shared<const CachedPlan>(compiled_plan));
+    plan_cache_.Put(fp.key, fp.hash,
+                    std::make_shared<const CachedPlan>(compiled_plan));
     if (stats != nullptr) {
       stats->cache.stored = true;
-      stats->cache.evictions = plan_cache_->ShardEvictions(shard);
+      stats->cache.evictions = plan_cache_.ShardEvictions(shard);
     }
     if (metrics_ != nullptr) {
       // Occupancy/eviction gauges refresh on the compile path only: the
       // aggregate walks every shard under its lock, which the hit path
       // must not pay.
       ins_.cache_insertions->Add(1);
-      LruCacheMetrics m = plan_cache_->metrics();
+      LruCacheMetrics m = plan_cache_.metrics();
       ins_.cache_entries->Set(static_cast<double>(m.entries));
       ins_.cache_evictions->Set(static_cast<double>(m.evictions));
     }
   }
   return finish(std::move(answers));
+}
+
+PlanInheritance QueryEngine::InheritPlans(
+    const QueryEngine& base, const std::vector<uint64_t>& changed_preds) {
+  PlanInheritance out;
+  const auto items = base.plan_cache_.Items();
+  // Items() lists each shard most recent first; inserting in reverse
+  // leaves the most recent plan at the front of its new shard.
+  for (auto it = items.rbegin(); it != items.rend(); ++it) {
+    const CachedPlan& plan = *it->second;
+    const bool stale = std::ranges::any_of(plan.preds, [&](uint64_t pred) {
+      return std::binary_search(changed_preds.begin(), changed_preds.end(),
+                                pred);
+    });
+    if (stale) {
+      ++out.invalidated;
+    } else {
+      plan_cache_.Put(it->first, plan.fp_hash, it->second);
+      ++out.migrated;
+    }
+  }
+  return out;
 }
 
 void QueryEngine::Record(const ConjunctiveQuery& cq,

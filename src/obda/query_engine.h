@@ -30,23 +30,17 @@ struct CachedPlan {
   /// changed-predicate set (see `RefreshInfo::changed_preds`) — the plan's
   /// whole compilation is a function of those atoms' expansions.
   std::vector<uint64_t> preds;
-  /// The renaming-invariant fingerprint hash of the CQ, kept so a delta
-  /// swap can re-derive the entry's shard hash under the new epoch
-  /// without re-parsing the key.
+  /// The renaming-invariant fingerprint hash of the CQ (the entry's shard
+  /// hash), kept so a delta swap can copy the plan into the next engine's
+  /// cache without re-parsing the key.
   uint64_t fp_hash = 0;
 };
 
-/// The shard/colliding-key hash of one plan-cache entry: the CQ
-/// fingerprint hash mixed with the epoch tag. Kept in one place so the
-/// serving layer's delta migration re-keys entries exactly the way
-/// `QueryEngine` writes them.
-uint64_t PlanCacheHash(uint64_t fingerprint_hash, uint64_t epoch);
-
-/// The plan-cache container, exposed so a `ServingEngine` can share one
-/// cache across the engines of successive snapshot epochs (entries are
-/// epoch-tagged; see QueryEngineOptions::epoch).
-using PlanCache =
-    ShardedLruCache<std::string, std::shared_ptr<const CachedPlan>>;
+/// Outcome of `QueryEngine::InheritPlans`.
+struct PlanInheritance {
+  uint64_t migrated = 0;     ///< base plans copied into this engine's cache
+  uint64_t invalidated = 0;  ///< base plans left behind (changed predicate)
+};
 
 /// Serving-side knobs, fixed at engine construction. Besides the cache and
 /// metrics wiring they fix the plan-shaping choices (pruning, evaluator,
@@ -60,18 +54,6 @@ struct QueryEngineOptions {
   /// Shards of the plan cache; more shards = less lock contention under
   /// concurrent Answer() calls with distinct queries.
   size_t plan_cache_shards = 8;
-  /// When set, the engine uses this externally-owned cache instead of
-  /// constructing its own (capacity/shards above are then ignored). The
-  /// hot-swap serving layer hands the same cache to every epoch's engine
-  /// so a swap does not re-allocate shards mid-traffic. Engines sharing a
-  /// cache must use the same plan-shaping options below: keys do not
-  /// record them, so one engine would replay another's plans.
-  std::shared_ptr<PlanCache> shared_plan_cache;
-  /// Snapshot epoch tag baked into every plan-cache key (and mixed into
-  /// the shard hash). Entries written by one epoch can never be returned
-  /// to another — the correctness guarantee behind sharing one cache
-  /// across hot-swapped snapshots. 0 is the default standalone epoch.
-  uint64_t epoch = 0;
   /// Record per-call counters and latency histograms into a
   /// `obs::MetricsRegistry`: per-stage timings (`stage.*_us`), whole-call
   /// latency (`obda.answer_us`), per-block evaluation latency
@@ -101,7 +83,9 @@ struct QueryEngineOptions {
 /// The online phase of the serving stack: answers queries against one
 /// immutable `CompiledOntology` snapshot. Stateless apart from the plan
 /// cache (internally synchronised), so any number of threads may call
-/// `Answer` on one engine concurrently.
+/// `Answer` on one engine concurrently. The cache belongs to this engine
+/// and so to exactly one snapshot: a plan can never be replayed against
+/// another snapshot unless `InheritPlans` proved it unaffected.
 ///
 /// The plan cache maps the renaming-invariant fingerprint of a CQ (see
 /// query/fingerprint.h) to its compiled plan {rewritten UCQ, prepared SQL
@@ -150,12 +134,17 @@ class QueryEngine {
     return compiled_;
   }
 
-  /// Live plan-cache counters (aggregated over shards). With a shared
-  /// cache these span every epoch that writes into it.
-  LruCacheMetrics cache_metrics() const { return plan_cache_->metrics(); }
+  /// Live plan-cache counters (aggregated over shards).
+  LruCacheMetrics cache_metrics() const { return plan_cache_.metrics(); }
 
-  /// The epoch tag of this engine's plan-cache keys.
-  uint64_t epoch() const { return epoch_; }
+  /// Copies into this engine's cache every plan of `base`'s cache whose
+  /// predicates avoid the sorted `changed_preds` tokens (see
+  /// `RefreshInfo::changed_preds`); the rest are left behind. Meant for a
+  /// fresh engine over a refresh of `base`'s snapshot, before it serves:
+  /// the copied plans stay exact because the refresh shares the database
+  /// the prepared plans read. Each shard keeps its recency order.
+  PlanInheritance InheritPlans(const QueryEngine& base,
+                               const std::vector<uint64_t>& changed_preds);
 
  private:
   /// Registry instruments resolved once at construction, so the per-call
@@ -204,14 +193,9 @@ class QueryEngine {
               uint64_t fingerprint, bool sampled, double total_us) const;
 
   std::shared_ptr<const CompiledOntology> compiled_;
-  /// Owned when QueryEngineOptions::shared_plan_cache was null, otherwise
-  /// the serving layer's shared cache. Never null (a disabled cache is an
-  /// enabled()==false instance).
-  std::shared_ptr<PlanCache> plan_cache_;
-  /// Epoch tag of this engine, and its pre-rendered key prefix
-  /// ("e<epoch>|") prepended to every fingerprint key.
-  uint64_t epoch_ = 0;
-  std::string key_prefix_;
+  /// Canonical fingerprint text → compiled plan (internally synchronised).
+  mutable ShardedLruCache<std::string, std::shared_ptr<const CachedPlan>>
+      plan_cache_;
   /// Plan-shaping choices (see QueryEngineOptions).
   bool disable_constraint_pruning_ = false;
   rdb::EvalEngine eval_engine_ = rdb::EvalEngine::kDefault;

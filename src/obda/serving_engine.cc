@@ -35,6 +35,16 @@ bool Retryable(const Status& s) {
          s.code() == StatusCode::kInternal;
 }
 
+// Field-wise sum of two cache readings.
+LruCacheMetrics Plus(LruCacheMetrics a, const LruCacheMetrics& b) {
+  a.hits += b.hits;
+  a.misses += b.misses;
+  a.insertions += b.insertions;
+  a.evictions += b.evictions;
+  a.entries += b.entries;
+  return a;
+}
+
 }  // namespace
 
 ServingEngine::ServingEngine(std::shared_ptr<const CompiledOntology> initial,
@@ -68,12 +78,9 @@ ServingEngine::ServingEngine(std::shared_ptr<const CompiledOntology> initial,
         &metrics_->counter(metric_names::kSnapshotDeltaPlansMigrated);
     ins_.refresh_us = &metrics_->histogram(metric_names::kSnapshotRefreshUs);
   }
-  plan_cache_ = options_.engine.shared_plan_cache != nullptr
-                    ? options_.engine.shared_plan_cache
-                    : std::make_shared<PlanCache>(
-                          options_.engine.plan_cache_capacity,
-                          options_.engine.plan_cache_shards);
-  Publish(std::move(initial), 1);
+  Publish(std::make_shared<const QueryEngine>(std::move(initial),
+                                              options_.engine),
+          1);
   if (ins_.epoch != nullptr) ins_.epoch->Set(1);
 }
 
@@ -82,26 +89,30 @@ std::shared_ptr<const ServingEngine::Epoch> ServingEngine::Current() const {
   return current_;
 }
 
-void ServingEngine::Publish(std::shared_ptr<const CompiledOntology> next,
+void ServingEngine::Publish(std::shared_ptr<const QueryEngine> engine,
                             uint64_t next_epoch) {
-  QueryEngineOptions eopts = options_.engine;
-  eopts.epoch = next_epoch;
-  eopts.shared_plan_cache = plan_cache_;
   auto record = std::make_shared<Epoch>();
   record->epoch = next_epoch;
-  record->engine = std::make_shared<const QueryEngine>(std::move(next), eopts);
+  record->engine = std::move(engine);
+  std::shared_ptr<const Epoch> retired;  // released after the lock
   std::lock_guard<std::mutex> lock(state_mu_);
-  current_ = std::move(record);
+  if (current_ != nullptr) {
+    // Read under the lock, after every cache_metrics() that still saw this
+    // engine as current, so the cumulative counters never go down.
+    LruCacheMetrics m = current_->engine->cache_metrics();
+    m.evictions += m.entries;
+    m.entries = 0;
+    retired_cache_ = Plus(retired_cache_, m);
+  }
+  retired = std::exchange(current_, std::move(record));
 }
 
 uint64_t ServingEngine::Swap(std::shared_ptr<const CompiledOntology> next) {
   std::lock_guard<std::mutex> swap_lock(swap_mu_);
   Stopwatch sw;
   const uint64_t e = next_epoch_++;
-  Publish(std::move(next), e);
-  // Reclamation only: the dead epoch's entries are already unreachable
-  // (epoch-tagged keys), Clear just frees them ahead of LRU aging.
-  plan_cache_->Clear();
+  Publish(std::make_shared<const QueryEngine>(std::move(next), options_.engine),
+          e);
   if (ins_.swap_us != nullptr) ins_.swap_us->Record(sw.ElapsedMicros());
   if (ins_.epoch != nullptr) ins_.epoch->Set(static_cast<double>(e));
   return e;
@@ -128,14 +139,9 @@ Result<uint64_t> ServingEngine::RefreshAndSwap(const OntologyDelta& delta,
         "snapshot changed during delta refresh; recompute against the "
         "current epoch");
   }
-  const uint64_t old_epoch = cur->epoch;
-  const uint64_t e = next_epoch_++;
-  Publish(next, e);
-
   DeltaSwapStats local;
   DeltaSwapStats& ds = stats != nullptr ? *stats : local;
   ds = DeltaSwapStats{};
-  ds.epoch = e;
   ds.fell_back_scratch = info.fell_back_scratch;
   ds.patched_nodes = info.patched_nodes;
   ds.reused_components = info.reused_components;
@@ -143,43 +149,25 @@ Result<uint64_t> ServingEngine::RefreshAndSwap(const OntologyDelta& delta,
   ds.reused_stages = info.reused_stages;
   ds.refresh_us = refresh_us;
 
+  auto engine = std::make_shared<QueryEngine>(next, options_.engine);
   if (info.changed_preds_exact) {
-    // Selective invalidation: drop the old epoch's entries whose plan
-    // touches a changed predicate, re-key the rest to the new epoch (the
-    // PreparedPlans stay valid — the refreshed snapshot shares the same
-    // database object). Entries Put under the old prefix concurrently
-    // with this sweep can linger unreachable until LRU ages them out,
-    // exactly like the full-swap path's stragglers.
+    // Selective invalidation: the new engine starts with every base plan
+    // untouched by the delta (the PreparedPlans stay valid — the refreshed
+    // snapshot shares the same database object). Plans the base stores
+    // from here until the publish below are not carried over.
     ds.selective_invalidation = true;
-    const std::string old_prefix = "e" + std::to_string(old_epoch) + "|";
-    const std::string new_prefix = "e" + std::to_string(e) + "|";
-    for (auto& [key, plan] : plan_cache_->Items()) {
-      if (key.compare(0, old_prefix.size(), old_prefix) != 0) continue;
-      const uint64_t old_hash = PlanCacheHash(plan->fp_hash, old_epoch);
-      bool stale = false;
-      for (uint64_t pred : plan->preds) {
-        if (std::binary_search(info.changed_preds.begin(),
-                               info.changed_preds.end(), pred)) {
-          stale = true;
-          break;
-        }
-      }
-      if (stale) {
-        plan_cache_->Erase(key, old_hash);
-        ++ds.plans_invalidated;
-        continue;
-      }
-      const std::string new_key =
-          new_prefix + key.substr(old_prefix.size());
-      plan_cache_->Put(new_key, PlanCacheHash(plan->fp_hash, e), plan);
-      plan_cache_->Erase(key, old_hash);
-      ++ds.plans_migrated;
-    }
+    const PlanInheritance inherited =
+        engine->InheritPlans(*cur->engine, info.changed_preds);
+    ds.plans_migrated = inherited.migrated;
+    ds.plans_invalidated = inherited.invalidated;
   } else {
-    // The changed-predicate set could not be bounded: reclaim everything,
-    // like a full swap.
-    ds.plans_invalidated = plan_cache_->Clear();
+    // The changed-predicate set could not be bounded: start empty, like a
+    // full swap.
+    ds.plans_invalidated = cur->engine->cache_metrics().entries;
   }
+  const uint64_t e = next_epoch_++;
+  ds.epoch = e;
+  Publish(std::move(engine), e);
 
   if (ins_.swap_us != nullptr) ins_.swap_us->Record(sw.ElapsedMicros());
   if (ins_.epoch != nullptr) ins_.epoch->Set(static_cast<double>(e));
@@ -213,6 +201,11 @@ Result<uint64_t> ServingEngine::CompileAndSwap(dllite::Ontology ontology,
 }
 
 uint64_t ServingEngine::epoch() const { return Current()->epoch; }
+
+LruCacheMetrics ServingEngine::cache_metrics() const {
+  std::lock_guard<std::mutex> lock(state_mu_);
+  return Plus(retired_cache_, current_->engine->cache_metrics());
+}
 
 std::shared_ptr<const CompiledOntology> ServingEngine::snapshot() const {
   return Current()->engine->snapshot();

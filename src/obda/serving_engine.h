@@ -38,12 +38,10 @@ struct AdmissionOptions {
 
 /// Everything a ServingEngine needs beyond the initial snapshot.
 struct ServingEngineOptions {
-  /// Template for each epoch's QueryEngine. `epoch` and
-  /// `shared_plan_cache` are overwritten by the serving layer (it owns
-  /// the cache and the epoch counter); the remaining fields — cache
-  /// capacity/shards, metrics wiring, plan-shaping choices — apply as
-  /// given. Every epoch gets the same plan-shaping choices, which is what
-  /// lets them share one cache and migrate plans across a delta swap.
+  /// Template for each epoch's QueryEngine: cache capacity/shards,
+  /// metrics wiring and plan-shaping choices apply to every epoch alike,
+  /// which is what lets a delta swap hand plans from one epoch's engine
+  /// to the next.
   QueryEngineOptions engine;
   AdmissionOptions admission;
 };
@@ -58,11 +56,14 @@ struct DeltaSwapStats {
   uint64_t reused_components = 0;  ///< closure reach vectors aliased
   uint64_t reused_views = 0;       ///< constraint view evaluations skipped
   uint32_t reused_stages = 0;      ///< compile stages shared with the base
-  /// True when the plan cache was invalidated selectively (else cleared).
+  /// True when plans were carried over selectively (else all dropped).
   bool selective_invalidation = false;
-  uint64_t plans_invalidated = 0;  ///< entries dropped (changed predicate)
-  uint64_t plans_migrated = 0;     ///< entries re-keyed to the new epoch
-  double refresh_us = 0;           ///< CompiledOntology::Refresh wall-clock
+  /// Base entries left behind: those touching a changed predicate, or
+  /// every entry when the changed-predicate set could not be bounded.
+  uint64_t plans_invalidated = 0;
+  /// Base entries copied into the new epoch's cache.
+  uint64_t plans_migrated = 0;
+  double refresh_us = 0;  ///< CompiledOntology::Refresh wall-clock
 };
 
 /// Point-in-time admission counters (authoritative, kept under the
@@ -88,11 +89,11 @@ struct AdmissionSnapshot {
 /// whole call, so in-flight queries finish on the snapshot they started
 /// with while new arrivals immediately see the new epoch; `Swap` never
 /// waits for readers (the last in-flight holder releases the old
-/// snapshot). All epochs share one plan cache with epoch-tagged keys —
-/// a hit can never cross epochs — and a full `Swap` calls `Clear()`
-/// purely to reclaim the dead epoch's memory early. `RefreshAndSwap`
-/// instead invalidates *selectively*: plans provably untouched by the
-/// delta are re-keyed to the new epoch and keep serving.
+/// snapshot). Each epoch's engine owns its own plan cache, so a hit can
+/// never cross epochs: a full `Swap` starts the new epoch with an empty
+/// cache, and a call finishing on a retired epoch stores into that
+/// epoch's cache, which dies with it. `RefreshAndSwap` instead carries
+/// over every plan the delta provably leaves untouched.
 ///
 /// **Admission.** With `max_in_flight` set, a call first acquires a
 /// token; when none is free it queues (bounded by `max_queue_depth`) for
@@ -145,11 +146,11 @@ class ServingEngine {
   /// The delta path of CompileAndSwap: builds the next snapshot as a
   /// *refresh* of the current one (`CompiledOntology::Refresh` — shared
   /// stages, incrementally patched closure, per-view constraint reuse)
-  /// and swaps it in with *selective* plan-cache invalidation: cached
-  /// plans touching none of the delta's changed predicates are re-keyed
-  /// to the new epoch instead of dropped, so hot queries stay hot across
-  /// the swap. When the changed-predicate set cannot be bounded the whole
-  /// cache is cleared, exactly like a full swap.
+  /// and swaps it in with *selective* plan-cache invalidation: the new
+  /// epoch's engine starts with every cached plan touching none of the
+  /// delta's changed predicates (`QueryEngine::InheritPlans`), so hot
+  /// queries stay hot across the swap. When the changed-predicate set
+  /// cannot be bounded it starts empty, exactly like a full swap.
   ///
   /// The refresh runs outside every lock against the snapshot current at
   /// entry; if another swap lands meanwhile, returns kFailedPrecondition
@@ -165,8 +166,13 @@ class ServingEngine {
   /// after this returns; the shared_ptr keeps it alive regardless).
   std::shared_ptr<const CompiledOntology> snapshot() const;
 
-  /// Shared plan-cache counters, spanning every epoch served so far.
-  LruCacheMetrics cache_metrics() const { return plan_cache_->metrics(); }
+  /// Plan-cache counters spanning every epoch served so far: the current
+  /// engine's plus those each retired engine had when it was swapped out
+  /// (its remaining entries count as evictions, so `insertions ==
+  /// entries + evictions` holds). Cumulative and monotone; lookups and
+  /// stores by calls that finish on a retired epoch after its swap are
+  /// not counted.
+  LruCacheMetrics cache_metrics() const;
 
   /// Current admission counters.
   AdmissionSnapshot admission() const;
@@ -188,7 +194,9 @@ class ServingEngine {
   };
 
   std::shared_ptr<const Epoch> Current() const;
-  void Publish(std::shared_ptr<const CompiledOntology> next,
+  /// Makes `engine` current as `next_epoch`, folding the retired engine's
+  /// cache counters into `retired_cache_`.
+  void Publish(std::shared_ptr<const QueryEngine> engine,
                uint64_t next_epoch);
   /// The admission + retry-with-backoff loop shared by the Answer
   /// overloads; `run(engine, options, stats)` performs one attempt
@@ -204,14 +212,13 @@ class ServingEngine {
   ServingEngineOptions options_;
   obs::MetricsRegistry* metrics_ = nullptr;  ///< null = metrics disabled
 
-  /// The shared, epoch-key-tagged plan cache handed to every epoch's
-  /// engine. Created once; `Swap` clears it after publishing.
-  std::shared_ptr<PlanCache> plan_cache_;
-
-  /// Guards the current-epoch pointer. Held only for the pointer
-  /// copy/store, never across query execution or snapshot compilation.
+  /// Guards the current-epoch pointer and the retired cache counters.
+  /// Held only for the pointer copy/store and the counter reads, never
+  /// across query execution or snapshot compilation.
   mutable std::mutex state_mu_;
   std::shared_ptr<const Epoch> current_;
+  /// Plan-cache counters of every retired epoch's engine, as of its swap.
+  LruCacheMetrics retired_cache_;
 
   /// Serialises swaps (epoch allocation + engine build + publish).
   std::mutex swap_mu_;

@@ -236,6 +236,45 @@ TEST(QueryEngineTest, EvictionUnderTinyCapacity) {
   EXPECT_EQ(engine.cache_metrics().entries, 1u);
 }
 
+// InheritPlans copies every plan avoiding the changed predicates, leaves
+// the rest behind, and keeps the base's recency order: the plan the base
+// used least recently is the first the successor evicts.
+TEST(QueryEngineTest, InheritPlansSkipsChangedPredicatesAndKeepsRecency) {
+  auto snapshot = Fixture().Compile();
+  QueryEngineOptions opts;
+  opts.enable_metrics = false;
+  opts.plan_cache_capacity = 3;
+  opts.plan_cache_shards = 1;
+  QueryEngine base(snapshot, opts);
+  for (const char* q : {"q(x) :- Course(x)", "q(x, s) :- salary(x, s)",
+                        "q(x, y) :- teaches(x, y)", "q(x) :- Course(x)"}) {
+    ASSERT_TRUE(base.Answer(q).ok()) << q;
+  }
+  // Most recent first: Course, teaches, salary.
+  ASSERT_TRUE(base.Answer("q(x) :- Person(x)").ok());  // evicts salary
+  const uint64_t person =
+      (static_cast<uint64_t>(query::Atom::Kind::kConcept) << 32) |
+      snapshot->ontology().vocab().FindConcept("Person").value();
+
+  QueryEngine next(snapshot, opts);
+  const PlanInheritance inherited = next.InheritPlans(base, {person});
+  EXPECT_EQ(inherited.migrated, 2u);
+  EXPECT_EQ(inherited.invalidated, 1u);
+  EXPECT_EQ(next.cache_metrics().entries, 2u);
+
+  // The Person plan was left behind; storing it fills the cache, and the
+  // salary plan then evicts teaches, the least recent inherited plan.
+  auto hit = [&next](const char* q) {
+    AnswerStats stats;
+    EXPECT_TRUE(next.Answer(q, &stats).ok()) << q;
+    return stats.cache.hit;
+  };
+  EXPECT_FALSE(hit("q(x) :- Person(x)"));
+  EXPECT_FALSE(hit("q(x, s) :- salary(x, s)"));
+  EXPECT_TRUE(hit("q(x) :- Course(x)"));
+  EXPECT_FALSE(hit("q(x, y) :- teaches(x, y)"));
+}
+
 TEST(QueryEngineTest, CapacityZeroDisablesCaching) {
   QueryEngineOptions opts;
   opts.plan_cache_capacity = 0;
@@ -302,80 +341,6 @@ TEST(QueryEngineTest, SharedSnapshotServesMultipleEngines) {
   // The caches are per-engine.
   EXPECT_EQ(a.cache_metrics().entries, 1u);
   EXPECT_EQ(b.cache_metrics().entries, 1u);
-}
-
-TEST(QueryEngineTest, SharedCacheEpochTagsNeverCrossEpochs) {
-  // Two engines over one snapshot sharing one plan cache at different
-  // epochs — the hot-swap layout. An entry stored by epoch 1 must be
-  // invisible to epoch 2, including under α-renaming (the fingerprint is
-  // renaming-invariant, so only the epoch tag separates them).
-  auto snapshot = Fixture().Compile();
-  auto cache = std::make_shared<PlanCache>(256, 8);
-  QueryEngineOptions e1opts;
-  e1opts.shared_plan_cache = cache;
-  e1opts.epoch = 1;
-  e1opts.enable_metrics = false;
-  QueryEngine epoch1(snapshot, e1opts);
-  QueryEngineOptions e2opts = e1opts;
-  e2opts.epoch = 2;
-  QueryEngine epoch2(snapshot, e2opts);
-
-  AnswerStats cold;
-  ASSERT_TRUE(epoch1.Answer("q(x) :- Professor(x), teaches(x, y)", &cold).ok());
-  EXPECT_TRUE(cold.cache.stored);
-  EXPECT_EQ(cold.serve.epoch, 1u);
-  EXPECT_EQ(cache->metrics().entries, 1u);
-
-  // The α-renamed query hits within epoch 1…
-  AnswerStats hot;
-  ASSERT_TRUE(
-      epoch1.Answer("q(a) :- Professor(a), teaches(a, b)", &hot).ok());
-  EXPECT_TRUE(hot.cache.hit);
-
-  // …but never from epoch 2, which compiles and stores its own entry.
-  AnswerStats cross;
-  ASSERT_TRUE(
-      epoch2.Answer("q(a) :- Professor(a), teaches(a, b)", &cross).ok());
-  EXPECT_FALSE(cross.cache.hit);
-  EXPECT_TRUE(cross.cache.stored);
-  EXPECT_EQ(cross.serve.epoch, 2u);
-  EXPECT_EQ(cache->metrics().entries, 2u);
-
-  // Each epoch keeps hitting its own entry afterwards.
-  AnswerStats again;
-  ASSERT_TRUE(
-      epoch2.Answer("q(z) :- Professor(z), teaches(z, w)", &again).ok());
-  EXPECT_TRUE(again.cache.hit);
-}
-
-TEST(QueryEngineTest, SharedCacheClearDropsEveryEpoch) {
-  auto snapshot = Fixture().Compile();
-  auto cache = std::make_shared<PlanCache>(256, 8);
-  QueryEngineOptions opts;
-  opts.shared_plan_cache = cache;
-  opts.enable_metrics = false;
-  opts.epoch = 1;
-  QueryEngine epoch1(snapshot, opts);
-  opts.epoch = 2;
-  QueryEngine epoch2(snapshot, opts);
-  ASSERT_TRUE(epoch1.Answer("q(x) :- Person(x)").ok());
-  ASSERT_TRUE(epoch2.Answer("q(x) :- Person(x)").ok());
-  ASSERT_EQ(cache->metrics().entries, 2u);
-
-  EXPECT_EQ(cache->Clear(), 2u);
-  LruCacheMetrics m = cache->metrics();
-  EXPECT_EQ(m.entries, 0u);
-  EXPECT_EQ(m.insertions, m.evictions);  // exact accounting
-
-  // Both engines recompile (miss) and the answers are unchanged.
-  AnswerStats s1, s2;
-  auto r1 = epoch1.Answer("q(x) :- Person(x)", &s1);
-  auto r2 = epoch2.Answer("q(x) :- Person(x)", &s2);
-  ASSERT_TRUE(r1.ok());
-  ASSERT_TRUE(r2.ok());
-  EXPECT_FALSE(s1.cache.hit);
-  EXPECT_FALSE(s2.cache.hit);
-  EXPECT_EQ(Sorted(*r1), Sorted(*r2));
 }
 
 TEST(QueryEngineTest, ConcurrentSameQueryStress) {

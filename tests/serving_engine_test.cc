@@ -192,7 +192,10 @@ TEST_F(ServingEngineTest, InFlightQueryFinishesOnItsStartingSnapshot) {
   ServingEngine serving(SnapA(), opts);
 
   // Make evaluation slow enough that the swap lands mid-query: every rdb
-  // block sleeps 60 ms.
+  // block sleeps 60 ms. Snapshot B is compiled before arming: its
+  // constraint inference runs rdb blocks too, and would otherwise delay
+  // the swap until the worker is done.
+  auto snap_b = SnapB();
   fault::Injector::Global().Arm(fault::Site::kRdbExecute,
                                 {.latency_every = 1, .latency_ms = 60});
   AnswerStats stats;
@@ -205,13 +208,17 @@ TEST_F(ServingEngineTest, InFlightQueryFinishesOnItsStartingSnapshot) {
   ASSERT_TRUE(WaitFor([] {
     return fault::Injector::Global().hits(fault::Site::kRdbExecute) >= 1;
   }));
-  EXPECT_EQ(serving.Swap(SnapB()), 2u);
+  EXPECT_EQ(serving.Swap(snap_b), 2u);
   worker.join();
   fault::Injector::Global().DisarmAll();
 
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(stats.serve.epoch, 1u);
   EXPECT_EQ(Sorted(*got), kAnswersA);  // old snapshot, not a blend
+  // The worker stored its plan after the swap, into the retired epoch's
+  // own cache: nothing of it reaches the serving engine's cache.
+  EXPECT_TRUE(stats.cache.stored);
+  EXPECT_EQ(serving.cache_metrics().entries, 0u);
   // New arrivals see the new epoch immediately.
   AnswerStats after;
   auto next = serving.Answer(kPersonQuery, AnswerOptions{}, &after);
@@ -762,6 +769,109 @@ TEST_F(ServingEngineTest, RefreshSwapChurnStress) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(serving.epoch(), 7u);  // six delta swaps; axiom removed last
   EXPECT_EQ(Sorted(*serving.Answer(kPersonQuery)), kAnswersA);
+}
+
+// cache_metrics() spans every epoch: no counter goes down across any mix
+// of swaps, and a retired epoch's entries count as evictions, so
+// insertions == entries + evictions after each swap. (Every delta this
+// engine can refresh shares its base's vocabulary and database, so the
+// changed-predicate bound is exact here; the inexact branch cannot be
+// reached through the public API.)
+TEST_F(ServingEngineTest, CacheMetricsStayCumulativeAcrossSwaps) {
+  ServingEngineOptions opts;
+  opts.engine.enable_metrics = false;
+  ServingEngine serving(SnapA(), opts);
+  LruCacheMetrics last;
+  auto check = [&](const char* step) {
+    const LruCacheMetrics m = serving.cache_metrics();
+    EXPECT_GE(m.hits, last.hits) << step;
+    EXPECT_GE(m.misses, last.misses) << step;
+    EXPECT_GE(m.insertions, last.insertions) << step;
+    EXPECT_GE(m.evictions, last.evictions) << step;
+    EXPECT_EQ(m.insertions, m.entries + m.evictions) << step;
+    last = m;
+  };
+  auto serve = [&](const char* step) {
+    for (const char* q : {kPersonQuery, kCourseQuery, kPersonQuery}) {
+      ASSERT_TRUE(serving.Answer(q).ok()) << step << ": " << q;
+    }
+    check(step);
+  };
+
+  serve("epoch 1");
+  EXPECT_EQ(last.hits, 1u);
+  EXPECT_EQ(last.entries, 2u);
+  serving.Swap(SnapA());
+  check("swap");
+  EXPECT_EQ(last.entries, 0u);
+  EXPECT_EQ(last.evictions, 2u);
+
+  serve("epoch 2");
+  DeltaSwapStats ds;
+  ASSERT_TRUE(
+      serving.RefreshAndSwap(AddCoursePersonDelta(*serving.snapshot()), &ds)
+          .ok());
+  ASSERT_TRUE(ds.selective_invalidation);
+  check("delta swap");
+  EXPECT_EQ(last.entries, ds.plans_migrated);
+
+  serve("epoch 3");
+  Fixture next(/*extra_prof=*/true);
+  ASSERT_TRUE(serving
+                  .CompileAndSwap(std::move(next.onto),
+                                  std::move(next.mappings),
+                                  std::move(next.db))
+                  .ok());
+  check("compile and swap");
+  EXPECT_EQ(last.entries, 0u);
+  serve("epoch 4");
+}
+
+// A mapping-only delta shares the base's whole ontology, a TBox-only
+// delta its mapping program: neither is copied.
+TEST(CompiledOntologyRefresh, SharesTheUntouchedOntologyAndMappings) {
+  std::shared_ptr<const CompiledOntology> base = SnapA();
+  OntologyDelta mapping_only;
+  mapping_only.remove_mappings.push_back(
+      SelectorFor(base->mappings().assertions()[1]));
+  auto after_mappings = CompiledOntology::Refresh(base, mapping_only);
+  ASSERT_TRUE(after_mappings.ok()) << after_mappings.status().ToString();
+  EXPECT_EQ(&(*after_mappings)->ontology(), &base->ontology());
+  EXPECT_NE(&(*after_mappings)->mappings(), &base->mappings());
+
+  auto after_tbox =
+      CompiledOntology::Refresh(base, AddCoursePersonDelta(*base));
+  ASSERT_TRUE(after_tbox.ok()) << after_tbox.status().ToString();
+  EXPECT_EQ(&(*after_tbox)->mappings(), &base->mappings());
+  EXPECT_NE(&(*after_tbox)->ontology(), &base->ontology());
+}
+
+// Refresh validates only the assertions a delta appends, yet fails exactly
+// like a scratch Compile of the edited specification, which validates
+// them all: the error names the assertion by its position in the new set.
+TEST(CompiledOntologyRefresh, InvalidAddedAssertionFailsLikeCompile) {
+  std::shared_ptr<const CompiledOntology> base = SnapA();
+  OntologyDelta d;
+  // Removing assertion #1 shifts the addition to position #3.
+  d.remove_mappings.push_back(SelectorFor(base->mappings().assertions()[1]));
+  SelectBlock bad;
+  bad.from_tables = {"prof"};
+  bad.select = {{0, "missing"}};
+  d.add_mappings.push_back(MappingAssertion::ForConcept(
+      base->ontology().vocab().FindConcept("Person").value(), bad));
+
+  auto refreshed = CompiledOntology::Refresh(base, d);
+  ASSERT_FALSE(refreshed.ok());
+  auto edited = ApplyMappingDelta(base->mappings(), d);
+  ASSERT_TRUE(edited.ok()) << edited.status().ToString();
+  auto scratch = CompiledOntology::Compile(base->ontology(), *edited,
+                                           base->database());
+  ASSERT_FALSE(scratch.ok());
+  EXPECT_EQ(refreshed.status().code(), scratch.status().code());
+  EXPECT_EQ(refreshed.status().message(), scratch.status().message());
+  EXPECT_NE(refreshed.status().message().find("mapping #3"),
+            std::string::npos)
+      << refreshed.status().ToString();
 }
 
 TEST_F(ServingEngineTest, DeltaInstrumentsExportedThroughRegistry) {
