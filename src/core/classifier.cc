@@ -254,7 +254,6 @@ Result<Classification> ClassifyBudgeted(const dllite::TBox& tbox,
 Classification RefreshClassification(const Classification& base,
                                      const dllite::TBox& tbox,
                                      const dllite::Vocabulary& vocab,
-                                     const RefreshOptions& options,
                                      RefreshStats* stats) {
   ClassificationStats cstats;
   Stopwatch sw;
@@ -286,11 +285,9 @@ Classification RefreshClassification(const Classification& base,
   }
 
   sw.Reset();
-  graph::DynamicClosure::PatchOptions popts;
-  popts.fallback_fraction = options.fallback_fraction;
   graph::DynamicClosure::PatchStats fs;
   std::unique_ptr<graph::DynamicClosure> forward =
-      base_fwd->Patched(g.digraph, popts, &fs);
+      base_fwd->Patched(g.digraph, {}, &fs);
   auto transposed =
       std::make_shared<const graph::Digraph>(g.digraph.Reversed());
   std::unique_ptr<graph::TransitiveClosure> reverse =

@@ -165,13 +165,6 @@ Result<Classification> ClassifyBudgeted(const dllite::TBox& tbox,
                                         const ClassificationOptions& options,
                                         const ExecBudget* budget);
 
-/// Tuning knobs for `RefreshClassification`.
-struct RefreshOptions {
-  /// Dirty-node fraction above which the dynamic-closure patch (and hence
-  /// the whole refresh) falls back to a from-scratch merge.
-  double fallback_fraction = 0.25;
-};
-
 /// Telemetry from `RefreshClassification`, fed into `snapshot.delta_*`.
 struct RefreshStats {
   /// True when the refresh degenerated to a from-scratch classification —
@@ -192,12 +185,13 @@ struct RefreshStats {
 /// re-wraps the transposed digraph in an on-demand view, and re-runs
 /// `computeUnsat`. Every base built with the SCC engine (the default) is
 /// patchable. Falls back to a default `Classify` when node ids shifted, the
-/// base was built with the `kBfs` engine, or the delta is too large. The
-/// result is always identical to a from-scratch `Classify` of `tbox`.
+/// base was built with the `kBfs` engine, or the delta is too large (dirty
+/// nodes past `graph::DynamicClosure::PatchOptions`' default fallback
+/// fraction). The result is always identical to a from-scratch `Classify`
+/// of `tbox`.
 Classification RefreshClassification(const Classification& base,
                                      const dllite::TBox& tbox,
                                      const dllite::Vocabulary& vocab,
-                                     const RefreshOptions& options = {},
                                      RefreshStats* stats = nullptr);
 
 /// The paper's `computeUnsat` algorithm: returns the per-node

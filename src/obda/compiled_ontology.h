@@ -22,26 +22,21 @@ namespace olite::obda {
 /// base — the delta-compilation telemetry surfaced through
 /// `ServingEngine`'s `snapshot.delta_*` instruments.
 struct RefreshInfo {
-  /// True for snapshots built by `Refresh` (false for `Compile`).
-  bool refreshed = false;
   /// The incremental closure patch degenerated to scratch classification
-  /// (layout shift, unpatchable base, or delta past the fallback
-  /// fraction).
+  /// (unpatchable base, or delta past the fallback fraction).
   bool fell_back_scratch = false;
-  uint64_t patched_nodes = 0;      ///< closure nodes re-derived
-  uint64_t reused_components = 0;  ///< closure reach vectors aliased
-  uint64_t reused_views = 0;       ///< constraint view evaluations skipped
+  uint64_t patched_nodes = 0;  ///< closure nodes re-derived
+  uint64_t reused_views = 0;   ///< constraint view evaluations skipped
   /// Of the four stages a delta can leave untouched (mappings,
   /// schema+stats, closure, constraints), how many were shared wholesale
   /// from the base.
   uint32_t reused_stages = 0;
-  /// True when `changed_preds` precisely bounds the predicates whose
-  /// compiled plans may differ from the base's; false forces callers to
-  /// treat every cached plan as stale.
-  bool changed_preds_exact = false;
   /// Predicates (as `(Atom::Kind << 32) | id` tokens, sorted) whose
   /// rewrite, unfolding or constraint pruning may differ from the base
   /// snapshot's. Any cached plan touching none of them is still exact.
+  /// The bound is always exact: a refresh keeps its base's vocabulary
+  /// (so TBox node ids stay comparable) and its database and statistics
+  /// (so the inferred key columns are unchanged).
   std::vector<uint64_t> changed_preds;
 };
 

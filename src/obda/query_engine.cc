@@ -151,7 +151,10 @@ Result<std::vector<AnswerTuple>> QueryEngine::Execute(
   if (stats == nullptr && (metrics_ != nullptr || sampled)) {
     stats = &local_stats;
   }
-  if (stats != nullptr) stats->stage = StageTimings{};
+  if (stats != nullptr) {
+    stats->stage = StageTimings{};
+    stats->cache = CacheStats{};
+  }
   std::optional<ExecBudget> owned;  // built from opts' caps
   const ExecBudget* budget = opts.budget;
   if (budget == nullptr) {

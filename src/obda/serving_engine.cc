@@ -144,29 +144,19 @@ Result<uint64_t> ServingEngine::RefreshAndSwap(const OntologyDelta& delta,
   ds = DeltaSwapStats{};
   ds.fell_back_scratch = info.fell_back_scratch;
   ds.patched_nodes = info.patched_nodes;
-  ds.reused_components = info.reused_components;
   ds.reused_views = info.reused_views;
   ds.reused_stages = info.reused_stages;
-  ds.refresh_us = refresh_us;
 
+  // Selective invalidation: the new engine starts with every base plan
+  // untouched by the delta (the PreparedPlans stay valid — the refreshed
+  // snapshot shares the same database object). Plans the base stores
+  // from here until the publish below are not carried over.
   auto engine = std::make_shared<QueryEngine>(next, options_.engine);
-  if (info.changed_preds_exact) {
-    // Selective invalidation: the new engine starts with every base plan
-    // untouched by the delta (the PreparedPlans stay valid — the refreshed
-    // snapshot shares the same database object). Plans the base stores
-    // from here until the publish below are not carried over.
-    ds.selective_invalidation = true;
-    const PlanInheritance inherited =
-        engine->InheritPlans(*cur->engine, info.changed_preds);
-    ds.plans_migrated = inherited.migrated;
-    ds.plans_invalidated = inherited.invalidated;
-  } else {
-    // The changed-predicate set could not be bounded: start empty, like a
-    // full swap.
-    ds.plans_invalidated = cur->engine->cache_metrics().entries;
-  }
+  const PlanInheritance inherited =
+      engine->InheritPlans(*cur->engine, info.changed_preds);
+  ds.plans_migrated = inherited.migrated;
+  ds.plans_invalidated = inherited.invalidated;
   const uint64_t e = next_epoch_++;
-  ds.epoch = e;
   Publish(std::move(engine), e);
 
   if (ins_.swap_us != nullptr) ins_.swap_us->Record(sw.ElapsedMicros());

@@ -47,23 +47,19 @@ struct ServingEngineOptions {
 };
 
 /// Outcome of one `ServingEngine::RefreshAndSwap` (authoritative,
-/// available even with metrics disabled).
+/// available even with metrics disabled). Every base cache entry is
+/// either migrated or invalidated, so the two plan counts sum to the
+/// base cache's size at the swap.
 struct DeltaSwapStats {
-  uint64_t epoch = 0;  ///< the epoch the refreshed snapshot serves as
   /// The closure patch degenerated to scratch classification.
   bool fell_back_scratch = false;
-  uint64_t patched_nodes = 0;      ///< closure nodes re-derived
-  uint64_t reused_components = 0;  ///< closure reach vectors aliased
-  uint64_t reused_views = 0;       ///< constraint view evaluations skipped
-  uint32_t reused_stages = 0;      ///< compile stages shared with the base
-  /// True when plans were carried over selectively (else all dropped).
-  bool selective_invalidation = false;
-  /// Base entries left behind: those touching a changed predicate, or
-  /// every entry when the changed-predicate set could not be bounded.
+  uint64_t patched_nodes = 0;  ///< closure nodes re-derived
+  uint64_t reused_views = 0;   ///< constraint view evaluations skipped
+  uint32_t reused_stages = 0;  ///< compile stages shared with the base
+  /// Base entries left behind: those touching a changed predicate.
   uint64_t plans_invalidated = 0;
   /// Base entries copied into the new epoch's cache.
   uint64_t plans_migrated = 0;
-  double refresh_us = 0;  ///< CompiledOntology::Refresh wall-clock
 };
 
 /// Point-in-time admission counters (authoritative, kept under the
@@ -149,8 +145,7 @@ class ServingEngine {
   /// and swaps it in with *selective* plan-cache invalidation: the new
   /// epoch's engine starts with every cached plan touching none of the
   /// delta's changed predicates (`QueryEngine::InheritPlans`), so hot
-  /// queries stay hot across the swap. When the changed-predicate set
-  /// cannot be bounded it starts empty, exactly like a full swap.
+  /// queries stay hot across the swap.
   ///
   /// The refresh runs outside every lock against the snapshot current at
   /// entry; if another swap lands meanwhile, returns kFailedPrecondition

@@ -158,6 +158,24 @@ TEST(QueryEngineTest, AlphaRenamedQueryHitsSameEntry) {
   EXPECT_EQ(engine.cache_metrics().entries, 1u);
 }
 
+// A caller may reuse one AnswerStats across calls: each call reports its
+// own cache outcome, never one left over from the previous call.
+TEST(QueryEngineTest, ReusedStatsReportEachCallsOwnCacheOutcome) {
+  QueryEngine engine(Fixture().Compile());
+  AnswerStats stats;
+  ASSERT_TRUE(engine.Answer("q(x) :- Person(x)", &stats).ok());
+  EXPECT_FALSE(stats.cache.hit);
+  EXPECT_TRUE(stats.cache.stored);
+
+  ASSERT_TRUE(engine.Answer("q(x) :- Person(x)", &stats).ok());
+  EXPECT_TRUE(stats.cache.hit);
+  EXPECT_FALSE(stats.cache.stored);
+
+  ASSERT_TRUE(engine.Answer("q(x) :- Course(x)", &stats).ok());
+  EXPECT_FALSE(stats.cache.hit);
+  EXPECT_TRUE(stats.cache.stored);
+}
+
 TEST(QueryEngineTest, UncachedEngineOverSharedSnapshotRunsColdPath) {
   const auto snapshot = Fixture().Compile();
   QueryEngine engine(snapshot);

@@ -586,14 +586,15 @@ TEST_F(ServingEngineTest, RefreshAndSwapInvalidatesOnlyAffectedPlans) {
   ServingEngine serving(SnapA(), opts);
   ASSERT_TRUE(serving.Answer(kPersonQuery).ok());
   ASSERT_TRUE(serving.Answer(kCourseQuery).ok());
-  ASSERT_EQ(serving.cache_metrics().entries, 2u);
+  const uint64_t cached = serving.cache_metrics().entries;
+  ASSERT_EQ(cached, 2u);
 
   DeltaSwapStats ds;
   auto e =
       serving.RefreshAndSwap(AddCoursePersonDelta(*serving.snapshot()), &ds);
   ASSERT_TRUE(e.ok()) << e.status().ToString();
   EXPECT_EQ(*e, 2u);
-  EXPECT_TRUE(ds.selective_invalidation);
+  EXPECT_EQ(ds.plans_migrated + ds.plans_invalidated, cached);
   EXPECT_EQ(ds.plans_invalidated, 1u);  // Person touches the changed pred
   EXPECT_EQ(ds.plans_migrated, 1u);     // Course does not
   EXPECT_GE(ds.reused_stages, 2u);      // mappings + schema at minimum
@@ -670,10 +671,11 @@ TEST_F(ServingEngineTest, RefreshAndSwapMigratesPlansWithPruningOff) {
   }
   ASSERT_EQ(d.remove_mappings.size(), 1u);
 
+  const uint64_t cached = serving.cache_metrics().entries;
   DeltaSwapStats ds;
   auto e = serving.RefreshAndSwap(d, &ds);
   ASSERT_TRUE(e.ok()) << e.status().ToString();
-  EXPECT_TRUE(ds.selective_invalidation);
+  EXPECT_EQ(ds.plans_migrated + ds.plans_invalidated, cached);
   EXPECT_GT(ds.plans_migrated, 0u);
 
   // A migrated plan is found under the new epoch's key and hash.
@@ -773,10 +775,8 @@ TEST_F(ServingEngineTest, RefreshSwapChurnStress) {
 
 // cache_metrics() spans every epoch: no counter goes down across any mix
 // of swaps, and a retired epoch's entries count as evictions, so
-// insertions == entries + evictions after each swap. (Every delta this
-// engine can refresh shares its base's vocabulary and database, so the
-// changed-predicate bound is exact here; the inexact branch cannot be
-// reached through the public API.)
+// insertions == entries + evictions after each swap, and a delta swap
+// accounts for every base entry as migrated or invalidated.
 TEST_F(ServingEngineTest, CacheMetricsStayCumulativeAcrossSwaps) {
   ServingEngineOptions opts;
   opts.engine.enable_metrics = false;
@@ -807,11 +807,12 @@ TEST_F(ServingEngineTest, CacheMetricsStayCumulativeAcrossSwaps) {
   EXPECT_EQ(last.evictions, 2u);
 
   serve("epoch 2");
+  const uint64_t cached = serving.cache_metrics().entries;
   DeltaSwapStats ds;
   ASSERT_TRUE(
       serving.RefreshAndSwap(AddCoursePersonDelta(*serving.snapshot()), &ds)
           .ok());
-  ASSERT_TRUE(ds.selective_invalidation);
+  EXPECT_EQ(ds.plans_migrated + ds.plans_invalidated, cached);
   check("delta swap");
   EXPECT_EQ(last.entries, ds.plans_migrated);
 
