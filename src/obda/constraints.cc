@@ -121,7 +121,7 @@ std::unique_ptr<const SourceConstraints> SourceConstraints::InferImpl(
   const rdb::SourceIndex* index = stats.index();
   const rdb::ValueDictionary* dict =
       index != nullptr ? &index->dictionary() : nullptr;
-  sc->dictionary_fingerprint_ = index != nullptr ? index->fingerprint() : 0;
+  sc->index_ = index;
   // Retained extensions of the base, indexed by view fingerprint. Equal
   // fingerprints mean equal (kind, predicate, SQL) over the same frozen
   // database, hence — Execute being deterministic — an identical
@@ -130,8 +130,8 @@ std::unique_ptr<const SourceConstraints> SourceConstraints::InferImpl(
   // overlay, which this pass extends.
   std::unordered_map<uint64_t, const ViewTuples*> base_views;
   rdb::ValueDictionary overlay;
-  if (base != nullptr &&
-      base->dictionary_fingerprint_ == sc->dictionary_fingerprint_) {
+  if (base != nullptr) {
+    assert(base->index_ == index);
     overlay = base->overlay_;
     for (size_t i = 0; i < base->retained_views_.size(); ++i) {
       const ViewTuples& tuples = base->retained_views_[i];

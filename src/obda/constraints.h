@@ -90,6 +90,10 @@ class SourceConstraints final : public query::ConstraintOracle {
   /// bit-identical to `Infer(mappings, db, stats, options)`; only the
   /// source evaluation work is saved. `reused_views`, when non-null,
   /// receives how many view evaluations were skipped.
+  ///
+  /// Precondition (asserted): `base` was inferred over `db` and this same
+  /// `stats` object, whose index's ids its retained extensions hold, as
+  /// `CompiledOntology::Refresh` guarantees.
   static std::unique_ptr<const SourceConstraints> Refresh(
       const SourceConstraints& base, const mapping::MappingSet& mappings,
       const rdb::Database& db, const rdb::DatabaseStats& stats,
@@ -193,9 +197,9 @@ class SourceConstraints final : public query::ConstraintOracle {
   std::vector<uint64_t> view_fps_;
   /// Parallel to `view_fps_`; empty unless retain_view_extensions was set.
   std::vector<ViewTuples> retained_views_;
-  /// `SourceIndex::fingerprint()` of the dictionary the retained ids were
-  /// encoded against; a refresh over another dictionary reuses nothing.
-  uint64_t dictionary_fingerprint_ = 0;
+  /// The source index whose dictionary the ids were encoded against (null
+  /// without one); `Refresh` asserts that it is given the same one.
+  const rdb::SourceIndex* index_ = nullptr;
   /// Values the dictionary lacked (constant projections, rows of another
   /// database than the index's); their ids follow the dictionary's. A refresh
   /// starts from this overlay so retained ids keep their meaning.

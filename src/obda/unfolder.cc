@@ -1,6 +1,6 @@
 #include "obda/unfolder.h"
 
-#include <cctype>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -26,24 +26,9 @@ TargetKind KindOf(const Atom& atom) {
   return TargetKind::kConcept;
 }
 
-// Chooses the SQL constant for a query constant bound to `col`: numeric
-// literals target INT/DOUBLE columns as numbers, everything else as text.
-rdb::Value ConstantFor(const std::string& name, rdb::ValueType type) {
-  bool numeric = !name.empty();
-  for (char c : name) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) numeric = false;
-  }
-  if (numeric && type == rdb::ValueType::kInt) {
-    return rdb::Value::Int(std::stoll(name));
-  }
-  if (numeric && type == rdb::ValueType::kDouble) {
-    return rdb::Value::Double(static_cast<double>(std::stoll(name)));
-  }
-  return rdb::Value::Str(name);
-}
-
 // Builds one SQL select block for one disjunct under one mapping choice.
-// Returns false (no block) when a head variable stays unbound.
+// Returns false (no block) when a head variable stays unbound, or when a
+// query constant names no value of its column's type (`Value::FromName`).
 Result<bool> BuildBlock(const ConjunctiveQuery& cq,
                         const std::vector<const MappingAssertion*>& choice,
                         const rdb::Database& db, rdb::SelectBlock* out) {
@@ -83,8 +68,10 @@ Result<bool> BuildBlock(const ConjunctiveQuery& cq,
           return Status::NotFound("mapping references unknown column '" +
                                   col.column + "'");
         }
-        block.filters.push_back(
-            {col, ConstantFor(term.name, table->schema().columns[*idx].type)});
+        std::optional<rdb::Value> value = rdb::Value::FromName(
+            term.name, table->schema().columns[*idx].type);
+        if (!value) return false;
+        block.filters.push_back({col, *std::move(value)});
       }
     }
   }

@@ -56,8 +56,12 @@ struct UnfoldOptions {
 /// the relational sources: each ontology atom is replaced by one of its
 /// mapping views (cartesian product over choices), shared query variables
 /// become equi-joins, constants become filters, and head variables become
-/// the projected columns. A disjunct with an unmapped atom contributes
-/// nothing (its certain answers are necessarily empty).
+/// the projected columns. A constant filters on the value of the column's
+/// type whose `Value::ToName` is the constant's name, so constants and
+/// source values match as the ABox individuals they name; a block whose
+/// constant names no value of its column's type is dropped. A disjunct
+/// with an unmapped atom contributes nothing (its certain answers are
+/// necessarily empty).
 Result<rdb::SqlQuery> Unfold(const query::UnionQuery& ucq,
                              const mapping::MappingSet& mappings,
                              const rdb::Database& db,

@@ -119,11 +119,7 @@ BlockShape ShapeOf(const ResolvedBlock& block) {
     }
   }
   for (auto& t : shape.tables) {
-    std::sort(t.filters.begin(), t.filters.end(),
-              [](const auto& a, const auto& b) {
-                if (a.first != b.first) return a.first < b.first;
-                return ValueKey(a.second) < ValueKey(b.second);
-              });
+    std::sort(t.filters.begin(), t.filters.end());
     std::sort(t.self_eq.begin(), t.self_eq.end());
   }
   return shape;
@@ -295,19 +291,13 @@ bool RowPasses(const Step& step, const Row& row) {
   return true;
 }
 
-// The rows holding the value of a step's first INT or TEXT constant filter,
-// ascending, when `index` covers the step's table; nullopt means read every
-// row. A DOUBLE filter never picks the range: +0.0 and -0.0 compare equal
-// but are two dictionary values.
+// The rows holding the value of a step's first constant filter, ascending,
+// when `index` covers the step's table; nullopt means read every row.
 std::optional<std::span<const uint32_t>> IndexedRange(
     const Step& step, const SourceIndex* index) {
-  if (index == nullptr) return std::nullopt;
-  for (const auto& [col, value] : step.filters) {
-    if (value.type() != ValueType::kDouble) {
-      return index->EqualRows(*step.table, col, value);
-    }
-  }
-  return std::nullopt;
+  if (index == nullptr || step.filters.empty()) return std::nullopt;
+  const auto& [col, value] = step.filters.front();
+  return index->EqualRows(*step.table, col, value);
 }
 
 // Batched filtered scan of a step's table, or of its indexed range when

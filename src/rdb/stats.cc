@@ -1,62 +1,9 @@
 #include "rdb/stats.h"
 
 #include <algorithm>
-#include <bit>
-#include <cmath>
-#include <functional>
-#include <string_view>
 #include <utility>
 
 namespace olite::rdb {
-
-namespace {
-
-uint64_t Mix(uint64_t x) {  // splitmix64 finaliser
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-// Bit pattern of `d`, with every NaN of one sign folded into one pattern.
-uint64_t DoubleIdentity(double d) {
-  if (std::isnan(d)) {
-    return std::signbit(d) ? 0xfff8000000000000ULL : 0x7ff8000000000000ULL;
-  }
-  return std::bit_cast<uint64_t>(d);
-}
-
-uint64_t IdentityHash(const Value& v) {
-  switch (v.type()) {
-    case ValueType::kInt:
-      return Mix(static_cast<uint64_t>(v.AsInt()));
-    case ValueType::kDouble:
-      return Mix(DoubleIdentity(v.AsDouble()) ^ 0x9e3779b97f4a7c15ULL);
-    case ValueType::kString:
-      return std::hash<std::string_view>{}(v.AsString());
-  }
-  return 0;
-}
-
-bool SameIdentity(const Value& a, const Value& b) {
-  if (a.type() != b.type()) return false;
-  switch (a.type()) {
-    case ValueType::kInt:
-      return a.AsInt() == b.AsInt();
-    case ValueType::kDouble:
-      return DoubleIdentity(a.AsDouble()) == DoubleIdentity(b.AsDouble());
-    case ValueType::kString:
-      return a.AsString() == b.AsString();
-  }
-  return false;
-}
-
-bool IsNan(const Value& v) {
-  return v.type() == ValueType::kDouble && std::isnan(v.AsDouble());
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // ValueDictionary
@@ -64,25 +11,22 @@ bool IsNan(const Value& v) {
 
 uint32_t ValueDictionary::Find(const Value& v) const {
   if (slots_.empty()) return kNoId;
-  const uint64_t hash = IdentityHash(v);
+  const uint64_t hash = v.Hash();
   const size_t mask = slots_.size() - 1;
   for (size_t s = Slot(hash);; s = (s + 1) & mask) {
     const uint32_t id = slots_[s];
-    if (id == kNoId ||
-        (hashes_[id] == hash && SameIdentity(values_[id], v))) {
-      return id;
-    }
+    if (id == kNoId || (hashes_[id] == hash && values_[id] == v)) return id;
   }
 }
 
 uint32_t ValueDictionary::Intern(const Value& v) {
   if (2 * (values_.size() + 1) > slots_.size()) Grow();
-  const uint64_t hash = IdentityHash(v);
+  const uint64_t hash = v.Hash();
   const size_t mask = slots_.size() - 1;
   size_t s = Slot(hash);
   for (; slots_[s] != kNoId; s = (s + 1) & mask) {
     const uint32_t id = slots_[s];
-    if (hashes_[id] == hash && SameIdentity(values_[id], v)) return id;
+    if (hashes_[id] == hash && values_[id] == v) return id;
   }
   const auto id = static_cast<uint32_t>(values_.size());
   values_.push_back(v);
@@ -123,8 +67,7 @@ std::shared_ptr<const SourceIndex> SourceIndex::Build(const Database& db) {
   }
   // Counting sort of each column's rows by id: stable, and linear but for
   // ordering the column's distinct ids. `count` is zero between columns.
-  // Distinct counts fall out of it: one per id, except that NaN never
-  // equals itself, so each NaN cell counts once.
+  // Distinct counts fall out of it: one per id.
   std::vector<uint32_t> count(dict.size(), 0);
   std::vector<uint32_t> present;
   for (auto& [table, ti] : index->tables_) {
@@ -134,9 +77,6 @@ std::shared_ptr<const SourceIndex> SourceIndex::Build(const Database& db) {
         if (count[id]++ == 0) present.push_back(id);
       }
       ci.distinct = present.size();
-      for (uint32_t id : present) {
-        if (IsNan(dict.value(id))) ci.distinct += count[id] - 1;
-      }
       // Ids run in first-seen order, so a column is often sorted already.
       if (!std::is_sorted(present.begin(), present.end())) {
         std::sort(present.begin(), present.end());
@@ -150,12 +90,6 @@ std::shared_ptr<const SourceIndex> SourceIndex::Build(const Database& db) {
       for (uint32_t id : present) count[id] = 0;
     }
   }
-  uint64_t fp = Mix(dict.size());
-  for (uint32_t id = 0; id < dict.size(); ++id) {
-    fp = Mix(fp + IdentityHash(dict.value(id)) +
-             static_cast<uint64_t>(dict.value(id).type()));
-  }
-  index->fingerprint_ = fp;
   return index;
 }
 

@@ -14,14 +14,10 @@
 
 namespace olite::rdb {
 
-/// Dense `uint32` ids for typed values. Identity is the one constraint
-/// inference needs, where a tuple is its type-tagged SQL rendering:
-///   * INT by value and TEXT by bytes; `Int(1)` and `Double(1.0)` differ;
-///   * DOUBLE by bit pattern, so +0.0 and -0.0 differ (they render "0"
-///     and "-0") and every NaN of one sign is one value (all render "nan"
-///     or "-nan").
-/// Ids are handed out in first-`Intern` order. Open addressing over the
-/// id array keeps it to one `Value`, its hash and two slots per entry.
+/// Dense `uint32` ids for typed values, one per value under `Value ==`
+/// (see `Value` for the identity). Ids are handed out in first-`Intern`
+/// order. Open addressing over the id array keeps it to one `Value`, its
+/// hash and two slots per entry.
 class ValueDictionary {
  public:
   static constexpr uint32_t kNoId = UINT32_MAX;
@@ -57,21 +53,15 @@ class SourceIndex {
 
   const ValueDictionary& dictionary() const { return dict_; }
 
-  /// Digest of the dictionary (size and every value in id order). Two
-  /// indexes with equal digests give every value the same id, so id
-  /// tuples encoded against one are valid against the other.
-  uint64_t fingerprint() const { return fingerprint_; }
-
-  /// Rows of `table` whose column `col` holds `v` under dictionary
-  /// identity, in ascending row order (empty when `v` is absent), or
-  /// nullopt when `table` is not indexed here.
+  /// Rows of `table` whose column `col` holds a value `== v`, in ascending
+  /// row order (empty when `v` is absent), or nullopt when `table` is not
+  /// indexed here.
   std::optional<std::span<const uint32_t>> EqualRows(const Table& table,
                                                      size_t col,
                                                      const Value& v) const;
 
-  /// Distinct values of column `col` as `std::unordered_set<Value>` would
-  /// count them: one per id, except that NaN never equals itself, so each
-  /// NaN cell counts once.
+  /// Distinct values of column `col` under `Value ==`: one per id, so ±0.0
+  /// count twice and every NaN of one sign once.
   uint64_t Distinct(const Table& table, size_t col) const;
 
  private:
@@ -90,7 +80,6 @@ class SourceIndex {
 
   ValueDictionary dict_;
   std::unordered_map<const Table*, TableIndex> tables_;
-  uint64_t fingerprint_ = 0;
 };
 
 /// Per-column statistics of one table.

@@ -1,6 +1,8 @@
 #include "rdb/value.h"
 
 #include <bit>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -29,19 +31,40 @@ std::string FormatDoubleRoundTrip(double v) {
   return buf;
 }
 
+namespace {
+
+uint64_t Mix(uint64_t x) {  // splitmix64 finaliser
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ULL;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+constexpr uint64_t kSignBit = uint64_t{1} << 63;
+
+}  // namespace
+
+Value::DoubleKey Value::DoubleKey::Of(double d) {
+  uint64_t bits = std::bit_cast<uint64_t>(d);
+  if (std::isnan(d)) bits = (bits & kSignBit) | 0x7ff8000000000000ULL;
+  return {(bits & kSignBit) != 0 ? ~bits : bits | kSignBit};
+}
+
+double Value::DoubleKey::Get() const {
+  return std::bit_cast<double>((key & kSignBit) != 0 ? key ^ kSignBit : ~key);
+}
+
 uint64_t Value::Hash() const {
-  // Seed with the type tag so cross-type payload coincidences (e.g. the
-  // bit pattern of Int(0) vs Double(0.0)) cannot collide systematically.
-  uint64_t h = Fnv1aWord(static_cast<uint64_t>(type()) + 1);
   switch (type()) {
     case ValueType::kInt:
-      return Fnv1aWord(static_cast<uint64_t>(AsInt()), h);
+      return Mix(static_cast<uint64_t>(AsInt()));
     case ValueType::kDouble:
-      return Fnv1aWord(std::bit_cast<uint64_t>(AsDouble()), h);
+      return Mix(std::get<DoubleKey>(data_).key ^ 0x9e3779b97f4a7c15ULL);
     case ValueType::kString:
-      return Fnv1a(AsString(), h);
+      return Fnv1a(AsString());
   }
-  return h;
+  return 0;
 }
 
 size_t ValueVecHasher::operator()(const std::vector<Value>& vs) const {
@@ -60,6 +83,19 @@ std::string Value::ToName() const {
       return FormatDoubleRoundTrip(AsDouble());
   }
   return "?";
+}
+
+std::optional<Value> Value::FromName(std::string_view name, ValueType type) {
+  if (type == ValueType::kString) return Value::Str(std::string(name));
+  auto parse = [name](auto number) {
+    std::from_chars(name.data(), name.data() + name.size(), number);
+    return Value(number);
+  };
+  const Value v = type == ValueType::kInt ? parse(int64_t{0}) : parse(0.0);
+  // A failed or partial parse, or another spelling of the number, does not
+  // render back to `name`.
+  if (v.ToName() != name) return std::nullopt;
+  return v;
 }
 
 std::string Value::ToString() const {

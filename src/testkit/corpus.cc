@@ -1,5 +1,7 @@
 #include "testkit/corpus.h"
 
+#include <cctype>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -78,35 +80,43 @@ std::string RenderMapping(const mapping::MappingAssertion& m,
   return os.str();
 }
 
-/// Splits one `row` payload into SQL-style literal tokens (single-quoted
-/// strings, bare numbers).
-Result<std::vector<rdb::Value>> ParseRowLiterals(std::string_view s) {
-  std::vector<rdb::Value> out;
-  size_t i = 0;
-  while (i < s.size()) {
-    char c = s[i];
-    if (std::isspace(static_cast<unsigned char>(c)) != 0) {
-      ++i;
-    } else if (c == '\'') {
-      std::string text;
-      ++i;
-      while (i < s.size() && s[i] != '\'') text += s[i++];
-      if (i >= s.size()) return Status::ParseError("unterminated row string");
-      ++i;
-      out.push_back(rdb::Value::Str(std::move(text)));
+/// Parses one `row` payload, the `Value::ToString` of each cell, by the
+/// declared type of its column: a TEXT cell is single-quoted with inner
+/// quotes doubled, an INT or DOUBLE cell is the bare `Value::ToName`.
+Result<rdb::Row> ParseRowLiterals(std::string_view s,
+                                  const rdb::Schema& schema) {
+  rdb::Row out;
+  for (size_t i = 0; i < s.size(); ++i) {
+    if (std::isspace(static_cast<unsigned char>(s[i])) != 0) continue;
+    const bool quoted = s[i] == '\'';
+    std::string tok;
+    if (quoted) {
+      // Up to the closing quote; a doubled quote is one quote of the text.
+      auto closing = [&] {
+        return s[i] == '\'' && (i + 1 == s.size() || s[i + 1] != '\'');
+      };
+      while (++i < s.size() && !closing()) {
+        if (s[i] == '\'') ++i;
+        tok += s[i];
+      }
+      if (i == s.size()) return Status::ParseError("unterminated row string");
     } else {
-      std::string tok;
       while (i < s.size() &&
              std::isspace(static_cast<unsigned char>(s[i])) == 0) {
         tok += s[i++];
       }
-      if (tok.find('.') != std::string::npos ||
-          tok.find('e') != std::string::npos) {
-        out.push_back(rdb::Value::Double(std::stod(tok)));
-      } else {
-        out.push_back(rdb::Value::Int(std::stoll(tok)));
-      }
     }
+    const size_t c = out.size();
+    std::optional<rdb::Value> v;
+    if (c < schema.columns.size() &&
+        quoted == (schema.columns[c].type == rdb::ValueType::kString)) {
+      v = rdb::Value::FromName(tok, schema.columns[c].type);
+    }
+    if (!v) {
+      return Status::ParseError("'" + tok + "' is no value of column " +
+                                std::to_string(c) + " of " + schema.table_name);
+    }
+    out.push_back(*std::move(v));
   }
   return out;
 }
@@ -268,8 +278,9 @@ Result<ConformanceCase> ParseCase(std::string_view text) {
         return Status::ParseError("corpus: malformed row line");
       }
       std::string table(rest.substr(0, space));
-      OLITE_ASSIGN_OR_RETURN(rdb::Row row,
-                             ParseRowLiterals(rest.substr(space + 1)));
+      OLITE_ASSIGN_OR_RETURN(const rdb::Table* t, c.database.GetTable(table));
+      OLITE_ASSIGN_OR_RETURN(
+          rdb::Row row, ParseRowLiterals(rest.substr(space + 1), t->schema()));
       OLITE_RETURN_IF_ERROR(c.database.Insert(table, std::move(row)));
     } else {
       return Status::ParseError("corpus: unexpected tables line '" + tl + "'");

@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
@@ -594,10 +595,40 @@ TEST(Shrinker, ReducesInjectedDiscrepancyToFewAxioms) {
 TEST(Corpus, SerialisationRoundTripsExactly) {
   Workload w = benchgen::GenerateWorkload(SweepConfig(5));
   ConformanceCase c = testkit::CaseFromWorkload(w);
+  // Cells whose literal alone does not tell their type: a DOUBLE that
+  // renders as an integer, ±0.0, NaNs and infinity, and quoted strings.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  ASSERT_TRUE(c.database
+                  .CreateTable({"edge",
+                                {{"s", rdb::ValueType::kString},
+                                 {"d", rdb::ValueType::kDouble}}})
+                  .ok());
+  const std::pair<const char*, double> edge[] = {
+      {"2", 2.0},     {"-0", -0.0}, {"it's", nan},
+      {"''", -nan},   {"a b", std::numeric_limits<double>::infinity()},
+      {"", 1.5}};
+  for (const auto& [str, d] : edge) {
+    ASSERT_TRUE(
+        c.database.Insert("edge", {rdb::Value::Str(str), rdb::Value::Double(d)})
+            .ok());
+  }
   std::string text = testkit::SerializeCase(c);
   auto parsed = testkit::ParseCase(text);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(testkit::SerializeCase(*parsed), text);
+  EXPECT_EQ((*parsed->database.GetTable("edge"))->rows(),
+            (*c.database.GetTable("edge"))->rows());
+  // A literal that is no value of its column's type is a parse error.
+  auto parse_row = [](const std::string& row) {
+    return testkit::ParseCase(
+        "begin ontology\nconcept C\nend ontology\nbegin tables\n"
+        "table edge s:str d:double\nrow edge " + row + "\nend tables\n");
+  };
+  EXPECT_TRUE(parse_row("'x' -nan").ok());
+  for (const char* row :
+       {"'x' abc", "x 1", "'x' '1'", "'x' 1e5", "'x", "'x' 1 2"}) {
+    EXPECT_FALSE(parse_row(row).ok()) << row;
+  }
   // The reparsed case drives the differential harness identically.
   EXPECT_EQ(testkit::RunCase(*parsed, /*run_tableau=*/false),
             testkit::RunCase(c, /*run_tableau=*/false));

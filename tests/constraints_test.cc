@@ -399,14 +399,14 @@ TEST(SourceConstraintsRefresh, ReusesUnchangedViewsBitIdentically) {
   RefreshFixture fx;
   ConstraintInferenceOptions opts;
   opts.retain_view_extensions = true;
-  auto base = InferOver(fx.mappings, fx.db, opts);
+  const auto stats = rdb::DatabaseStats::Collect(fx.db);
+  auto base = SourceConstraints::Infer(fx.mappings, fx.db, stats, opts);
 
   // Add one assertion; the three existing views must be reused, and every
   // derived fact must equal a from-scratch inference.
   MappingSet next = fx.mappings;
   ASSERT_TRUE(
       next.Add(MappingAssertion::ForConcept(2, TableBlock("tb", false))).ok());
-  const auto stats = rdb::DatabaseStats::Collect(fx.db);
   uint64_t reused = 0;
   auto refreshed =
       SourceConstraints::Refresh(*base, next, fx.db, stats, opts, &reused);
@@ -424,7 +424,8 @@ TEST(SourceConstraintsRefresh, RemovalRecomputesDerivedFacts) {
   RefreshFixture fx;
   ConstraintInferenceOptions opts;
   opts.retain_view_extensions = true;
-  auto base = InferOver(fx.mappings, fx.db, opts);
+  const auto stats = rdb::DatabaseStats::Collect(fx.db);
+  auto base = SourceConstraints::Infer(fx.mappings, fx.db, stats, opts);
   ASSERT_FALSE(base->Empty(Atom::Kind::kConcept, 1));
 
   MappingSet next;
@@ -432,7 +433,6 @@ TEST(SourceConstraintsRefresh, RemovalRecomputesDerivedFacts) {
     if (m.kind == mapping::TargetKind::kConcept && m.predicate == 1) continue;
     ASSERT_TRUE(next.Add(m).ok());
   }
-  const auto stats = rdb::DatabaseStats::Collect(fx.db);
   uint64_t reused = 0;
   auto refreshed =
       SourceConstraints::Refresh(*base, next, fx.db, stats, opts, &reused);
@@ -448,12 +448,12 @@ TEST(SourceConstraintsRefresh, DiffAttributesMappingChangeToItsPredicate) {
   RefreshFixture fx;
   ConstraintInferenceOptions opts;
   opts.retain_view_extensions = true;
-  auto base = InferOver(fx.mappings, fx.db, opts);
+  const auto stats = rdb::DatabaseStats::Collect(fx.db);
+  auto base = SourceConstraints::Infer(fx.mappings, fx.db, stats, opts);
 
   MappingSet next = fx.mappings;
   ASSERT_TRUE(
       next.Add(MappingAssertion::ForConcept(2, TableBlock("tb", false))).ok());
-  const auto stats = rdb::DatabaseStats::Collect(fx.db);
   auto refreshed =
       SourceConstraints::Refresh(*base, next, fx.db, stats, opts, nullptr);
 
@@ -613,10 +613,10 @@ TEST(ConstraintIdentity, BenchmarkSpecKeepsEveryFact) {
 }
 
 // Values whose identity is easy to get wrong: Int(1) against Double(1.0),
-// +0.0 against -0.0 (equal as SQL values, rendered apart), NaN (never
-// equal to itself, every payload rendered alike), and strings holding a
-// quote or the unit separator. Pinned to the verdicts of string-keyed
-// extensions.
+// +0.0 against -0.0 (two values, rendered "0" and "-0"), NaN (every
+// payload of one sign one value, rendered "nan" or "-nan"), and strings
+// holding a quote or the unit separator. Pinned to the verdicts of
+// extensions keyed by type and rendering, which is `Value` identity.
 struct EdgeFixture {
   Database db;
   MappingSet mappings;
@@ -645,8 +645,8 @@ struct EdgeFixture {
     for (const auto& [a, b] : strs) {
       EXPECT_TRUE(db.Insert("strs", {Value::Str(a), Value::Str(b)}).ok());
     }
-    // Keys as a hashed distinct count sees them: ±0.0 are two values and
-    // each NaN is its own, so `d` is a key; `dup` repeats 1.0.
+    // ±0.0 are two values but the two NaNs one, so `d` is no key; `dup`
+    // repeats 1.0.
     EXPECT_TRUE(db.CreateTable({"dkeys",
                                 {{"d", ValueType::kDouble},
                                  {"dup", ValueType::kDouble},
@@ -725,22 +725,26 @@ TEST(ConstraintIdentity, EdgeValuesKeepTodaysVerdicts) {
   auto sc = InferOver(fx.mappings, fx.db);
   const std::string listing = FactListing(*sc, fx.mappings, fx.db, fx.vocab);
   EXPECT_EQ(sc->summary().ToString(),
-            "predicates=30 known=30 empty=2 inclusions=45 "
-            "inverse_inclusions=4 exact_mappings=28 dominated_views=2 "
-            "empty_views=2 key_columns=2 complete");
-  EXPECT_EQ(Hex(Fnv1a(listing)), "e565d952cf2b2cec") << listing;
+            "predicates=30 known=30 empty=1 inclusions=49 "
+            "inverse_inclusions=4 exact_mappings=29 dominated_views=2 "
+            "empty_views=1 key_columns=1 complete");
+  EXPECT_EQ(Hex(Fnv1a(listing)), "25da9eb8573f1df3") << listing;
   // The verdicts the digest guards, spelled out.
   EXPECT_FALSE(sc->Included(Atom::Kind::kConcept, 0, 1));  // Int vs Double
-  EXPECT_TRUE(sc->Included(Atom::Kind::kConcept, 2, 3));   // {±0.0} both
-  EXPECT_TRUE(sc->Included(Atom::Kind::kConcept, 3, 4));   // filters match
+  EXPECT_FALSE(sc->Included(Atom::Kind::kConcept, 2, 3));  // {±0.0} ⊄ {0.0}
+  EXPECT_FALSE(sc->Included(Atom::Kind::kConcept, 3, 4));  // 0.0 vs -0.0
+  EXPECT_TRUE(sc->Included(Atom::Kind::kConcept, 3, 2));
   EXPECT_TRUE(sc->Included(Atom::Kind::kConcept, 5, 6));   // NaN is NaN
   EXPECT_FALSE(sc->Included(Atom::Kind::kConcept, 5, 7));  // NaN vs -NaN
-  EXPECT_TRUE(sc->Empty(Atom::Kind::kConcept, 9));         // = NaN: none
+  EXPECT_TRUE(sc->Included(Atom::Kind::kConcept, 5, 9));   // = NaN: both
+  EXPECT_FALSE(sc->Empty(Atom::Kind::kConcept, 9));
   EXPECT_TRUE(sc->DominatedView(9));  // concept 8's second NaN view
+  EXPECT_TRUE(sc->DominatedView(28));  // role 5: {(0, 0.0)} ⊂ i = 0
   EXPECT_TRUE(sc->Included(Atom::Kind::kConcept, 16, 20));  // "a\x1f"
-  EXPECT_TRUE(sc->Included(Atom::Kind::kConcept, 19, 3));   // 'a''b' → 0.0
+  EXPECT_TRUE(sc->Included(Atom::Kind::kConcept, 19, 4));   // 'a''b' → -0.0
+  EXPECT_FALSE(sc->Included(Atom::Kind::kConcept, 19, 3));
   EXPECT_TRUE(sc->IncludedInverse(Atom::Kind::kRole, 0, 1));
-  EXPECT_TRUE(sc->IsKeyColumn("dkeys", "d"));  // ±0.0 apart, NaN ≠ NaN
+  EXPECT_FALSE(sc->IsKeyColumn("dkeys", "d"));  // the NaNs are one value
   EXPECT_TRUE(sc->IsKeyColumn("dkeys", "s"));
   EXPECT_FALSE(sc->IsKeyColumn("dkeys", "dup"));
   EXPECT_FALSE(sc->IsKeyColumn("nums", "d"));
