@@ -120,7 +120,8 @@ int main(int argc, char** argv) {
                        ".case";
     std::ofstream repro(path);
     repro << "# shrunk from sweep seed " << seed << "\n"
-          << olite::testkit::SerializeCase(shrunk);
+          << olite::testkit::SerializeCase(shrunk).value_or(
+                 "(not writable)\n");
     repros.push_back(olite::bench::JsonObject()
                          .Add("seed", seed)
                          .Add("path", path)

@@ -67,6 +67,18 @@ Status MappingSet::ValidateAssertion(size_t i,
   }
   for (const auto& filt : block.filters) {
     OLITE_RETURN_IF_ERROR(check(filt.col));
+    // A constant of another type than its column matches no row.
+    const rdb::Schema& schema = tables[filt.col.table_index]->schema();
+    const rdb::ValueType column_type =
+        schema.columns[*schema.ColumnIndex(filt.col.column)].type;
+    if (filt.value.type() != column_type) {
+      return Status::InvalidArgument(
+          "mapping #" + std::to_string(i) + ": filter on column '" +
+          filt.col.column + "' of table '" + schema.table_name + "' is " +
+          rdb::ValueTypeName(filt.value.type()) + " " +
+          filt.value.ToString() + ", but the column is " +
+          rdb::ValueTypeName(column_type));
+    }
   }
   return Status::Ok();
 }

@@ -46,8 +46,9 @@ class MappingSet {
   /// concepts, 2 for roles/attributes).
   Status Add(MappingAssertion assertion);
 
-  /// Checks every source query against the database schema (tables and
-  /// columns exist). Call once at OBDA-system construction time.
+  /// Checks every source query against the database schema: tables and
+  /// columns exist, and each constant filter has its column's type. Call
+  /// once at OBDA-system construction time.
   Status Validate(const rdb::Database& db) const;
 
   /// `Validate` for assertion #`i` alone; errors name it "mapping #i".

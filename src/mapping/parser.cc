@@ -1,6 +1,7 @@
 #include "mapping/parser.h"
 
 #include <cctype>
+#include <charconv>
 #include <unordered_map>
 #include <vector>
 
@@ -45,9 +46,16 @@ Result<std::vector<SqlToken>> LexSql(std::string_view sql) {
       out.push_back({SqlToken::Kind::kEquals, "="});
       ++i;
     } else if (c == '\'') {
+      // Up to the closing quote; a doubled quote is one quote of the text,
+      // as `rdb::Value::ToString` writes it.
       std::string value;
-      ++i;
-      while (i < sql.size() && sql[i] != '\'') value += sql[i++];
+      for (++i; i < sql.size(); ++i) {
+        if (sql[i] == '\'') {
+          if (i + 1 >= sql.size() || sql[i + 1] != '\'') break;
+          ++i;
+        }
+        value += sql[i];
+      }
       if (i >= sql.size()) {
         return Status::ParseError("unterminated string literal");
       }
@@ -213,14 +221,25 @@ class SqlParser {
         return Status::Ok();
       }
       case SqlToken::Kind::kNumber: {
+        // A decimal point makes a DOUBLE, else an INT; the whole token must
+        // be one in range.
         const std::string& text = cur().text;
+        const char* end = text.data() + text.size();
+        std::from_chars_result parsed{};
+        rdb::Value value;
         if (text.find('.') != std::string::npos) {
-          pending_filters_.emplace_back(lhs,
-                                        rdb::Value::Double(std::stod(text)));
+          double d = 0;
+          parsed = std::from_chars(text.data(), end, d);
+          value = rdb::Value::Double(d);
         } else {
-          pending_filters_.emplace_back(lhs,
-                                        rdb::Value::Int(std::stoll(text)));
+          int64_t n = 0;
+          parsed = std::from_chars(text.data(), end, n);
+          value = rdb::Value::Int(n);
         }
+        if (parsed.ec != std::errc() || parsed.ptr != end) {
+          return Err("malformed number '" + text + "'");
+        }
+        pending_filters_.emplace_back(lhs, std::move(value));
         ++pos_;
         return Status::Ok();
       }

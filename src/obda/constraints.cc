@@ -4,9 +4,11 @@
 #include <cassert>
 #include <map>
 #include <optional>
+#include <span>
 #include <tuple>
 #include <vector>
 
+#include "common/fault_injection.h"
 #include "common/hash.h"
 #include "rdb/query.h"
 
@@ -25,12 +27,35 @@ Atom::Kind AtomKindOf(mapping::TargetKind kind) {
   return Atom::Kind::kConcept;
 }
 
-using IdTuples = std::vector<uint64_t>;
+// The element-swapped extension of a role: (a, b) becomes (b, a).
+std::shared_ptr<const IdTuples> SwappedTuples(const IdTuples& ext) {
+  auto out = std::make_shared<IdTuples>();
+  out->reserve(ext.size());
+  for (uint64_t t : ext) {
+    const uint64_t a_plus_1 = t >> 32;
+    const uint64_t b = t & 0xFFFFFFFFULL;
+    out->push_back(a_plus_1 == 0 ? t : ((b + 1) << 32) | (a_plus_1 - 1));
+  }
+  std::sort(out->begin(), out->end());
+  return out;
+}
 
-// Encodes a view's rows into sorted, deduplicated id tuples (see
-// SourceConstraints::IdTuples). Values `dict` lacks get `overlay` ids
-// after the dictionary's. Null for a view projecting more than two
-// columns (only constant projections reach one), which stays unknown.
+bool SubsetOf(const IdTuples& sub, const IdTuples& sup) {
+  return std::includes(sup.begin(), sup.end(), sub.begin(), sub.end());
+}
+
+// Rows per batch of the encoder's scan: the columnar engine's batch, so
+// the fault site ticks as often as the filtered scan it replaces.
+constexpr size_t kBatchRows = 1024;
+
+uint64_t Mix64(uint64_t x) {
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+}  // namespace
+
 std::shared_ptr<const IdTuples> EncodeView(const std::vector<rdb::Row>& rows,
                                            const rdb::ValueDictionary* dict,
                                            rdb::ValueDictionary* overlay) {
@@ -60,24 +85,70 @@ std::shared_ptr<const IdTuples> EncodeView(const std::vector<rdb::Row>& rows,
   return out;
 }
 
-// The element-swapped extension of a role: (a, b) becomes (b, a).
-std::shared_ptr<const IdTuples> SwappedTuples(const IdTuples& ext) {
+std::optional<std::shared_ptr<const IdTuples>> EncodeIndexedView(
+    const rdb::SelectBlock& view, const rdb::Database& db,
+    const rdb::SourceIndex& index, uint64_t max_rows) {
+  if (view.from_tables.size() != 1 || !view.joins.empty() ||
+      !view.const_select.empty() || view.select.empty() ||
+      view.select.size() > 2) {
+    return std::nullopt;
+  }
+  auto table = db.GetTable(view.from_tables[0]);
+  if (!table.ok()) return std::nullopt;
+  const rdb::Table& t = **table;
+  auto column = [&](const rdb::ColumnRef& ref) -> std::optional<size_t> {
+    if (ref.table_index != 0) return std::nullopt;
+    return t.schema().ColumnIndex(ref.column);
+  };
+  std::span<const uint32_t> proj[2];
+  for (size_t k = 0; k < view.select.size(); ++k) {
+    const auto col = column(view.select[k]);
+    const auto ids = col ? index.ColumnIds(t, *col) : std::nullopt;
+    if (!ids) return std::nullopt;
+    proj[k] = *ids;
+  }
+  // Each filter as (column ids, wanted id); an absent constant wants
+  // kNoId, which no row holds.
+  std::vector<std::pair<std::span<const uint32_t>, uint32_t>> filters;
+  std::optional<std::span<const uint32_t>> range;  // nullopt: every row
+  for (const rdb::EqConst& f : view.filters) {
+    const auto col = column(f.col);
+    const auto ids = col ? index.ColumnIds(t, *col) : std::nullopt;
+    if (!ids) return std::nullopt;
+    filters.emplace_back(*ids, index.dictionary().Find(f.value));
+    if (!range) range = index.EqualRows(t, *col, f.value);
+  }
+
+  using Tuples = std::shared_ptr<const IdTuples>;
+  if (!fault::InjectAt(fault::Site::kRdbExecute).ok()) return Tuples();
   auto out = std::make_shared<IdTuples>();
-  out->reserve(ext.size());
-  for (uint64_t t : ext) {
-    const uint64_t a_plus_1 = t >> 32;
-    const uint64_t b = t & 0xFFFFFFFFULL;
-    out->push_back(a_plus_1 == 0 ? t : ((b + 1) << 32) | (a_plus_1 - 1));
+  const size_t n = range ? range->size() : t.NumRows();
+  for (size_t base = 0; base < n; base += kBatchRows) {
+    if (!fault::InjectAt(fault::Site::kRdbExecute).ok()) return Tuples();
+    const size_t end = std::min(n, base + kBatchRows);
+    for (size_t k = base; k < end; ++k) {
+      const uint32_t r = range ? (*range)[k] : static_cast<uint32_t>(k);
+      const bool passes = std::all_of(
+          filters.begin(), filters.end(),
+          [r](const auto& f) { return f.first[r] == f.second; });
+      if (!passes) continue;
+      out->push_back(view.select.size() == 1
+                         ? proj[0][r]
+                         : ((uint64_t{proj[0][r]} + 1) << 32) | proj[1][r]);
+    }
   }
   std::sort(out->begin(), out->end());
-  return out;
+  out->erase(std::unique(out->begin(), out->end()), out->end());
+  // `Execute` stops, and fails, once `max_rows` distinct rows are in.
+  if (max_rows != 0 && out->size() >= max_rows) return Tuples();
+  return Tuples(std::move(out));
 }
 
-bool SubsetOf(const IdTuples& sub, const IdTuples& sup) {
-  return std::includes(sup.begin(), sup.end(), sub.begin(), sub.end());
+uint64_t TupleSignature(const IdTuples& tuples) {
+  uint64_t sig = 0;
+  for (uint64_t t : tuples) sig |= uint64_t{1} << (Mix64(t) >> 58);
+  return sig;
 }
-
-}  // namespace
 
 uint64_t MappingViewFingerprint(const mapping::MappingAssertion& m) {
   rdb::SqlQuery q;
@@ -124,7 +195,7 @@ std::unique_ptr<const SourceConstraints> SourceConstraints::InferImpl(
   sc->index_ = index;
   // Retained extensions of the base, indexed by view fingerprint. Equal
   // fingerprints mean equal (kind, predicate, SQL) over the same frozen
-  // database, hence — Execute being deterministic — an identical
+  // database, hence — evaluation being deterministic — an identical
   // extension, so reuse preserves Infer's bit-exact output. Retained ids
   // mean the same values only over the same dictionary and the base's
   // overlay, which this pass extends.
@@ -161,7 +232,6 @@ std::unique_ptr<const SourceConstraints> SourceConstraints::InferImpl(
   // evaluation could fail differently and leave a *partial* swapped set,
   // which would unsoundly certify inverse inclusions).
   std::vector<ViewTuples> views(assertions.size());
-  std::vector<char> view_reused(assertions.size(), 0);
   std::vector<uint64_t>& fps = sc->view_fps_;
   fps.resize(assertions.size());
   std::map<uint64_t, std::vector<size_t>> by_pred;  // deterministic order
@@ -169,25 +239,27 @@ std::unique_ptr<const SourceConstraints> SourceConstraints::InferImpl(
     const mapping::MappingAssertion& m = assertions[i];
     by_pred[PredKey(AtomKindOf(m.kind), m.predicate)].push_back(i);
     fps[i] = MappingViewFingerprint(m);
+    ViewTuples tuples;
     if (auto it = base_views.find(fps[i]); it != base_views.end()) {
-      view_reused[i] = 1;
       // Known base view with the same fingerprint: its extension is what
-      // re-execution would retrieve.
-      views[i] = *it->second;
+      // re-evaluation would retrieve.
+      tuples = *it->second;
       if (reused_views != nullptr) ++*reused_views;
-      if (views[i]->empty()) {
-        sc->view_empty_[i] = 1;
-        ++sc->summary_.empty_views;
-      }
-      continue;
+    } else if (auto direct =
+                   index != nullptr
+                       ? EncodeIndexedView(m.source, db, *index,
+                                           options.max_extension_rows)
+                       : std::nullopt) {
+      tuples = *std::move(direct);
+    } else {
+      rdb::SqlQuery q;
+      q.blocks.push_back(m.source);
+      rdb::EvalOptions eopts;
+      eopts.max_rows = options.max_extension_rows;
+      eopts.index = index;
+      Result<std::vector<rdb::Row>> rows = rdb::Execute(db, q, eopts);
+      if (rows.ok()) tuples = EncodeView(*rows, dict, &overlay);
     }
-    rdb::SqlQuery q;
-    q.blocks.push_back(m.source);
-    rdb::EvalOptions eopts;
-    eopts.max_rows = options.max_extension_rows;
-    eopts.index = index;
-    Result<std::vector<rdb::Row>> rows = rdb::Execute(db, q, eopts);
-    ViewTuples tuples = rows.ok() ? EncodeView(*rows, dict, &overlay) : nullptr;
     if (tuples == nullptr) {
       // Evaluation failure (cap overflow, injected fault, …): the view —
       // and with it the predicate — stays unknown, which disables every
@@ -200,6 +272,12 @@ std::unique_ptr<const SourceConstraints> SourceConstraints::InferImpl(
       ++sc->summary_.empty_views;
     }
     views[i] = std::move(tuples);
+  }
+  // Membership signatures: a subset test runs only when the sub side's
+  // signature is covered by the sup side's.
+  std::vector<uint64_t> view_sigs(assertions.size(), 0);
+  for (size_t i = 0; i < views.size(); ++i) {
+    if (views[i] != nullptr) view_sigs[i] = TupleSignature(*views[i]);
   }
 
   // -- per-predicate extensions + dominated views ----------------------------
@@ -218,50 +296,30 @@ std::unique_ptr<const SourceConstraints> SourceConstraints::InferImpl(
   };
   auto known = [&](size_t i) { return views[i] != nullptr; };
   auto empty = [&](size_t i) { return known(i) && views[i]->empty(); };
-  // Extension of each fully-known predicate, plus the element-swapped
-  // extension for roles (inverse-inclusion checks). Shared so a
-  // single-view predicate aliases its view's extension instead of
-  // copying it (the overwhelmingly common shape).
-  std::map<uint64_t, std::shared_ptr<const IdTuples>> ext;
-  std::map<uint64_t, std::shared_ptr<const IdTuples>> swapped_ext;
-  // Predicates whose full view-fingerprint multiset matches the base with
-  // every view reused: their merged extension is bit-identical to the
-  // base's, so pairwise inclusion verdicts between two such predicates
-  // can be copied from the base instead of re-tested (the expensive part
-  // of a refresh once the view SQL is already skipped). Copying is only
-  // exact when the base itself tested every pair, so a truncated base
-  // disables it.
-  std::unordered_set<uint64_t> unchanged_preds;
-  const bool base_copyable = base != nullptr && base->summary_.complete;
+  // A fully-known, non-empty predicate extension, with the element-swapped
+  // extension for roles (inverse-inclusion checks) and both signatures.
+  // Shared so a single-view predicate aliases its view's extension instead
+  // of copying it (the overwhelmingly common shape). In `by_pred` order,
+  // so the quadratic loop below touches no maps or hash sets.
+  struct ExtEntry {
+    uint64_t key = 0;
+    Atom::Kind kind = Atom::Kind::kConcept;
+    uint32_t id = 0;
+    std::shared_ptr<const IdTuples> ext;
+    std::shared_ptr<const IdTuples> swapped;  // null for non-roles
+    uint64_t sig = 0;
+    uint64_t swapped_sig = 0;
+  };
+  std::vector<ExtEntry> entries;
   for (const auto& [pred_key, view_indices] : by_pred) {
-    std::vector<uint64_t> pred_fps;
-    pred_fps.reserve(view_indices.size());
-    for (size_t i : view_indices) pred_fps.push_back(fps[i]);
-    std::sort(pred_fps.begin(), pred_fps.end());
-    if (base_copyable) {
-      bool all_reused = true;
-      for (size_t i : view_indices) {
-        if (view_reused[i] == 0) {
-          all_reused = false;
-          break;
-        }
-      }
-      if (all_reused) {
-        auto it = base->retained_pred_fps_.find(pred_key);
-        if (it != base->retained_pred_fps_.end() && it->second == pred_fps) {
-          unchanged_preds.insert(pred_key);
-        }
-      }
-    }
-    if (options.retain_view_extensions) {
-      sc->retained_pred_fps_.emplace(pred_key, std::move(pred_fps));
-    }
     ++sc->summary_.predicates;
     PredInfo info;
     bool all_known = true;
     std::shared_ptr<const IdTuples> merged;
+    uint64_t merged_sig = 0;
     if (view_indices.size() == 1 && known(view_indices[0])) {
       merged = views[view_indices[0]];
+      merged_sig = view_sigs[view_indices[0]];
     } else {
       auto built = std::make_shared<IdTuples>();
       for (size_t i : view_indices) {
@@ -270,6 +328,7 @@ std::unique_ptr<const SourceConstraints> SourceConstraints::InferImpl(
           break;
         }
         built->insert(built->end(), views[i]->begin(), views[i]->end());
+        merged_sig |= view_sigs[i];
       }
       std::sort(built->begin(), built->end());
       built->erase(std::unique(built->begin(), built->end()), built->end());
@@ -301,7 +360,7 @@ std::unique_ptr<const SourceConstraints> SourceConstraints::InferImpl(
           continue;
         }
         if (!pair_budget_ok()) break;
-        if (SubsetOf(vi, vj)) {
+        if (MayBeSubset(view_sigs[i], view_sigs[j]) && SubsetOf(vi, vj)) {
           sc->view_dominated_[i] = 1;
           ++sc->summary_.dominated_views;
           break;
@@ -323,71 +382,40 @@ std::unique_ptr<const SourceConstraints> SourceConstraints::InferImpl(
     }
 
     if (all_known && !info.empty) {
-      auto kind = static_cast<Atom::Kind>(pred_key >> 32);
-      if (kind == Atom::Kind::kRole) {
-        swapped_ext[pred_key] = SwappedTuples(*merged);
+      ExtEntry en;
+      en.key = pred_key;
+      en.kind = static_cast<Atom::Kind>(pred_key >> 32);
+      en.id = static_cast<uint32_t>(pred_key);
+      if (en.kind == Atom::Kind::kRole) {
+        en.swapped = SwappedTuples(*merged);
+        en.swapped_sig = TupleSignature(*en.swapped);
       }
-      ext[pred_key] = std::move(merged);
+      en.ext = std::move(merged);
+      en.sig = merged_sig;
+      entries.push_back(std::move(en));
     }
     sc->preds_.emplace(pred_key, info);
   }
 
   // -- pairwise extension inclusions (same kind, both fully known) -----------
-  // Flattened view of `ext` (same deterministic order) so the quadratic
-  // loop touches no maps or hash sets on its hot path.
-  struct ExtEntry {
-    uint64_t key = 0;
-    Atom::Kind kind = Atom::Kind::kConcept;
-    uint32_t id = 0;
-    const IdTuples* ext = nullptr;
-    const IdTuples* swapped = nullptr;  // null for non-roles
-    bool unchanged = false;
-  };
-  std::vector<ExtEntry> entries;
-  entries.reserve(ext.size());
-  for (const auto& [key, e] : ext) {
-    ExtEntry en;
-    en.key = key;
-    en.kind = static_cast<Atom::Kind>(key >> 32);
-    en.id = static_cast<uint32_t>(key);
-    en.ext = e.get();
-    auto sw = swapped_ext.find(key);
-    en.swapped = sw != swapped_ext.end() ? sw->second.get() : nullptr;
-    en.unchanged = unchanged_preds.count(key) != 0;
-    entries.push_back(en);
-  }
   for (const ExtEntry& sub : entries) {
     for (const ExtEntry& sup : entries) {
       if (sup.kind != sub.kind) continue;
-      // Both extensions bit-identical to the base: the base's verdicts
-      // are the recomputation's results. The pair budget still ticks so
-      // truncation behaves exactly as a scratch Infer.
-      const bool copy_pair = sub.unchanged && sup.unchanged;
       // The diagonal matters only for inverse inclusions (symmetric roles).
       if (sup.key != sub.key && sub.ext->size() <= sup.ext->size()) {
         if (!pair_budget_ok()) break;
-        const bool included =
-            copy_pair ? base->included_[static_cast<size_t>(sub.kind)].count(
-                            PairKey(sub.id, sup.id)) != 0
-                      : SubsetOf(*sub.ext, *sup.ext);
-        if (included) {
+        if (MayBeSubset(sub.sig, sup.sig) && SubsetOf(*sub.ext, *sup.ext)) {
           sc->included_[static_cast<size_t>(sub.kind)].insert(
               PairKey(sub.id, sup.id));
           ++sc->summary_.inclusions;
         }
       }
-      if (sub.kind == Atom::Kind::kRole) {
-        if (sub.swapped != nullptr &&
-            sub.swapped->size() <= sup.ext->size()) {
-          if (!pair_budget_ok()) break;
-          const bool included =
-              copy_pair ? base->included_inverse_.count(
-                              PairKey(sub.id, sup.id)) != 0
-                        : SubsetOf(*sub.swapped, *sup.ext);
-          if (included) {
-            sc->included_inverse_.insert(PairKey(sub.id, sup.id));
-            ++sc->summary_.inverse_inclusions;
-          }
+      if (sub.swapped != nullptr && sub.swapped->size() <= sup.ext->size()) {
+        if (!pair_budget_ok()) break;
+        if (MayBeSubset(sub.swapped_sig, sup.sig) &&
+            SubsetOf(*sub.swapped, *sup.ext)) {
+          sc->included_inverse_.insert(PairKey(sub.id, sup.id));
+          ++sc->summary_.inverse_inclusions;
         }
       }
     }

@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -70,6 +71,15 @@ struct ConstraintSummary {
 ///     consumed by the unfolder's self-join merge.
 ///
 /// Instances are immutable after `Infer` and safe to share across threads.
+///
+/// A view extension is a set of `IdTuples`: its tuples encoded through the
+/// source index's dictionary (values it lacks get overlay ids), sorted and
+/// deduplicated. A tuple of arity 1 is its id; one of arity 2 is
+/// `(a + 1) << 32 | b`, so the two arities never collide. Equal id tuples
+/// are exactly equal values under `rdb::Value ==`, so set sizes,
+/// inclusions and the pair budget's order match a value-keyed set.
+using IdTuples = std::vector<uint64_t>;
+
 class SourceConstraints final : public query::ConstraintOracle {
  public:
   /// Runs the inference pass. Never fails: a source-evaluation error or a
@@ -158,14 +168,6 @@ class SourceConstraints final : public query::ConstraintOracle {
     return (static_cast<uint64_t>(sub) << 32) | sup;
   }
 
-  /// A view extension: its tuples encoded through the source index's
-  /// dictionary (values it lacks get overlay ids), sorted and
-  /// deduplicated. A tuple of arity 1 is its id; one of arity 2 is
-  /// `(a + 1) << 32 | b`, so the two arities never collide. Equal id
-  /// tuples are exactly equal type-tagged SQL renderings, so set sizes,
-  /// inclusions and the pair budget's order match a string-keyed set.
-  using IdTuples = std::vector<uint64_t>;
-
   /// One view extension, parallel to `MappingSet::assertions()`. Role
   /// predicates derive their swapped extension from these ids. Null when
   /// the view's evaluation failed or it projects more than two columns
@@ -204,11 +206,6 @@ class SourceConstraints final : public query::ConstraintOracle {
   /// database than the index's); their ids follow the dictionary's. A refresh
   /// starts from this overlay so retained ids keep their meaning.
   rdb::ValueDictionary overlay_;
-  /// Per-predicate sorted view fingerprints (retain_view_extensions
-  /// only). A refresh whose predicate reproduces this multiset — with
-  /// every view reused — has a bit-identical extension, so cross-
-  /// predicate inclusion verdicts can be copied instead of re-tested.
-  std::map<uint64_t, std::vector<uint64_t>> retained_pred_fps_;
   ConstraintSummary summary_;
 };
 
@@ -217,6 +214,37 @@ class SourceConstraints final : public query::ConstraintOracle {
 /// assertions with equal fingerprints retrieve identical extensions from
 /// the same frozen database.
 uint64_t MappingViewFingerprint(const mapping::MappingAssertion& m);
+
+/// Encodes the rows `rdb::Execute` retrieved for a view into its extension.
+/// Values `dict` (nullable) lacks get `overlay` ids after the dictionary's.
+/// Null for a view projecting more than two columns (only constant
+/// projections reach one), which stays unknown.
+std::shared_ptr<const IdTuples> EncodeView(const std::vector<rdb::Row>& rows,
+                                           const rdb::ValueDictionary* dict,
+                                           rdb::ValueDictionary* overlay);
+
+/// Encodes a view straight from `index`'s id columns, equal to
+/// `EncodeView(Execute(db, view, {.max_rows = max_rows}))` without building
+/// a row. It names one-table blocks over a table `index` was built from
+/// that project one or two columns under constant filters; any other shape
+/// (joins, constant projections, unresolved names) is nullopt, for the
+/// caller to run through `Execute`. Otherwise the extension, or null when
+/// the view is unknown: it reached `max_rows` (0 = unlimited) distinct
+/// tuples, or the `kRdbExecute` fault site fired. That site is hit once
+/// per block and once per 1 024 rows read, as the columnar filtered scan
+/// hits it; the rows read are the index range of the first filter, or
+/// every row.
+std::optional<std::shared_ptr<const IdTuples>> EncodeIndexedView(
+    const rdb::SelectBlock& view, const rdb::Database& db,
+    const rdb::SourceIndex& index, uint64_t max_rows);
+
+/// 64-bit membership signature of an extension: tuple `t` sets one bit
+/// chosen by a hash of `t`. `a ⊆ b` implies `MayBeSubset(sig(a), sig(b))`,
+/// so a false screen proves `a ⊄ b` without reading either set.
+uint64_t TupleSignature(const IdTuples& tuples);
+inline bool MayBeSubset(uint64_t sub_sig, uint64_t sup_sig) {
+  return (sub_sig & ~sup_sig) == 0;
+}
 
 }  // namespace olite::obda
 

@@ -137,11 +137,10 @@ struct EvalOptions {
   uint64_t join_order_seed = 0;
   /// Equality index of the database being queried (`DatabaseStats::
   /// index()`). The columnar engine's filtered scan then reads only the
-  /// rows in the index range of a step's first INT or TEXT constant
-  /// filter, still checking every filter on them; DOUBLE filters and
-  /// tables the index was not built from scan in full. Batches, fault
-  /// hits and budget polls count the rows read. The nested-loop engine
-  /// ignores it. May be null.
+  /// rows in the index range of a step's first constant filter, of any
+  /// type, still checking every filter on them; tables the index was not
+  /// built from scan in full. Batches, fault hits and budget polls count
+  /// the rows read. The nested-loop engine ignores it. May be null.
   const SourceIndex* index = nullptr;
   /// Evaluator counters, reset and filled when non-null.
   EvalStats* eval_stats = nullptr;

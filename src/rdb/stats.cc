@@ -118,6 +118,13 @@ std::optional<std::span<const uint32_t>> SourceIndex::EqualRows(
   return std::span<const uint32_t>(range.begin(), range.end());
 }
 
+std::optional<std::span<const uint32_t>> SourceIndex::ColumnIds(
+    const Table& table, size_t col) const {
+  const ColumnIndex* ci = Column(table, col);
+  if (ci == nullptr) return std::nullopt;
+  return std::span<const uint32_t>(ci->ids);
+}
+
 uint64_t SourceIndex::Distinct(const Table& table, size_t col) const {
   const ColumnIndex* ci = Column(table, col);
   return ci == nullptr ? 0 : ci->distinct;

@@ -60,6 +60,11 @@ class SourceIndex {
                                                      size_t col,
                                                      const Value& v) const;
 
+  /// Column `col` of `table` as its row → id array, ids of `dictionary()`,
+  /// or nullopt when `table` is not indexed here (as for `EqualRows`).
+  std::optional<std::span<const uint32_t>> ColumnIds(const Table& table,
+                                                     size_t col) const;
+
   /// Distinct values of column `col` under `Value ==`: one per id, so ±0.0
   /// count twice and every NaN of one sign once.
   uint64_t Distinct(const Table& table, size_t col) const;

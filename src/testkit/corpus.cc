@@ -1,6 +1,8 @@
 #include "testkit/corpus.h"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <optional>
 #include <sstream>
 #include <utility>
@@ -44,11 +46,30 @@ std::string PredicateName(const mapping::MappingAssertion& m,
   return "";
 }
 
+/// A filter constant as the mapping lexer reads it back to the same value:
+/// a DOUBLE keeps a decimal point (`2.0`, `-0.0`), since `2` would lex as
+/// INT. NaN and ±infinity have no spelling in the grammar.
+Result<std::string> RenderConstant(const rdb::Value& v) {
+  if (v.type() != rdb::ValueType::kDouble) return v.ToString();
+  const double d = v.AsDouble();
+  if (!std::isfinite(d)) {
+    return Status::InvalidArgument("the mapping grammar cannot write the "
+                                   "DOUBLE constant " + v.ToString());
+  }
+  // Fixed notation: the lexer reads no exponent.
+  char buf[512];
+  const auto res =
+      std::to_chars(buf, buf + sizeof(buf), d, std::chars_format::fixed);
+  std::string out(buf, res.ptr);
+  if (out.find('.') == std::string::npos) out += ".0";
+  return out;
+}
+
 /// Renders one mapping assertion in the grammar `mapping::ParseMappingLine`
 /// accepts: aliased FROM entries, qualified column refs, AND-joined
-/// equality conditions.
-std::string RenderMapping(const mapping::MappingAssertion& m,
-                          const dllite::Vocabulary& vocab) {
+/// equality conditions. Fails on a filter constant it cannot write.
+Result<std::string> RenderMapping(const mapping::MappingAssertion& m,
+                                  const dllite::Vocabulary& vocab) {
   std::ostringstream os;
   os << PredicateName(m, vocab)
      << (m.kind == mapping::TargetKind::kConcept ? "(x)" : "(x, y)") << " <- ";
@@ -74,8 +95,13 @@ std::string RenderMapping(const mapping::MappingAssertion& m,
           << j.rhs.table_index << "." << j.rhs.column;
   }
   for (const auto& f : m.source.filters) {
+    auto constant = RenderConstant(f.value);
+    if (!constant.ok()) {
+      return Status::InvalidArgument("mapping of " + PredicateName(m, vocab) +
+                                     ": " + constant.status().message());
+    }
     sep() << "t" << f.col.table_index << "." << f.col.column << " = "
-          << f.value.ToString();
+          << *constant;
   }
   return os.str();
 }
@@ -154,7 +180,7 @@ std::vector<std::string> RunCase(const ConformanceCase& c, bool run_tableau) {
   return diffs;
 }
 
-std::string SerializeCase(const ConformanceCase& c) {
+Result<std::string> SerializeCase(const ConformanceCase& c) {
   std::ostringstream os;
   os << "# olite conformance corpus case\n";
   os << "expect " << (c.expect_discrepancy ? "discrepancy" : "agree") << "\n";
@@ -179,7 +205,9 @@ std::string SerializeCase(const ConformanceCase& c) {
   os << "end tables\n";
   os << "begin mappings\n";
   for (const auto& m : c.mappings.assertions()) {
-    os << RenderMapping(m, c.ontology.vocab()) << "\n";
+    OLITE_ASSIGN_OR_RETURN(std::string line,
+                           RenderMapping(m, c.ontology.vocab()));
+    os << line << "\n";
   }
   os << "end mappings\n";
   os << "begin queries\n";

@@ -66,8 +66,10 @@ std::vector<std::string> RunCase(const ConformanceCase& c,
 /// ```
 ///
 /// Every section reuses an existing production parser (ontology, mapping
-/// and query text formats); only `tables` is corpus-specific.
-std::string SerializeCase(const ConformanceCase& c);
+/// and query text formats); only `tables` is corpus-specific. Fails with
+/// kInvalidArgument when a mapping filters on a DOUBLE NaN or ±infinity,
+/// which the mapping grammar cannot write.
+Result<std::string> SerializeCase(const ConformanceCase& c);
 
 /// Parses the corpus format back. Exact round trip:
 /// `ParseCase(SerializeCase(c))` reproduces the case.

@@ -75,10 +75,13 @@ ConformanceCase Recompose(const ConformanceCase& base, const Pieces& p) {
 // mapping, query, table cell and the mutation out by name, so a declared
 // name is dead iff it occurs nowhere outside the declaration lines.
 // Serialise, filter the declarations, reparse (which re-interns compact
-// ids), and adopt the reduced case only if the failure is preserved.
+// ids), and adopt the reduced case only if the failure is preserved. A
+// case the corpus format cannot write keeps its vocabulary.
 ConformanceCase PruneVocabulary(const ConformanceCase& c,
                                 const FailurePredicate& fails) {
-  const std::string text = SerializeCase(c);
+  const auto serialized = SerializeCase(c);
+  if (!serialized.ok()) return c;
+  const std::string& text = *serialized;
   auto is_name_char = [](char ch) {
     return std::isalnum(static_cast<unsigned char>(ch)) != 0 || ch == '_';
   };

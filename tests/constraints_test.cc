@@ -16,6 +16,7 @@
 #include "benchgen/workload.h"
 #include "common/fault_injection.h"
 #include "common/hash.h"
+#include "common/rng.h"
 #include "mapping/mapping.h"
 #include "obda/compiled_ontology.h"
 #include "obda/constraints.h"
@@ -222,6 +223,149 @@ TEST(SourceConstraints, ExtensionCapLeavesFactsUnknown) {
   EXPECT_TRUE(sc->Included(Atom::Kind::kConcept, 0, 0));
 }
 
+// The index encoder against the row path it replaces, on random one-table
+// views over INT, DOUBLE (±0.0, ±NaN) and TEXT (a quote, the unit
+// separator) columns: 0–3 filters, absent and cross-type constants among
+// them, one or two projected columns (the same one twice too), and row
+// caps the view may reach. Runs under both engines.
+TEST(SourceConstraints, IndexEncodingEqualsExecute) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<Value> ints = {Value::Int(0), Value::Int(1),
+                                   Value::Int(-1), Value::Int(2)};
+  const std::vector<Value> doubles = {
+      Value::Double(0.0), Value::Double(-0.0), Value::Double(nan),
+      Value::Double(-nan), Value::Double(1.0),  Value::Double(2.5)};
+  const std::vector<Value> strs = {Value::Str("a"), Value::Str("a'b"),
+                                   Value::Str("\x1f"), Value::Str("b\x1f"),
+                                   Value::Str("1"),  Value::Str("")};
+  Database db;
+  // `k` is nearly a key, so a row the encoder drops shows in its views.
+  ASSERT_TRUE(db.CreateTable({"mixed",
+                              {{"i", ValueType::kInt},
+                               {"d", ValueType::kDouble},
+                               {"s", ValueType::kString},
+                               {"k", ValueType::kInt}}})
+                  .ok());
+  Rng rng(11);
+  auto pick = [&rng](const std::vector<Value>& pool) {
+    return pool[rng.Uniform(pool.size())];
+  };
+  // Over 1 024 rows, so an unfiltered view reads several batches.
+  for (int r = 0; r < 2500; ++r) {
+    ASSERT_TRUE(db.Insert("mixed", {pick(ints), pick(doubles), pick(strs),
+                                    Value::Int(r % 2000)})
+                    .ok());
+  }
+  std::vector<Value> constants = ints;
+  constants.insert(constants.end(), doubles.begin(), doubles.end());
+  constants.insert(constants.end(), strs.begin(), strs.end());
+  for (Value absent : {Value::Int(99), Value::Double(9.5), Value::Str("zz")}) {
+    constants.push_back(std::move(absent));
+  }
+  const std::vector<std::string> columns = {"i", "d", "s", "k"};
+  const auto stats = rdb::DatabaseStats::Collect(db);
+  const rdb::SourceIndex& index = *stats.index();
+
+  size_t capped = 0, empty = 0, filled = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    SelectBlock view;
+    view.from_tables = {"mixed"};
+    const size_t arity = 1 + rng.Uniform(2);
+    for (size_t k = 0; k < arity; ++k) {
+      view.select.push_back({0, columns[rng.Uniform(columns.size())]});
+    }
+    const size_t num_filters = rng.Uniform(4);
+    for (size_t k = 0; k < num_filters; ++k) {
+      view.filters.push_back(
+          {{0, columns[rng.Uniform(columns.size())]}, pick(constants)});
+    }
+    const uint64_t max_rows = trial % 4 == 0 ? 1 + rng.Uniform(12) : 20000;
+
+    auto direct = EncodeIndexedView(view, db, index, max_rows);
+    ASSERT_TRUE(direct.has_value());
+    rdb::SqlQuery q;
+    q.blocks = {view};
+    rdb::EvalOptions eopts;
+    eopts.max_rows = max_rows;
+    eopts.index = &index;
+    auto rows = rdb::Execute(db, q, eopts);
+    rdb::ValueDictionary overlay;
+    auto want =
+        rows.ok() ? EncodeView(*rows, &index.dictionary(), &overlay) : nullptr;
+    EXPECT_EQ(overlay.size(), 0u);  // every cell is in the dictionary
+    const std::string where = "trial " + std::to_string(trial) + ": " +
+                              q.ToString() + " cap " +
+                              std::to_string(max_rows);
+    ASSERT_EQ(*direct == nullptr, want == nullptr) << where;
+    if (want == nullptr) {
+      ++capped;
+      continue;
+    }
+    EXPECT_EQ(**direct, *want) << where;
+    ++(want->empty() ? empty : filled);
+  }
+  // The sweep reaches every outcome.
+  EXPECT_GT(capped, 0u);
+  EXPECT_GT(empty, 0u);
+  EXPECT_GT(filled, 0u);
+
+  // Shapes the index cannot name go to `Execute`.
+  auto declined = [&](SelectBlock view, const rdb::SourceIndex& idx) {
+    return !EncodeIndexedView(view, db, idx, 0).has_value();
+  };
+  SelectBlock base;
+  base.from_tables = {"mixed"};
+  base.select = {{0, "i"}};
+  EXPECT_FALSE(declined(base, index));
+  SelectBlock joined = base;
+  joined.joins = {{{0, "i"}, {0, "d"}}};
+  EXPECT_TRUE(declined(joined, index));
+  SelectBlock tagged = base;
+  tagged.const_select = {{1, Value::Str("k")}};
+  EXPECT_TRUE(declined(tagged, index));
+  SelectBlock wide = base;
+  wide.select = {{0, "i"}, {0, "d"}, {0, "s"}};
+  EXPECT_TRUE(declined(wide, index));
+  SelectBlock two_tables = base;
+  two_tables.from_tables = {"mixed", "mixed"};
+  EXPECT_TRUE(declined(two_tables, index));
+  SelectBlock ghost_column = base;
+  ghost_column.filters = {{{0, "nope"}, Value::Int(0)}};
+  EXPECT_TRUE(declined(ghost_column, index));
+  const Database other;
+  EXPECT_TRUE(declined(base, *rdb::DatabaseStats::Collect(other).index()));
+}
+
+// A subset's signature is covered by its superset's, so the screen never
+// skips a test that would succeed; it does reject most unrelated pairs.
+TEST(SourceConstraints, SignatureScreenKeepsEverySubset) {
+  Rng rng(5);
+  size_t rejected = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    // Arity-1 ids from a small or a large range, or arity-2 tuples.
+    const uint64_t range = trial % 3 == 0 ? 40 : 100000;
+    auto draw = [&] {
+      const uint64_t a = rng.Uniform(range);
+      return trial % 2 == 0 ? a : ((a + 1) << 32) | rng.Uniform(range);
+    };
+    IdTuples sup(rng.Uniform(200));
+    for (uint64_t& t : sup) t = draw();
+    std::sort(sup.begin(), sup.end());
+    sup.erase(std::unique(sup.begin(), sup.end()), sup.end());
+    IdTuples sub;
+    for (uint64_t t : sup) {
+      if (rng.Chance(0.3)) sub.push_back(t);
+    }
+    EXPECT_TRUE(MayBeSubset(TupleSignature(sub), TupleSignature(sup)))
+        << "trial " << trial;
+    IdTuples other(1 + rng.Uniform(8));
+    for (uint64_t& t : other) t = draw();
+    if (!MayBeSubset(TupleSignature(other), TupleSignature(sub))) ++rejected;
+  }
+  EXPECT_EQ(TupleSignature({}), 0u);
+  EXPECT_GT(rejected, 1000u);
+}
+
 TEST(SourceConstraints, PairBudgetBoundsInclusionWork) {
   Database db;
   ASSERT_TRUE(db.CreateTable({"t", {{"s", ValueType::kString}}}).ok());
@@ -324,10 +468,6 @@ TEST(SourceConstraintsFuzz, DegradedInferenceKeepsAnswersExact) {
 // A fault on a batch of the indexed equality scan a filtered view runs
 // degrades that view, and only it, to unknown.
 TEST(SourceConstraintsFuzz, FaultInIndexedScanLeavesViewUnknown) {
-  if (rdb::ResolveEvalEngine(rdb::EvalEngine::kDefault) !=
-      rdb::EvalEngine::kColumnar) {
-    GTEST_SKIP() << "only the columnar engine scans index ranges";
-  }
   Database db;
   ASSERT_TRUE(db.CreateTable({"facts",
                               {{"kind", ValueType::kString},

@@ -95,6 +95,82 @@ TEST(MappingParserTest, Errors) {
             StatusCode::kParseError);
 }
 
+// A doubled quote inside a string literal is one quote, as
+// `rdb::SqlQuery::ToString` writes it, so its rendering parses back.
+TEST(MappingParserTest, DoubledQuoteIsOneQuote) {
+  auto v = Vocab();
+  auto m = ParseMappingLine(
+      "Professor(x) <- SELECT t0.eid FROM emp t0 WHERE t0.s = 'a''b' AND "
+      "t0.g = ''''",
+      v);
+  ASSERT_TRUE(m.ok()) << m.status().ToString();
+  ASSERT_EQ(m->source.filters.size(), 2u);
+  EXPECT_EQ(m->source.filters[0].value, rdb::Value::Str("a'b"));
+  EXPECT_EQ(m->source.filters[1].value, rdb::Value::Str("'"));
+  rdb::SqlQuery q;
+  q.blocks = {m->source};
+  auto again = ParseMappingLine("Professor(x) <- " + q.ToString(), v);
+  ASSERT_TRUE(again.ok()) << q.ToString() << ": "
+                          << again.status().ToString();
+  ASSERT_EQ(again->source.filters.size(), 2u);
+  EXPECT_EQ(again->source.filters[0].value, rdb::Value::Str("a'b"));
+  EXPECT_EQ(again->source.filters[1].value, rdb::Value::Str("'"));
+  for (const char* bad : {"'a''", "'''", "'a'''b'"}) {
+    EXPECT_FALSE(ParseMappingLine(
+                     std::string("Professor(x) <- SELECT eid FROM emp WHERE "
+                                 "s = ") + bad,
+                     v)
+                     .ok())
+        << bad;
+  }
+}
+
+// A constant filter must have its column's type: `d = 2` on a DOUBLE
+// column is INT 2, which no cell of that column equals.
+TEST(MappingParserTest, FilterConstantsMustHaveTheColumnType) {
+  auto v = Vocab();
+  rdb::Database db;
+  ASSERT_TRUE(db.CreateTable({"emp",
+                              {{"eid", rdb::ValueType::kString},
+                               {"d", rdb::ValueType::kDouble},
+                               {"n", rdb::ValueType::kInt}}})
+                  .ok());
+  auto validate = [&](const std::string& where) {
+    MappingSet set;
+    auto m = ParseMappingLine(
+        "Professor(x) <- SELECT eid FROM emp WHERE " + where, v);
+    EXPECT_TRUE(m.ok()) << m.status().ToString();
+    EXPECT_TRUE(set.Add(*std::move(m)).ok());
+    return set.Validate(db);
+  };
+  EXPECT_TRUE(validate("d = 2.0").ok());
+  EXPECT_TRUE(validate("d = -0.0").ok());
+  EXPECT_TRUE(validate("n = 2").ok());
+  EXPECT_TRUE(validate("eid = '2'").ok());
+  const Status wrong = validate("d = 2");
+  EXPECT_EQ(wrong.code(), StatusCode::kInvalidArgument);
+  for (const char* part : {"mapping #0", "'d'", "'emp'", "INT", "DOUBLE"}) {
+    EXPECT_NE(wrong.message().find(part), std::string::npos)
+        << part << " in " << wrong.message();
+  }
+  EXPECT_TRUE(validate("d = 0.0000001").ok());
+  // A number that is no INT or DOUBLE is a parse error, never a throw.
+  for (const char* bad : {"n = 99999999999999999999", "d = 1.2.3", "n = -",
+                          "d = 1e999"}) {
+    EXPECT_EQ(ParseMappingLine(
+                  std::string("Professor(x) <- SELECT eid FROM emp WHERE ") +
+                      bad,
+                  v)
+                  .status()
+                  .code(),
+              StatusCode::kParseError)
+        << bad;
+  }
+  EXPECT_FALSE(validate("n = 2.0").ok());
+  EXPECT_FALSE(validate("n = '2'").ok());
+  EXPECT_FALSE(validate("eid = 2").ok());
+}
+
 // Adversarial mapping texts: malformed heads, truncated SQL, unterminated
 // literals, and junk must all surface as clean errors — never a crash.
 TEST(MappingParserTest, AdversarialInputsNeverCrash) {
