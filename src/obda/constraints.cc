@@ -6,8 +6,11 @@
 #include <optional>
 #include <span>
 #include <tuple>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "common/exec_budget.h"
 #include "common/fault_injection.h"
 #include "common/hash.h"
 #include "rdb/query.h"
@@ -52,6 +55,51 @@ uint64_t Mix64(uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
+}
+
+// One extension of a superset search. Extensions of different groups (an
+// atom kind, or one predicate's sibling views) are never compared.
+struct Member {
+  uint64_t group;
+  const IdTuples* tuples;
+};
+
+// Calls `visit(a, h)` for every asker `a` and holder `h` of one group where
+// `holders[h]` holds the first tuple of `askers[a]`. A superset of a
+// non-empty sorted extension holds its first tuple, so `visit`, which runs
+// the subset test, sees every superset. One scan over the holders' tuples,
+// most of them stopped by a 64K-bit screen of the asked keys, collects the
+// holders of each asked key. Mix64 is a bijection, so within one group a
+// key names exactly one tuple and each holder is listed once per key.
+template <class Visit>
+void ForEachHolderOfFirstTuple(std::span<const Member> askers,
+                               std::span<const Member> holders, Visit visit) {
+  auto key = [](uint64_t group, uint64_t t) { return Mix64(t ^ Mix64(group)); };
+  std::vector<uint64_t> screen(1024, 0);  // bit k >> 48 of every asked key
+  std::unordered_map<uint64_t, std::vector<uint32_t>> held;
+  for (const Member& a : askers) {
+    if (a.tuples->empty()) continue;
+    const uint64_t k = key(a.group, a.tuples->front());
+    screen[k >> 54] |= uint64_t{1} << (k >> 48 & 63);
+    held.try_emplace(k);
+  }
+  for (size_t h = 0; h < holders.size(); ++h) {
+    const uint64_t group_hash = Mix64(holders[h].group);
+    for (uint64_t t : *holders[h].tuples) {
+      const uint64_t k = Mix64(t ^ group_hash);
+      if ((screen[k >> 54] >> (k >> 48 & 63) & 1) == 0) continue;
+      if (auto it = held.find(k); it != held.end()) {
+        it->second.push_back(static_cast<uint32_t>(h));
+      }
+    }
+  }
+  for (size_t a = 0; a < askers.size(); ++a) {
+    const Member& asker = askers[a];
+    if (asker.tuples->empty()) continue;
+    for (uint32_t h : held.at(key(asker.group, asker.tuples->front()))) {
+      if (holders[h].group == asker.group) visit(a, h);
+    }
+  }
 }
 
 }  // namespace
@@ -139,15 +187,9 @@ std::optional<std::shared_ptr<const IdTuples>> EncodeIndexedView(
   }
   std::sort(out->begin(), out->end());
   out->erase(std::unique(out->begin(), out->end()), out->end());
-  // `Execute` stops, and fails, once `max_rows` distinct rows are in.
-  if (max_rows != 0 && out->size() >= max_rows) return Tuples();
+  // `Execute` keeps `max_rows` distinct rows and fails on one more.
+  if (max_rows != 0 && out->size() > max_rows) return Tuples();
   return Tuples(std::move(out));
-}
-
-uint64_t TupleSignature(const IdTuples& tuples) {
-  uint64_t sig = 0;
-  for (uint64_t t : tuples) sig |= uint64_t{1} << (Mix64(t) >> 58);
-  return sig;
 }
 
 uint64_t MappingViewFingerprint(const mapping::MappingAssertion& m) {
@@ -254,8 +296,9 @@ std::unique_ptr<const SourceConstraints> SourceConstraints::InferImpl(
     } else {
       rdb::SqlQuery q;
       q.blocks.push_back(m.source);
+      const ExecBudget budget({.max_rows = options.max_extension_rows});
       rdb::EvalOptions eopts;
-      eopts.max_rows = options.max_extension_rows;
+      eopts.budget = &budget;
       eopts.index = index;
       Result<std::vector<rdb::Row>> rows = rdb::Execute(db, q, eopts);
       if (rows.ok()) tuples = EncodeView(*rows, dict, &overlay);
@@ -273,42 +316,41 @@ std::unique_ptr<const SourceConstraints> SourceConstraints::InferImpl(
     }
     views[i] = std::move(tuples);
   }
-  // Membership signatures: a subset test runs only when the sub side's
-  // signature is covered by the sup side's.
-  std::vector<uint64_t> view_sigs(assertions.size(), 0);
-  for (size_t i = 0; i < views.size(); ++i) {
-    if (views[i] != nullptr) view_sigs[i] = TupleSignature(*views[i]);
-  }
-
-  // -- per-predicate extensions + dominated views ----------------------------
-  uint64_t pair_tests = 0;
-  auto pairs_spent = [&]() {
-    return options.max_inclusion_pairs != 0 &&
-           pair_tests >= options.max_inclusion_pairs;
-  };
-  auto pair_budget_ok = [&]() {
-    if (pairs_spent()) {
-      sc->summary_.complete = false;
-      return false;
-    }
-    ++pair_tests;
-    return true;
-  };
   auto known = [&](size_t i) { return views[i] != nullptr; };
-  auto empty = [&](size_t i) { return known(i) && views[i]->empty(); };
+
+  // -- dominated views --------------------------------------------------------
+  // A view contained in a sibling view contributes nothing to the union.
+  // Equal views keep the earliest index; strict subsets may chain but never
+  // cycle, so the retained set still covers the predicate's full extension.
+  static const IdTuples kNoTuples;
+  std::vector<Member> siblings(views.size(), {0, &kNoTuples});
+  for (const auto& [pred_key, view_indices] : by_pred) {
+    if (view_indices.size() < 2) continue;
+    for (size_t i : view_indices) {
+      if (known(i)) siblings[i] = {pred_key, views[i].get()};
+    }
+  }
+  ForEachHolderOfFirstTuple(siblings, siblings, [&](size_t i, size_t j) {
+    const IdTuples& vi = *views[i];
+    const IdTuples& vj = *views[j];
+    if (j == i || sc->view_dominated_[i] || vi.size() > vj.size() ||
+        (vi.size() == vj.size() && j > i) || !SubsetOf(vi, vj)) {
+      return;
+    }
+    sc->view_dominated_[i] = 1;
+    ++sc->summary_.dominated_views;
+  });
+
+  // -- per-predicate extensions ----------------------------------------------
   // A fully-known, non-empty predicate extension, with the element-swapped
-  // extension for roles (inverse-inclusion checks) and both signatures.
-  // Shared so a single-view predicate aliases its view's extension instead
-  // of copying it (the overwhelmingly common shape). In `by_pred` order,
-  // so the quadratic loop below touches no maps or hash sets.
+  // extension for roles (inverse-inclusion checks). Shared so a single-view
+  // predicate aliases its view's extension instead of copying it (the
+  // overwhelmingly common shape).
   struct ExtEntry {
-    uint64_t key = 0;
     Atom::Kind kind = Atom::Kind::kConcept;
     uint32_t id = 0;
     std::shared_ptr<const IdTuples> ext;
     std::shared_ptr<const IdTuples> swapped;  // null for non-roles
-    uint64_t sig = 0;
-    uint64_t swapped_sig = 0;
   };
   std::vector<ExtEntry> entries;
   for (const auto& [pred_key, view_indices] : by_pred) {
@@ -316,10 +358,8 @@ std::unique_ptr<const SourceConstraints> SourceConstraints::InferImpl(
     PredInfo info;
     bool all_known = true;
     std::shared_ptr<const IdTuples> merged;
-    uint64_t merged_sig = 0;
     if (view_indices.size() == 1 && known(view_indices[0])) {
       merged = views[view_indices[0]];
-      merged_sig = view_sigs[view_indices[0]];
     } else {
       auto built = std::make_shared<IdTuples>();
       for (size_t i : view_indices) {
@@ -328,7 +368,6 @@ std::unique_ptr<const SourceConstraints> SourceConstraints::InferImpl(
           break;
         }
         built->insert(built->end(), views[i]->begin(), views[i]->end());
-        merged_sig |= view_sigs[i];
       }
       std::sort(built->begin(), built->end());
       built->erase(std::unique(built->begin(), built->end()), built->end());
@@ -346,36 +385,10 @@ std::unique_ptr<const SourceConstraints> SourceConstraints::InferImpl(
       if (info.empty) ++sc->summary_.empty_predicates;
     }
 
-    // Dominated views: a view contained in a sibling view contributes
-    // nothing to the union. Equal views keep the earliest index; strict
-    // subsets may chain but never cycle, so the retained set still covers
-    // the predicate's full extension.
-    for (size_t i : view_indices) {
-      if (!known(i) || empty(i)) continue;
-      for (size_t j : view_indices) {
-        if (j == i || !known(j)) continue;
-        const auto& vi = *views[i];
-        const auto& vj = *views[j];
-        if (vi.size() > vj.size() || (vi.size() == vj.size() && j > i)) {
-          continue;
-        }
-        if (!pair_budget_ok()) break;
-        if (MayBeSubset(view_sigs[i], view_sigs[j]) && SubsetOf(vi, vj)) {
-          sc->view_dominated_[i] = 1;
-          ++sc->summary_.dominated_views;
-          break;
-        }
-      }
-      if (pairs_spent()) break;
-    }
-
-    size_t retained = 0;
-    for (size_t i : view_indices) {
-      if (known(i) && (empty(i) || sc->view_dominated_[i])) {
-        continue;
-      }
-      ++retained;
-    }
+    const auto retained =
+        std::count_if(view_indices.begin(), view_indices.end(), [&](size_t i) {
+          return !known(i) || (!views[i]->empty() && !sc->view_dominated_[i]);
+        });
     if (retained == 1 && all_known && !info.empty) {
       sc->exact_.insert(pred_key);
       ++sc->summary_.exact_mappings;
@@ -383,44 +396,49 @@ std::unique_ptr<const SourceConstraints> SourceConstraints::InferImpl(
 
     if (all_known && !info.empty) {
       ExtEntry en;
-      en.key = pred_key;
       en.kind = static_cast<Atom::Kind>(pred_key >> 32);
       en.id = static_cast<uint32_t>(pred_key);
-      if (en.kind == Atom::Kind::kRole) {
-        en.swapped = SwappedTuples(*merged);
-        en.swapped_sig = TupleSignature(*en.swapped);
-      }
+      if (en.kind == Atom::Kind::kRole) en.swapped = SwappedTuples(*merged);
       en.ext = std::move(merged);
-      en.sig = merged_sig;
       entries.push_back(std::move(en));
     }
     sc->preds_.emplace(pred_key, info);
   }
 
-  // -- pairwise extension inclusions (same kind, both fully known) -----------
-  for (const ExtEntry& sub : entries) {
-    for (const ExtEntry& sup : entries) {
-      if (sup.kind != sub.kind) continue;
-      // The diagonal matters only for inverse inclusions (symmetric roles).
-      if (sup.key != sub.key && sub.ext->size() <= sup.ext->size()) {
-        if (!pair_budget_ok()) break;
-        if (MayBeSubset(sub.sig, sup.sig) && SubsetOf(*sub.ext, *sup.ext)) {
-          sc->included_[static_cast<size_t>(sub.kind)].insert(
-              PairKey(sub.id, sup.id));
-          ++sc->summary_.inclusions;
-        }
-      }
-      if (sub.swapped != nullptr && sub.swapped->size() <= sup.ext->size()) {
-        if (!pair_budget_ok()) break;
-        if (MayBeSubset(sub.swapped_sig, sup.sig) &&
-            SubsetOf(*sub.swapped, *sup.ext)) {
-          sc->included_inverse_.insert(PairKey(sub.id, sup.id));
-          ++sc->summary_.inverse_inclusions;
-        }
-      }
-    }
-    if (pairs_spent()) break;
+  // -- extension inclusions (same kind, both fully known) --------------------
+  // Every extension asks for its supersets among the extensions, and every
+  // role's swapped extension too: the diagonal matters only for inverse
+  // inclusions (symmetric roles).
+  std::vector<Member> askers;
+  for (const ExtEntry& en : entries) {
+    askers.push_back({static_cast<uint64_t>(en.kind), en.ext.get()});
   }
+  std::vector<size_t> inverse_of;  // askers past the entries: their role
+  for (size_t e = 0; e < entries.size(); ++e) {
+    if (entries[e].swapped == nullptr) continue;
+    askers.push_back({askers[e].group, entries[e].swapped.get()});
+    inverse_of.push_back(e);
+  }
+  const std::span<const Member> exts(askers.data(), entries.size());
+  ForEachHolderOfFirstTuple(askers, exts, [&](size_t a, size_t h) {
+    const ExtEntry& sup = entries[h];
+    if (a >= exts.size()) {
+      const ExtEntry& sub = entries[inverse_of[a - exts.size()]];
+      if (sub.swapped->size() <= sup.ext->size() &&
+          SubsetOf(*sub.swapped, *sup.ext)) {
+        sc->included_inverse_.insert(PairKey(sub.id, sup.id));
+        ++sc->summary_.inverse_inclusions;
+      }
+      return;
+    }
+    const ExtEntry& sub = entries[a];
+    if (a != h && sub.ext->size() <= sup.ext->size() &&
+        SubsetOf(*sub.ext, *sup.ext)) {
+      sc->included_[static_cast<size_t>(sub.kind)].insert(
+          PairKey(sub.id, sup.id));
+      ++sc->summary_.inclusions;
+    }
+  });
 
   if (options.retain_view_extensions) {
     sc->retained_views_ = std::move(views);

@@ -19,17 +19,14 @@
 namespace olite::obda {
 
 /// Caps on the constraint-inference pass (it runs once at `Compile` time,
-/// but mapping programs and sources are user-supplied, so it still needs
-/// bounds). On hitting a cap the affected predicate or pair is recorded as
+/// but mapping programs and sources are user-supplied, so extension sizes
+/// still need a bound). A view or predicate past the cap is recorded as
 /// *unknown* — which every consumer treats as "no constraint", keeping
-/// truncated inference sound.
+/// truncated inference sound. Every pair of known extensions is decided.
 struct ConstraintInferenceOptions {
-  /// A predicate whose retrieved extension exceeds this many tuples is
-  /// left unknown (0 = unlimited).
+  /// A view or predicate whose extension exceeds this many tuples is left
+  /// unknown; one with exactly this many is known (0 = unlimited).
   uint64_t max_extension_rows = 20000;
-  /// Total pairwise inclusion tests across all predicate pairs
-  /// (0 = unlimited).
-  uint64_t max_inclusion_pairs = 20000;
   /// Retain each assertion's retrieved extension inside the result, keyed
   /// by a content fingerprint of the view, so a later `Refresh` can skip
   /// re-evaluating views whose mapping (and hence SQL) did not change.
@@ -49,7 +46,7 @@ struct ConstraintSummary {
   size_t dominated_views = 0;     ///< assertions subsumed by a sibling view
   size_t empty_views = 0;         ///< assertions retrieving nothing
   size_t key_columns = 0;         ///< (table, column) keys from DatabaseStats
-  /// False when a cap or a source-evaluation error left something unknown.
+  /// False when the row cap or a failed view left something unknown.
   bool complete = true;
 
   std::string ToString() const;
@@ -76,8 +73,8 @@ struct ConstraintSummary {
 /// source index's dictionary (values it lacks get overlay ids), sorted and
 /// deduplicated. A tuple of arity 1 is its id; one of arity 2 is
 /// `(a + 1) << 32 | b`, so the two arities never collide. Equal id tuples
-/// are exactly equal values under `rdb::Value ==`, so set sizes,
-/// inclusions and the pair budget's order match a value-keyed set.
+/// are exactly equal values under `rdb::Value ==`, so set sizes and
+/// inclusions match a value-keyed set.
 using IdTuples = std::vector<uint64_t>;
 
 class SourceConstraints final : public query::ConstraintOracle {
@@ -224,27 +221,19 @@ std::shared_ptr<const IdTuples> EncodeView(const std::vector<rdb::Row>& rows,
                                            rdb::ValueDictionary* overlay);
 
 /// Encodes a view straight from `index`'s id columns, equal to
-/// `EncodeView(Execute(db, view, {.max_rows = max_rows}))` without building
-/// a row. It names one-table blocks over a table `index` was built from
-/// that project one or two columns under constant filters; any other shape
-/// (joins, constant projections, unresolved names) is nullopt, for the
-/// caller to run through `Execute`. Otherwise the extension, or null when
-/// the view is unknown: it reached `max_rows` (0 = unlimited) distinct
-/// tuples, or the `kRdbExecute` fault site fired. That site is hit once
-/// per block and once per 1 024 rows read, as the columnar filtered scan
-/// hits it; the rows read are the index range of the first filter, or
-/// every row.
+/// `EncodeView(Execute(db, view))` under a `kRows` quota of `max_rows`,
+/// without building a row. It names one-table blocks over a table `index`
+/// was built from that project one or two columns under constant filters;
+/// any other shape (joins, constant projections, unresolved names) is
+/// nullopt, for the caller to run through `Execute`. Otherwise the
+/// extension, or null when the view is unknown: it holds more than
+/// `max_rows` (0 = unlimited) distinct tuples, or the `kRdbExecute` fault
+/// site fired. That site is hit once per block and once per 1 024 rows
+/// read, as the columnar filtered scan hits it; the rows read are the
+/// index range of the first filter, or every row.
 std::optional<std::shared_ptr<const IdTuples>> EncodeIndexedView(
     const rdb::SelectBlock& view, const rdb::Database& db,
     const rdb::SourceIndex& index, uint64_t max_rows);
-
-/// 64-bit membership signature of an extension: tuple `t` sets one bit
-/// chosen by a hash of `t`. `a ⊆ b` implies `MayBeSubset(sig(a), sig(b))`,
-/// so a false screen proves `a ⊄ b` without reading either set.
-uint64_t TupleSignature(const IdTuples& tuples);
-inline bool MayBeSubset(uint64_t sub_sig, uint64_t sup_sig) {
-  return (sub_sig & ~sup_sig) == 0;
-}
 
 }  // namespace olite::obda
 

@@ -30,11 +30,6 @@ bool EvalSink::Emit(Row row) {
                                       " rows"));
     return false;
   }
-  if (max_rows_ != 0 && rows_.size() >= max_rows_) {
-    Exhaust(Status::ResourceExhausted(
-        "rdb: row cap of " + std::to_string(max_rows_) + " reached"));
-    return false;
-  }
   return true;
 }
 

@@ -41,19 +41,18 @@ struct ResolvedBlock {
 };
 
 /// The result accumulator both engines emit into: a hashed distinct-row
-/// set (O(1) dedup per emitted row) plus the shared budget/row-cap
-/// bookkeeping. `stopped` latches once a cap is hit; `exhausted` carries
+/// set (O(1) dedup per emitted row) plus the shared budget bookkeeping.
+/// `stopped` latches once the budget stops evaluation; `exhausted` carries
 /// the reason (the caller decides between degrading and failing). The
 /// final result is sorted once on extraction, so the deterministic
 /// (ordered) output contract of `Execute` is preserved.
 class EvalSink {
  public:
-  EvalSink(const ExecBudget* budget, uint64_t max_rows)
-      : budget_(budget), max_rows_(max_rows) {}
+  explicit EvalSink(const ExecBudget* budget) : budget_(budget) {}
 
-  /// Inserts a distinct row. Returns false once evaluation must stop (row
-  /// quota or cap hit — the row that blew a budget quota is *not* kept, so
-  /// the result set stays exactly at the cap).
+  /// Inserts a distinct row. Returns false once evaluation must stop (the
+  /// row that blew the kRows quota is *not* kept, so the result set stays
+  /// exactly at the cap).
   bool Emit(Row row);
 
   /// Counts one scanned source row and polls the budget every 256 rows.
@@ -74,7 +73,6 @@ class EvalSink {
  private:
   std::unordered_set<Row, ValueVecHasher> rows_;
   const ExecBudget* budget_ = nullptr;
-  uint64_t max_rows_ = 0;
   uint64_t scanned_ = 0;
   bool stop_ = false;
   Status exhausted_;
@@ -151,7 +149,7 @@ std::vector<BlockProgram> CompilePlan(const std::vector<ResolvedBlock>& blocks,
 /// range of `options.index` when set, see `EvalOptions::index`), hash
 /// joins and projection, with the fault site `kRdbExecute` firing once per
 /// block and once per batch, and the budget polled per row read. Returns
-/// non-OK only for an injected fault; budget/cap exhaustion latches in the
+/// non-OK only for an injected fault; budget exhaustion latches in the
 /// sink.
 /// `blocks_done` (optional) counts fully evaluated blocks; `stats`
 /// (optional) accumulates evaluator counters.

@@ -239,7 +239,7 @@ Result<std::vector<Row>> EvalResolvedBlocks(
     const std::vector<columnar::BlockProgram>* programs,
     const EvalOptions& options) {
   const EvalEngine engine = ResolveEvalEngine(options.engine);
-  EvalSink sink(options.budget, options.max_rows);
+  EvalSink sink(options.budget);
   EvalStats local_stats;
   EvalStats* stats =
       options.eval_stats != nullptr ? options.eval_stats : &local_stats;

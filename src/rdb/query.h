@@ -120,8 +120,6 @@ struct EvalOptions {
   /// deadline/cancellation flag is polled every few hundred scanned source
   /// rows (per batch under the columnar engine). May be null.
   const ExecBudget* budget = nullptr;
-  /// Local distinct-row cap, independent of any budget (0 = unlimited).
-  uint64_t max_rows = 0;
   /// On exhaustion return the rows found so far (a sound subset) instead
   /// of kResourceExhausted.
   bool allow_partial = false;

@@ -528,13 +528,16 @@ TEST(ColumnarTest, RowCapTruncatesWithDegradationUnderBothEngines) {
   Database db = UniversityDb();
   SqlQuery q = ProfessorCoursesQuery();
   for (EvalEngine engine : {EvalEngine::kColumnar, EvalEngine::kNestedLoop}) {
+    const ExecBudget hard_budget({.max_rows = 2});
     EvalOptions opts;
     opts.engine = engine;
-    opts.max_rows = 2;
+    opts.budget = &hard_budget;
     auto hard = Execute(db, q, opts);
     EXPECT_EQ(hard.status().code(), StatusCode::kResourceExhausted)
         << EvalEngineName(engine);
+    const ExecBudget soft_budget({.max_rows = 2});
     Degradation degradation;
+    opts.budget = &soft_budget;
     opts.allow_partial = true;
     opts.degradation = &degradation;
     auto soft = Execute(db, q, opts);
@@ -547,6 +550,28 @@ TEST(ColumnarTest, RowCapTruncatesWithDegradationUnderBothEngines) {
     for (const Row& row : *soft) {
       EXPECT_NE(std::find(full->begin(), full->end(), row), full->end());
     }
+  }
+}
+
+// The row cap keeps exactly N distinct rows: a result of N rows passes a
+// cap of N, and one of N + 1 rows fails it.
+TEST(ColumnarTest, RowCapOfNKeepsExactlyNRowsUnderBothEngines) {
+  Database db = UniversityDb();
+  SqlQuery q = ProfessorCoursesQuery();  // 3 distinct rows
+  for (EvalEngine engine : {EvalEngine::kColumnar, EvalEngine::kNestedLoop}) {
+    auto capped = [&](uint64_t cap) {
+      const ExecBudget budget({.max_rows = cap});
+      EvalOptions opts;
+      opts.engine = engine;
+      opts.budget = &budget;
+      return Execute(db, q, opts);
+    };
+    auto at_cap = capped(3);
+    ASSERT_TRUE(at_cap.ok()) << EvalEngineName(engine) << ": "
+                             << at_cap.status().ToString();
+    EXPECT_EQ(at_cap->size(), 3u) << EvalEngineName(engine);
+    EXPECT_EQ(capped(2).status().code(), StatusCode::kResourceExhausted)
+        << EvalEngineName(engine);
   }
 }
 
