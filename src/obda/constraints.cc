@@ -164,7 +164,9 @@ std::optional<std::shared_ptr<const IdTuples>> EncodeIndexedView(
     const auto ids = col ? index.ColumnIds(t, *col) : std::nullopt;
     if (!ids) return std::nullopt;
     filters.emplace_back(*ids, index.dictionary().Find(f.value));
-    if (!range) range = index.EqualRows(t, *col, f.value);
+    // `ids` above shows the table is indexed, so `rows` is set.
+    const auto rows = index.EqualRows(t, *col, f.value);
+    if (!range || rows->size() < range->size()) range = rows;
   }
 
   using Tuples = std::shared_ptr<const IdTuples>;
@@ -231,7 +233,7 @@ std::unique_ptr<const SourceConstraints> SourceConstraints::InferImpl(
     const rdb::DatabaseStats& stats, const ConstraintInferenceOptions& options,
     const SourceConstraints* base, uint64_t* reused_views) {
   auto sc = std::unique_ptr<SourceConstraints>(new SourceConstraints);
-  const rdb::SourceIndex* index = stats.index();
+  const rdb::SourceIndex* index = stats.index().get();
   const rdb::ValueDictionary* dict =
       index != nullptr ? &index->dictionary() : nullptr;
   sc->index_ = index;
@@ -296,11 +298,13 @@ std::unique_ptr<const SourceConstraints> SourceConstraints::InferImpl(
     } else {
       rdb::SqlQuery q;
       q.blocks.push_back(m.source);
+      auto plan =
+          rdb::PreparedPlan::Prepare(db, std::move(q), {.stats = &stats});
       const ExecBudget budget({.max_rows = options.max_extension_rows});
       rdb::EvalOptions eopts;
       eopts.budget = &budget;
-      eopts.index = index;
-      Result<std::vector<rdb::Row>> rows = rdb::Execute(db, q, eopts);
+      Result<std::vector<rdb::Row>> rows =
+          plan.ok() ? rdb::Execute(*plan, eopts) : plan.status();
       if (rows.ok()) tuples = EncodeView(*rows, dict, &overlay);
     }
     if (tuples == nullptr) {

@@ -230,7 +230,7 @@ std::shared_ptr<const IdTuples> EncodeView(const std::vector<rdb::Row>& rows,
 /// `max_rows` (0 = unlimited) distinct tuples, or the `kRdbExecute` fault
 /// site fired. That site is hit once per block and once per 1 024 rows
 /// read, as the columnar filtered scan hits it; the rows read are the
-/// index range of the first filter, or every row.
+/// shortest index range among the filters, or every row.
 std::optional<std::shared_ptr<const IdTuples>> EncodeIndexedView(
     const rdb::SelectBlock& view, const rdb::Database& db,
     const rdb::SourceIndex& index, uint64_t max_rows);

@@ -269,7 +269,8 @@ Result<std::vector<AnswerTuple>> QueryEngine::Execute(
   if (stats != nullptr) stats->rewrite = rstats;
   compiled_plan.rewrite = rstats;
   if (sql.ok()) {
-    // Load-time statistics drive the columnar engine's join ordering.
+    // Load-time statistics drive the columnar engine's join ordering, and
+    // their source index binds each step's equality range.
     rdb::PrepareOptions popts;
     popts.stats = &compiled_->db_stats();
     stage_sw.Reset();
@@ -514,8 +515,12 @@ Result<ConsistencyReport> QueryEngine::CheckConsistency() const {
       if (sql.status().code() == StatusCode::kNotFound) continue;  // unmapped
       return sql.status();
     }
-    OLITE_ASSIGN_OR_RETURN(std::vector<rdb::Row> rows,
-                           rdb::Execute(compiled_->database(), *sql));
+    OLITE_ASSIGN_OR_RETURN(
+        rdb::PreparedPlan plan,
+        rdb::PreparedPlan::Prepare(compiled_->database(),
+                                   std::move(sql).value(),
+                                   {.stats = &compiled_->db_stats()}));
+    OLITE_ASSIGN_OR_RETURN(std::vector<rdb::Row> rows, rdb::Execute(plan));
     std::set<std::string> seen_keys;
     for (const auto& row : rows) {
       std::string key = row[key_position].ToName();

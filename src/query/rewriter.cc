@@ -290,11 +290,20 @@ class Rewriter::Impl {
       }
       local.minimize_us = stage_sw.ElapsedMicros();
     }
-    // Deterministic order.
-    std::sort(out.disjuncts.begin(), out.disjuncts.end(),
-              [&](const ConjunctiveQuery& a, const ConjunctiveQuery& b) {
-                return a.ToString(vocab_) < b.ToString(vocab_);
-              });
+    // Deterministic order: by rendering, each rendered once; equal
+    // renderings keep their relative order.
+    std::vector<std::pair<std::string, size_t>> keys;
+    keys.reserve(out.disjuncts.size());
+    for (size_t i = 0; i < out.disjuncts.size(); ++i) {
+      keys.emplace_back(out.disjuncts[i].ToString(vocab_), i);
+    }
+    std::sort(keys.begin(), keys.end());
+    std::vector<ConjunctiveQuery> sorted;
+    sorted.reserve(keys.size());
+    for (const auto& [key, i] : keys) {
+      sorted.push_back(std::move(out.disjuncts[i]));
+    }
+    out.disjuncts = std::move(sorted);
     local.final_disjuncts = out.disjuncts.size();
     if (stats != nullptr) *stats = local;
     return out;

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <optional>
 #include <random>
-#include <span>
 #include <string_view>
 
 #include "common/fault_injection.h"
@@ -240,6 +238,7 @@ BlockProgram CompileBlock(const ResolvedBlock& block, const BlockShape& shape,
     step.orig_index = t;
     step.filters = shape.tables[t].filters;
     step.self_eq = shape.tables[t].self_eq;
+    if (!block.ranges.empty()) step.range = block.ranges[t];
     for (const Edge& e : shape.edges) {
       size_t a = e.t1, ca = e.c1, b = e.t2, cb = e.c2;
       // Apply each edge at the later-bound endpoint.
@@ -286,27 +285,15 @@ bool RowPasses(const Step& step, const Row& row) {
   return true;
 }
 
-// The rows holding the value of a step's first constant filter, ascending,
-// when `index` covers the step's table; nullopt means read every row.
-std::optional<std::span<const uint32_t>> IndexedRange(
-    const Step& step, const SourceIndex* index) {
-  if (index == nullptr || step.filters.empty()) return std::nullopt;
-  const auto& [col, value] = step.filters.front();
-  return index->EqualRows(*step.table, col, value);
-}
-
-// Batched filtered scan of a step's table, or of its indexed range when
-// `index` covers the table, into ascending row indices. Fault site and
-// batch counter tick once per batch of rows read; the sink polls the
-// budget per row read. Sets *aborted (and returns OK) when the sink stops
-// evaluation.
-Status FilterScan(const Step& step, const SourceIndex* index, EvalSink* sink,
-                  EvalStats* stats, std::vector<uint32_t>* out,
-                  bool* aborted) {
+// Batched filtered scan of a step's bound range, or of its whole table when
+// it has none, into ascending row indices. Fault site and batch counter
+// tick once per batch of rows read; the sink polls the budget per row read.
+// Sets *aborted (and returns OK) when the sink stops evaluation.
+Status FilterScan(const Step& step, EvalSink* sink, EvalStats* stats,
+                  std::vector<uint32_t>* out, bool* aborted) {
   const auto& rows = step.table->rows();
-  const auto range = IndexedRange(step, index);
-  const uint32_t* range_rows = range ? range->data() : nullptr;
-  const size_t n = range ? range->size() : rows.size();
+  const uint32_t* range_rows = step.range ? step.range->data() : nullptr;
+  const size_t n = step.range ? step.range->size() : rows.size();
   for (size_t base = 0; base < n; base += kBatchRows) {
     OLITE_RETURN_IF_ERROR(fault::InjectAt(fault::Site::kRdbExecute));
     if (stats != nullptr) ++stats->batches;
@@ -336,13 +323,11 @@ void AppendTuple(const Chunk& prefix, size_t i, uint32_t r, Chunk* next) {
 // join columns, batched probe over the prefix tuples (cross product when no
 // join predicate connects the step).
 Status JoinStep(const std::vector<Step>& steps, size_t k, const Chunk& prefix,
-                const SourceIndex* index, EvalSink* sink, EvalStats* stats,
-                Chunk* next, bool* aborted) {
+                EvalSink* sink, EvalStats* stats, Chunk* next, bool* aborted) {
   const Step& step = steps[k];
   if (prefix.rows == 0) return Status::Ok();  // short-circuit: stays empty
   std::vector<uint32_t> matches;
-  OLITE_RETURN_IF_ERROR(
-      FilterScan(step, index, sink, stats, &matches, aborted));
+  OLITE_RETURN_IF_ERROR(FilterScan(step, sink, stats, &matches, aborted));
   if (*aborted || matches.empty()) return Status::Ok();
   if (step.joins.empty()) {
     // Cross product (rare: a disconnected FROM entry).
@@ -438,9 +423,8 @@ std::vector<BlockProgram> CompilePlan(const std::vector<ResolvedBlock>& blocks,
   return programs;
 }
 
-Status EvalPlan(const std::vector<BlockProgram>& programs,
-                const EvalOptions& options, EvalSink* sink, EvalStats* stats,
-                size_t* blocks_done) {
+Status EvalPlan(const std::vector<BlockProgram>& programs, EvalSink* sink,
+                EvalStats* stats, size_t* blocks_done) {
   // Only prefixes appearing in ≥2 blocks are worth materialising in the
   // shared cache.
   std::unordered_map<std::string, size_t> key_blocks;
@@ -471,12 +455,12 @@ Status EvalPlan(const std::vector<BlockProgram>& programs,
       auto next = std::make_shared<Chunk>();
       next->cols.resize(k + 1);
       if (k == 0) {
-        OLITE_RETURN_IF_ERROR(FilterScan(step, options.index, sink, stats,
-                                         &next->cols[0], &aborted));
+        OLITE_RETURN_IF_ERROR(
+            FilterScan(step, sink, stats, &next->cols[0], &aborted));
         next->rows = next->cols[0].size();
       } else {
-        OLITE_RETURN_IF_ERROR(JoinStep(prog.steps, k, *cur, options.index,
-                                       sink, stats, next.get(), &aborted));
+        OLITE_RETURN_IF_ERROR(JoinStep(prog.steps, k, *cur, sink, stats,
+                                       next.get(), &aborted));
       }
       if (aborted) break;  // partial intermediate: never cache it
       cur = std::move(next);

@@ -3,6 +3,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -38,6 +40,13 @@ struct ResolvedBlock {
   /// `select_positions[i]` is the coordinate `select[i]` writes into.
   Row row_template;
   std::vector<size_t> select_positions;
+  /// Per FROM entry, the shortest `SourceIndex` range among the entry's
+  /// constant filters (ascending row order; empty when a filter's
+  /// constant is absent). Empty vector, or nullopt for an entry: read
+  /// every row. Bound once by `PreparedPlan::Prepare` from the
+  /// statistics' index, which the plan keeps alive; the columnar engine
+  /// reads them, the nested-loop engine does not.
+  std::vector<std::optional<std::span<const uint32_t>>> ranges;
 };
 
 /// The result accumulator both engines emit into: a hashed distinct-row
@@ -89,7 +98,8 @@ struct JoinPred {
 };
 
 /// One step of a block program: bind `table` (the `orig_index`-th FROM
-/// entry), apply its local filters/self-equalities, and hash-join it to
+/// entry) by reading `range` (every row when nullopt), apply its local
+/// filters/self-equalities to each row read, and hash-join it to
 /// the prefix via `joins` (empty joins on a non-first step = cross
 /// product). `prefix_key` canonically identifies the sub-join computed by
 /// the plan prefix ending at this step — two blocks whose prefixes render
@@ -102,6 +112,7 @@ struct Step {
   std::vector<std::pair<size_t, size_t>> self_eq;
   std::vector<JoinPred> joins;
   std::string prefix_key;
+  std::optional<std::span<const uint32_t>> range;
 };
 
 /// Where a projected output column comes from: step `step_pos`, column
@@ -145,17 +156,16 @@ std::vector<BlockProgram> CompilePlan(const std::vector<ResolvedBlock>& blocks,
                                       const DatabaseStats* stats,
                                       uint64_t shuffle_seed = 0);
 
-/// Evaluates the compiled plan into `sink`: batched scans (of the equality
-/// range of `options.index` when set, see `EvalOptions::index`), hash
-/// joins and projection, with the fault site `kRdbExecute` firing once per
-/// block and once per batch, and the budget polled per row read. Returns
+/// Evaluates the compiled plan into `sink`: batched scans of each step's
+/// bound index range (of every row when it has none), hash joins and
+/// projection, with the fault site `kRdbExecute` firing once per block and
+/// once per batch of rows read, and the budget polled per row read. Returns
 /// non-OK only for an injected fault; budget exhaustion latches in the
 /// sink.
 /// `blocks_done` (optional) counts fully evaluated blocks; `stats`
 /// (optional) accumulates evaluator counters.
-Status EvalPlan(const std::vector<BlockProgram>& programs,
-                const EvalOptions& options, EvalSink* sink, EvalStats* stats,
-                size_t* blocks_done);
+Status EvalPlan(const std::vector<BlockProgram>& programs, EvalSink* sink,
+                EvalStats* stats, size_t* blocks_done);
 
 }  // namespace columnar
 }  // namespace olite::rdb

@@ -230,10 +230,25 @@ Status ValidateArity(const SqlQuery& query) {
   return Status::Ok();
 }
 
+// Binds each FROM entry of `block` to the shortest index range among its
+// constant filters; entries without filters, or over tables `index` does
+// not cover, keep nullopt (read every row).
+void BindRanges(const SourceIndex& index, ResolvedBlock* block) {
+  block->ranges.assign(block->tables.size(), std::nullopt);
+  for (const auto& [ref, value] : block->filters) {
+    auto range =
+        index.EqualRows(*block->tables[ref.table_index], ref.column_index,
+                        value);
+    auto& bound = block->ranges[ref.table_index];
+    if (range && (!bound || range->size() < bound->size())) bound = range;
+  }
+}
+
 // Shared evaluation core of both Execute overloads: dispatch to the
 // selected engine, then apply the common truncation/degradation protocol.
 // `programs` may be null (ad-hoc path under the nested-loop engine, or a
-// join_order_seed recompilation below).
+// join_order_seed recompilation below, which reads the blocks' bound
+// ranges like the prepared programs do).
 Result<std::vector<Row>> EvalResolvedBlocks(
     const std::vector<ResolvedBlock>& blocks,
     const std::vector<columnar::BlockProgram>* programs,
@@ -253,8 +268,8 @@ Result<std::vector<Row>> EvalResolvedBlocks(
           columnar::CompilePlan(blocks, nullptr, options.join_order_seed);
       programs = &recompiled;
     }
-    OLITE_RETURN_IF_ERROR(columnar::EvalPlan(*programs, options, &sink,
-                                             stats, &blocks_done));
+    OLITE_RETURN_IF_ERROR(
+        columnar::EvalPlan(*programs, &sink, stats, &blocks_done));
   } else {
     OLITE_RETURN_IF_ERROR(EvalNestedLoop(blocks, &sink, stats, &blocks_done));
   }
@@ -276,6 +291,8 @@ Result<std::vector<Row>> EvalResolvedBlocks(
 }  // namespace
 
 struct PreparedPlan::Resolved {
+  /// Keeps the spans of `blocks[*].ranges` valid; null without statistics.
+  std::shared_ptr<const SourceIndex> index;
   std::vector<ResolvedBlock> blocks;
   /// Columnar programs compiled once at preparation time (with statistics
   /// when the caller supplied them). The nested-loop engine and the
@@ -287,9 +304,11 @@ Result<PreparedPlan> PreparedPlan::Prepare(const Database& db, SqlQuery query,
                                            const PrepareOptions& options) {
   OLITE_RETURN_IF_ERROR(ValidateArity(query));
   auto resolved = std::make_shared<Resolved>();
+  if (options.stats != nullptr) resolved->index = options.stats->index();
   resolved->blocks.reserve(query.blocks.size());
   for (const auto& block : query.blocks) {
     OLITE_ASSIGN_OR_RETURN(ResolvedBlock r, ResolveBlock(db, block));
+    if (resolved->index != nullptr) BindRanges(*resolved->index, &r);
     resolved->blocks.push_back(std::move(r));
   }
   resolved->programs = columnar::CompilePlan(resolved->blocks, options.stats);

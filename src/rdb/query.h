@@ -112,7 +112,6 @@ struct EvalStats {
 };
 
 class DatabaseStats;  // rdb/stats.h
-class SourceIndex;    // rdb/stats.h
 
 /// Budget controls for `Execute`.
 struct EvalOptions {
@@ -130,16 +129,10 @@ struct EvalOptions {
   EvalEngine engine = EvalEngine::kDefault;
   /// Test hook: with a non-zero seed the columnar engine replaces the
   /// cost-based join order of every block by a seeded random permutation
-  /// (recompiled per call). Answers must not change — the conformance
-  /// metamorphic check sweeps seeds to prove it.
+  /// (recompiled per call, reading the plan's bound index ranges). Answers
+  /// must not change — the conformance metamorphic check sweeps seeds to
+  /// prove it.
   uint64_t join_order_seed = 0;
-  /// Equality index of the database being queried (`DatabaseStats::
-  /// index()`). The columnar engine's filtered scan then reads only the
-  /// rows in the index range of a step's first constant filter, of any
-  /// type, still checking every filter on them; tables the index was not
-  /// built from scan in full. Batches, fault hits and budget polls count
-  /// the rows read. The nested-loop engine ignores it. May be null.
-  const SourceIndex* index = nullptr;
   /// Evaluator counters, reset and filled when non-null.
   EvalStats* eval_stats = nullptr;
 };
@@ -153,10 +146,12 @@ Result<std::vector<Row>> Execute(const Database& db, const SqlQuery& query,
 
 /// Options for `PreparedPlan::Prepare`.
 struct PrepareOptions {
-  /// Table statistics driving the columnar engine's cost-based join
-  /// ordering, collected at load time (`DatabaseStats::Collect`; the
-  /// `CompiledOntology` snapshot does this once at `Compile`). Null keeps
-  /// the written join order. Only read during `Prepare`.
+  /// Table statistics collected at load time (`DatabaseStats::Collect`;
+  /// the `CompiledOntology` snapshot does this once at `Compile`). They
+  /// drive the columnar engine's cost-based join ordering, and their
+  /// `SourceIndex` binds each step's equality range (see `PreparedPlan`).
+  /// Null keeps the written join order and reads every row. Only read
+  /// during `Prepare`.
   const DatabaseStats* stats = nullptr;
 };
 
@@ -164,6 +159,16 @@ struct PrepareOptions {
 /// column) positions and the SQL text rendered once at preparation time,
 /// so repeated executions (plan-cache hits) skip both name resolution and
 /// re-rendering.
+///
+/// Prepared with statistics, the plan also binds the source index: each
+/// FROM entry with constant filters is resolved once to the index range of
+/// its shortest filter, and the columnar engine reads only those rows,
+/// still checking every filter and self-equality on them (the fault site
+/// fires per batch and the budget is polled per row read). An absent
+/// constant binds an empty range; a table the index does not cover reads
+/// every row, as does the nested-loop engine, the full-scan referee. The
+/// plan shares ownership of the index, so the ranges stay valid for as
+/// long as any copy of the plan lives.
 ///
 /// The plan borrows the `Table` objects of the database it was prepared
 /// against: that database must outlive the plan and must not be mutated
@@ -174,8 +179,8 @@ class PreparedPlan {
  public:
   /// Resolves every block against `db` (schema validation included),
   /// renders the SQL text, and compiles the columnar block programs —
-  /// with statistics-driven join ordering and shared-prefix clustering
-  /// when `options.stats` is supplied.
+  /// with statistics-driven join ordering, shared-prefix clustering and
+  /// bound index ranges when `options.stats` is supplied.
   static Result<PreparedPlan> Prepare(const Database& db, SqlQuery query,
                                       const PrepareOptions& options);
   static Result<PreparedPlan> Prepare(const Database& db, SqlQuery query);

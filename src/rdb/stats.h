@@ -112,8 +112,8 @@ struct TableStats {
 /// Statistics for every table of a database, collected once at load time
 /// (the `CompiledOntology` snapshot computes them at `Compile`) and
 /// consumed by the columnar evaluator's cost-based join ordering. They
-/// carry the database's `SourceIndex`, which constraint inference reads;
-/// copies share it.
+/// carry the database's `SourceIndex`, which prepared plans and constraint
+/// inference read; copies share it.
 class DatabaseStats {
  public:
   DatabaseStats() = default;
@@ -131,7 +131,8 @@ class DatabaseStats {
   bool empty() const { return tables_.empty(); }
 
   /// The index `Collect` built; null for default-constructed stats.
-  const SourceIndex* index() const { return index_.get(); }
+  /// Prepared plans share ownership of it.
+  const std::shared_ptr<const SourceIndex>& index() const { return index_; }
 
  private:
   std::map<std::string, TableStats> tables_;

@@ -287,11 +287,12 @@ TEST(SourceConstraints, IndexEncodingEqualsExecute) {
     ASSERT_TRUE(direct.has_value());
     rdb::SqlQuery q;
     q.blocks = {view};
+    auto plan = rdb::PreparedPlan::Prepare(db, q, {.stats = &stats});
+    ASSERT_TRUE(plan.ok()) << q.ToString();
     const ExecBudget budget({.max_rows = max_rows});
     rdb::EvalOptions eopts;
     eopts.budget = &budget;
-    eopts.index = &index;
-    auto rows = rdb::Execute(db, q, eopts);
+    auto rows = rdb::Execute(*plan, eopts);
     rdb::ValueDictionary overlay;
     auto want =
         rows.ok() ? EncodeView(*rows, &index.dictionary(), &overlay) : nullptr;

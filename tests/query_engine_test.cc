@@ -3,14 +3,18 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "mapping/mapping.h"
 #include "obda/compiled_ontology.h"
+#include "obda/delta.h"
 #include "obda/query_engine.h"
+#include "obda/serving_engine.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "testkit/chase_oracle.h"
 
 namespace olite::obda {
 namespace {
@@ -686,6 +690,132 @@ TEST(QueryEngineTest, ConsistencyReportIsAValue) {
   EXPECT_TRUE(report->violations.empty());
   // Consistency probes bypass the plan cache entirely.
   EXPECT_EQ(engine.cache_metrics().entries, 0u);
+}
+
+// ---- answering over the source index --------------------------------------
+
+// Red, Green and Blue map onto one shared `facts` table, each selecting its
+// own `kind`, as generated specs map many predicates onto one table: 300
+// rows, 100 per kind.
+struct SharedTableFixture {
+  static constexpr uint64_t kTableRows = 300;
+  static constexpr uint64_t kKindRows = 100;
+  Ontology onto;
+  Database db;
+  MappingSet mappings;
+
+  SharedTableFixture() {
+    auto r = dllite::ParseOntology(R"(
+concept Red Green Blue Warm
+Red <= Warm
+)");
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    onto = std::move(r).value();
+    EXPECT_TRUE(db.CreateTable({"facts",
+                                {{"kind", ValueType::kString},
+                                 {"id", ValueType::kString}}})
+                    .ok());
+    const char* kinds[] = {"red", "green", "blue"};
+    for (uint64_t row = 0; row < kTableRows; ++row) {
+      EXPECT_TRUE(db.Insert("facts", {Value::Str(kinds[row % 3]),
+                                      Value::Str("i" + std::to_string(row))})
+                      .ok());
+    }
+    const char* concepts[] = {"Red", "Green", "Blue"};
+    for (size_t k = 0; k < 3; ++k) {
+      SelectBlock view;
+      view.from_tables = {"facts"};
+      view.select = {{0, "id"}};
+      view.filters = {{{0, "kind"}, Value::Str(kinds[k])}};
+      EXPECT_TRUE(mappings
+                      .Add(MappingAssertion::ForConcept(
+                          onto.vocab().FindConcept(concepts[k]).value(),
+                          view))
+                      .ok());
+    }
+  }
+};
+
+// Rows a one-block answer over `facts` reads: the kind's index range
+// under the columnar engine, the whole table under the nested-loop
+// referee.
+uint64_t ExpectedRowsRead(const AnswerStats& stats) {
+  return std::string(stats.eval.engine) == "columnar"
+             ? SharedTableFixture::kKindRows
+             : SharedTableFixture::kTableRows;
+}
+
+TEST(QueryEngineTest, SharedTableViewsReadTheirIndexRange) {
+  SharedTableFixture fx;
+  Ontology chase_onto = fx.onto;
+  auto abox = mapping::MaterializeABox(fx.mappings, fx.db, &chase_onto.vocab());
+  ASSERT_TRUE(abox.ok()) << abox.status().ToString();
+  const testkit::ChaseOracle chase(chase_onto.tbox(), chase_onto.vocab(),
+                                   *abox, 2);
+  auto snapshot = CompiledOntology::Compile(
+      std::move(fx.onto), std::move(fx.mappings), std::move(fx.db),
+      query::RewriteMode::kClassified);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  QueryEngine engine(*snapshot);  // the OLITE_EVAL_ENGINE default
+  QueryEngineOptions nested_opts;
+  nested_opts.engine = rdb::EvalEngine::kNestedLoop;
+  QueryEngine nested(*snapshot, nested_opts);
+  for (const char* q : {"q(x) :- Red(x)", "q(x) :- Warm(x)"}) {
+    for (bool hot : {false, true}) {
+      AnswerStats stats;
+      auto got = engine.Answer(q, &stats);
+      ASSERT_TRUE(got.ok()) << q << ": " << got.status().ToString();
+      EXPECT_EQ(stats.cache.hit, hot) << q;
+      ASSERT_EQ(stats.sql_blocks, 1u) << q;
+      EXPECT_EQ(stats.eval.rows_scanned, ExpectedRowsRead(stats)) << q;
+      EXPECT_EQ(got->size(), SharedTableFixture::kKindRows) << q;
+      auto referee = nested.Answer(q);
+      ASSERT_TRUE(referee.ok()) << q;
+      EXPECT_EQ(Sorted(*got), Sorted(*referee)) << q;
+      auto cq = query::ParseQuery(q, chase_onto.vocab());
+      ASSERT_TRUE(cq.ok()) << q;
+      EXPECT_EQ(Sorted(*got), chase.CertainAnswers(*cq)) << q;
+    }
+  }
+}
+
+// A plan that `InheritPlans` carries across `RefreshAndSwap` keeps its
+// bound range: the hit on the new epoch reads the kind's rows only.
+TEST(QueryEngineTest, InheritedPlanStillReadsItsIndexRange) {
+  SharedTableFixture fx;
+  const auto blue = fx.onto.vocab().FindConcept("Blue").value();
+  const auto green = fx.onto.vocab().FindConcept("Green").value();
+  auto snapshot = CompiledOntology::Compile(
+      std::move(fx.onto), std::move(fx.mappings), std::move(fx.db),
+      query::RewriteMode::kClassified);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  ServingEngineOptions opts;
+  opts.engine.enable_metrics = false;
+  ServingEngine serving(*snapshot, opts);
+  const char* q = "q(x) :- Red(x)";
+  auto before = serving.Answer(q);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+
+  // `Blue <= Green` changes Green's rewriting and leaves Red's alone.
+  dllite::ConceptInclusion ax;
+  ax.lhs = dllite::BasicConcept::Atomic(blue);
+  ax.rhs = dllite::RhsConcept::Positive(dllite::BasicConcept::Atomic(green));
+  OntologyDelta delta;
+  delta.add_concept_inclusions.push_back(ax);
+  DeltaSwapStats ds;
+  auto epoch = serving.RefreshAndSwap(delta, &ds);
+  ASSERT_TRUE(epoch.ok()) << epoch.status().ToString();
+  ASSERT_EQ(ds.plans_migrated, 1u);
+  // Retire the first snapshot: the inherited plan owns what it reads.
+  snapshot->reset();
+
+  AnswerStats stats;
+  auto after = serving.Answer(q, AnswerOptions{}, &stats);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_TRUE(stats.cache.hit);
+  EXPECT_EQ(stats.serve.epoch, *epoch);
+  EXPECT_EQ(stats.eval.rows_scanned, ExpectedRowsRead(stats));
+  EXPECT_EQ(Sorted(*after), Sorted(*before));
 }
 
 }  // namespace

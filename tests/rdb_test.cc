@@ -324,18 +324,21 @@ TEST(ValueIdentity, FromNameInvertsToName) {
 }
 
 /// Rows of `q` under the nested-loop engine, and under the columnar engine
-/// with and without the source index.
+/// with and without the source index: a plan prepared with statistics
+/// reads index ranges, one prepared without reads every row.
 std::vector<std::vector<Row>> RowsUnderEveryEngine(const Database& db,
                                                    const SqlQuery& q) {
   const DatabaseStats stats = DatabaseStats::Collect(db);
   std::vector<std::vector<Row>> out;
-  const SourceIndex* none = nullptr;
-  for (const SourceIndex* index : {stats.index(), none}) {
+  const DatabaseStats* none = nullptr;
+  for (const DatabaseStats* with : {&stats, none}) {
+    auto plan = PreparedPlan::Prepare(db, q, {.stats = with});
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    if (!plan.ok()) continue;
     for (EvalEngine engine : {EvalEngine::kNestedLoop, EvalEngine::kColumnar}) {
       EvalOptions opts;
       opts.engine = engine;
-      opts.index = index;
-      auto rows = Execute(db, q, opts);
+      auto rows = Execute(*plan, opts);
       EXPECT_TRUE(rows.ok()) << rows.status().ToString();
       out.push_back(rows.ok() ? *rows : std::vector<Row>{});
     }
@@ -725,14 +728,16 @@ TEST(SourceIndexTest, IndexedScanEqualsFullScanAndNestedLoop) {
       b2.filters.push_back({{0, "s"}, texts[pick(texts.size())]});
       q.blocks.push_back(b2);
     }
+    auto full_plan = PreparedPlan::Prepare(db, q);
+    auto indexed_plan = PreparedPlan::Prepare(db, q, {.stats = &stats});
+    ASSERT_TRUE(full_plan.ok() && indexed_plan.ok()) << q.ToString();
     EvalStats full_stats, indexed_stats;
     EvalOptions opts;
     opts.engine = EvalEngine::kColumnar;
     opts.eval_stats = &full_stats;
-    auto full = Execute(db, q, opts);
-    opts.index = stats.index();
+    auto full = Execute(*full_plan, opts);
     opts.eval_stats = &indexed_stats;
-    auto indexed = Execute(db, q, opts);
+    auto indexed = Execute(*indexed_plan, opts);
     auto nested = RunWith(db, q, EvalEngine::kNestedLoop);
     ASSERT_TRUE(full.ok() && indexed.ok() && nested.ok()) << q.ToString();
     EXPECT_EQ(Rendered(*indexed), Rendered(*full)) << q.ToString();
@@ -764,12 +769,13 @@ TEST(SourceIndexTest, FaultSiteFiresPerBatchOfTheIndexedRange) {
   b.select = {{0, "v"}};
   b.filters = {{{0, "k"}, Value::Str("even")}};
   q.blocks.push_back(b);
+  auto prepared = PreparedPlan::Prepare(db, q, {.stats = &stats});
+  ASSERT_TRUE(prepared.ok());
   EvalOptions opts;
   opts.engine = EvalEngine::kColumnar;
-  opts.index = stats.index();
   auto& injector = fault::Injector::Global();
   injector.Arm(fault::Site::kRdbExecute, {});
-  auto clean = Execute(db, q, opts);
+  auto clean = Execute(*prepared, opts);
   const uint64_t hits = injector.hits(fault::Site::kRdbExecute);
   injector.DisarmAll();
   ASSERT_TRUE(clean.ok());
@@ -781,9 +787,64 @@ TEST(SourceIndexTest, FaultSiteFiresPerBatchOfTheIndexedRange) {
     fault::FaultPlan plan;
     plan.fail_every = n;
     injector.Arm(fault::Site::kRdbExecute, plan);
-    auto failed = Execute(db, q, opts);
+    auto failed = Execute(*prepared, opts);
     injector.DisarmAll();
     EXPECT_EQ(failed.status().code(), StatusCode::kInternal) << "hit " << n;
+  }
+}
+
+// The join_order_seed hook recompiles the plan in a seeded order and keeps
+// its bound ranges: under every seed, a filtered join scans fewer rows than
+// the same seed on a plan prepared without statistics, with equal answers.
+TEST(SourceIndexTest, SeededJoinOrderReadsTheBoundRanges) {
+  Database db;
+  ASSERT_TRUE(db.CreateTable({"item",
+                              {{"id", ValueType::kInt},
+                               {"kind", ValueType::kString}}})
+                  .ok());
+  ASSERT_TRUE(db.CreateTable({"tag",
+                              {{"id", ValueType::kInt},
+                               {"label", ValueType::kString}}})
+                  .ok());
+  for (int64_t r = 0; r < 3000; ++r) {
+    ASSERT_TRUE(db.Insert("item", {Value::Int(r),
+                                   Value::Str("k" + std::to_string(r % 7))})
+                    .ok());
+  }
+  for (int64_t r = 0; r < 2000; ++r) {
+    ASSERT_TRUE(db.Insert("tag", {Value::Int(r % 1500),
+                                  Value::Str(r % 4 == 0 ? "hot" : "cold")})
+                    .ok());
+  }
+  const DatabaseStats stats = DatabaseStats::Collect(db);
+  SqlQuery q;
+  SelectBlock b;
+  b.from_tables = {"item", "tag"};
+  b.select = {{0, "id"}, {1, "label"}};
+  b.joins = {{{0, "id"}, {1, "id"}}};
+  b.filters = {{{0, "kind"}, Value::Str("k3")},
+               {{1, "label"}, Value::Str("hot")}};
+  q.blocks.push_back(b);
+  auto full_plan = PreparedPlan::Prepare(db, q);
+  auto indexed_plan = PreparedPlan::Prepare(db, q, {.stats = &stats});
+  ASSERT_TRUE(full_plan.ok() && indexed_plan.ok());
+  auto nested = RunWith(db, q, EvalEngine::kNestedLoop);
+  ASSERT_TRUE(nested.ok());
+  ASSERT_FALSE(nested->empty());
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    EvalStats full_stats, indexed_stats;
+    EvalOptions opts;
+    opts.engine = EvalEngine::kColumnar;
+    opts.join_order_seed = seed;
+    opts.eval_stats = &full_stats;
+    auto full = Execute(*full_plan, opts);
+    opts.eval_stats = &indexed_stats;
+    auto indexed = Execute(*indexed_plan, opts);
+    ASSERT_TRUE(full.ok() && indexed.ok()) << "seed " << seed;
+    EXPECT_EQ(*indexed, *full) << "seed " << seed;
+    EXPECT_EQ(*indexed, *nested) << "seed " << seed;
+    EXPECT_LT(indexed_stats.rows_scanned, full_stats.rows_scanned)
+        << "seed " << seed;
   }
 }
 
