@@ -35,7 +35,8 @@
 //   {"workload", "engine", "threads", "requests", "total_ms", "qps",
 //    "p50_ms", "p95_ms", "p99_ms",
 //    "disjuncts", "batches", "rows_scanned", "shared_nodes",
-//    "shared_node_hits", "prefix_hit_rate", "join_reorders",
+//    "shared_node_hits", "shared_build_hits", "prefix_hit_rate",
+//    "join_reorders",
 //    "discrepancies", "speedup_vs_nested_loop",
 //    "stages": {<stage>: {"count", "p50_us", "p95_us", "p99_us"}, …}}
 // where speedup_vs_nested_loop is filled on columnar rows (same workload
@@ -44,7 +45,9 @@
 // per-stage histograms; the registry is reset between cells). Every row
 // ends with the build stamp (bench_util.h). The binary exits non-zero when
 // the shared_prefix acceptance gates fail (>=8 disjuncts,
-// shared_node_hits > 0, >=2x speedup) or any engines disagree.
+// shared_node_hits > 0, shared_build_hits > 0, >=2x speedup) or any
+// engines disagree. Every group of `fan` blocks joins the unfiltered edge
+// table under one build key, so the groups after the first probe its build.
 
 #include <algorithm>
 #include <array>
@@ -365,6 +368,7 @@ int main(int argc, char** argv) {
                 .Add("rows_scanned", t.eval.rows_scanned)
                 .Add("shared_nodes", t.eval.shared_nodes)
                 .Add("shared_node_hits", t.eval.shared_node_hits)
+                .Add("shared_build_hits", t.eval.shared_build_hits)
                 .Add("prefix_hit_rate", prefix_hit_rate)
                 .Add("join_reorders", t.eval.join_reorders)
                 .Add("discrepancies", discrepancies)
@@ -378,8 +382,8 @@ int main(int argc, char** argv) {
                     prefix_hit_rate, speedup);
 
         // Acceptance gates for the headline workload: the shared-prefix
-        // union must actually share (hits > 0) and the columnar engine
-        // must win by >=2x.
+        // union must actually share prefixes and builds (hits > 0) and the
+        // columnar engine must win by >=2x.
         if (std::string_view(workload.name) == "shared_prefix" &&
             engine == olite::rdb::EvalEngine::kColumnar) {
           if (t.max_disjuncts < 8) {
@@ -389,6 +393,10 @@ int main(int argc, char** argv) {
           }
           if (t.eval.shared_node_hits == 0) {
             std::fprintf(stderr, "GATE: shared_node_hits == 0\n");
+            gates_ok = false;
+          }
+          if (t.eval.shared_build_hits == 0) {
+            std::fprintf(stderr, "GATE: shared_build_hits == 0\n");
             gates_ok = false;
           }
           if (speedup < 2.0) {

@@ -34,7 +34,8 @@
 // The JSON output is a flat array of rows
 //   {"mode", "engine", "threads", "cache", "metrics", "requests", "qps",
 //    "hit_rate", "p50_ms", "p95_ms", "p99_ms", "total_ms", "eval_batches",
-//    "eval_rows_scanned", "shared_node_hits", "join_reorders",
+//    "eval_rows_scanned", "shared_node_hits", "shared_build_hits",
+//    "join_reorders",
 //    "stages": {<stage>: {"count", "p50_us", "p95_us", "p99_us"}, …}}
 // where "stages" covers rewrite/minimize/unfold/prepare/execute plus the
 // whole-call ("answer") and per-union-block ("block") histograms, and
@@ -139,6 +140,7 @@ Measured RunCell(const std::shared_ptr<const CompiledOntology>& compiled,
       .Add("eval_batches", t.eval.batches)
       .Add("eval_rows_scanned", t.eval.rows_scanned)
       .Add("shared_node_hits", t.eval.shared_node_hits)
+      .Add("shared_build_hits", t.eval.shared_build_hits)
       .Add("join_reorders", t.eval.join_reorders)
       .Add("stages", olite::bench::StagePercentiles(*registry));
   return m;

@@ -419,6 +419,7 @@ inline void AddEvalStats(const rdb::EvalStats& from, rdb::EvalStats* into) {
   into->rows_scanned += from.rows_scanned;
   into->shared_nodes += from.shared_nodes;
   into->shared_node_hits += from.shared_node_hits;
+  into->shared_build_hits += from.shared_build_hits;
   into->join_reorders += from.join_reorders;
 }
 

@@ -1,6 +1,8 @@
 #include "query/containment.h"
 
+#include <algorithm>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace olite::query {
@@ -69,6 +71,37 @@ bool Search(const ConjunctiveQuery& general,
   return false;
 }
 
+// The (kind, predicate) pairs of a query's atoms, sorted and unique.
+using Predicates = std::vector<std::pair<Atom::Kind, uint32_t>>;
+
+Predicates PredicatesOf(const ConjunctiveQuery& q) {
+  Predicates preds;
+  preds.reserve(q.atoms.size());
+  for (const Atom& a : q.atoms) preds.emplace_back(a.kind, a.predicate);
+  std::sort(preds.begin(), preds.end());
+  preds.erase(std::unique(preds.begin(), preds.end()), preds.end());
+  return preds;
+}
+
+// Necessary condition of `Contains(general, specific)`: every atom of
+// `general` has a same-kind atom of `specific` that `Search` may map it
+// onto — the same predicate, or one `constraints` includes in it. `Search`
+// fails at the first atom without one, so a false here is Contains' verdict.
+bool MayContain(const Predicates& general, const Predicates& specific,
+                const ConstraintOracle* constraints) {
+  for (const auto& g : general) {
+    if (std::binary_search(specific.begin(), specific.end(), g)) continue;
+    if (constraints == nullptr) return false;
+    const bool included = std::any_of(
+        specific.begin(), specific.end(), [&](const auto& s) {
+          return s.first == g.first &&
+                 constraints->Included(g.first, s.second, g.second);
+        });
+    if (!included) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 bool Contains(const ConjunctiveQuery& general,
@@ -129,6 +162,9 @@ void MinimizeUnion(UnionQuery* ucq, const MinimizeOptions& options,
   bool exhausted = false;
   ContainsOptions copts;
   copts.constraints = options.constraints;
+  std::vector<Predicates> preds;
+  preds.reserve(n);
+  for (const auto& d : ucq->disjuncts) preds.push_back(PredicatesOf(d));
   for (size_t i = 0; i < n && !exhausted; ++i) {
     for (size_t j = 0; j < n && !removed[i]; ++j) {
       if (i == j || removed[j]) continue;
@@ -144,7 +180,10 @@ void MinimizeUnion(UnionQuery* ucq, const MinimizeOptions& options,
           break;
         }
       }
+      // A pair counts as a check (and against the quota) whether or not
+      // the predicate prefilter settles it.
       ++local.checks;
+      if (!MayContain(preds[j], preds[i], options.constraints)) continue;
       bool used_constraints = false;
       copts.used_constraints = &used_constraints;
       if (Contains(ucq->disjuncts[j], ucq->disjuncts[i], copts)) {

@@ -2,10 +2,15 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <memory>
+#include <optional>
 #include <random>
+#include <string>
 #include <string_view>
+#include <unordered_map>
 
 #include "common/fault_injection.h"
+#include "common/hash.h"
 #include "common/result.h"
 #include "common/stopwatch.h"
 
@@ -120,7 +125,8 @@ BlockShape ShapeOf(const ResolvedBlock& block) {
 
 // Position-independent description of one FROM entry: the unit of the
 // sharing-aware tie-break (how many blocks bind a structurally identical
-// table?).
+// table?) and of every sharing key. Rendered once per FROM entry per plan
+// and interned (see `CompilePlan`).
 std::string TableSignature(const ResolvedBlock& block, const BlockShape& shape,
                            size_t t) {
   std::string sig = "T:";
@@ -135,6 +141,37 @@ std::string TableSignature(const ResolvedBlock& block, const BlockShape& shape,
   }
   return sig;
 }
+
+// A sharing key in integer terms: interned signature ids, key ids and
+// column positions.
+using SlotKey = std::vector<uint32_t>;
+
+struct SlotKeyHasher {
+  size_t operator()(const SlotKey& key) const {
+    uint64_t h = kFnv1aBasis;
+    for (uint32_t v : key) h = Fnv1aWord(v, h);
+    return h;
+  }
+};
+
+// Interns the sharing keys of one plan to dense ids and counts the steps
+// that use each.
+class KeyTable {
+ public:
+  uint32_t Intern(const SlotKey& key) {
+    auto [it, fresh] =
+        ids_.try_emplace(key, static_cast<uint32_t>(uses_.size()));
+    if (fresh) uses_.push_back(0);
+    ++uses_[it->second];
+    return it->second;
+  }
+  size_t size() const { return uses_.size(); }
+  bool shared(uint32_t id) const { return uses_[id] >= 2; }
+
+ private:
+  std::unordered_map<SlotKey, uint32_t, SlotKeyHasher> ids_;
+  std::vector<uint32_t> uses_;
+};
 
 // Estimated cardinality of `t` after its local filters: rows × ∏ 1/distinct.
 double FilteredCard(const ResolvedBlock& block, const BlockShape& shape,
@@ -169,10 +206,13 @@ uint64_t DistinctOf(const ResolvedBlock& block, size_t t, size_t col,
 // one whose table signature occurs in the most blocks wins — clustering
 // structure common across union blocks at the front of the order so shared
 // prefixes actually materialise once.
-std::vector<size_t> GreedyOrder(
-    const ResolvedBlock& block, const BlockShape& shape,
-    const DatabaseStats* stats,
-    const std::unordered_map<std::string, size_t>& sig_freq) {
+// `sigs` holds the interned signature of each FROM entry, `sig_freq` the
+// number of blocks binding each signature.
+std::vector<size_t> GreedyOrder(const ResolvedBlock& block,
+                                const BlockShape& shape,
+                                const DatabaseStats* stats,
+                                const std::vector<uint32_t>& sigs,
+                                const std::vector<size_t>& sig_freq) {
   const size_t n = block.tables.size();
   std::vector<size_t> order;
   std::vector<bool> chosen(n, false);
@@ -180,8 +220,7 @@ std::vector<size_t> GreedyOrder(
   std::vector<size_t> freq(n);
   for (size_t t = 0; t < n; ++t) {
     fcard[t] = FilteredCard(block, shape, t, stats);
-    auto it = sig_freq.find(TableSignature(block, shape, t));
-    freq[t] = it == sig_freq.end() ? 0 : it->second;
+    freq[t] = sig_freq[sigs[t]];
   }
   double cur_card = 1.0;
   for (size_t step = 0; step < n; ++step) {
@@ -220,8 +259,14 @@ std::vector<size_t> GreedyOrder(
   return order;
 }
 
+// Compiles one block in `order`. Each step's `prefix_slot` and
+// `build_slot` receive the ids `prefix_keys` and `build_keys` intern for
+// its prefix and its hash build (kNoSlot: the step builds none);
+// `AssignSlots` turns them into slots once every block is compiled.
 BlockProgram CompileBlock(const ResolvedBlock& block, const BlockShape& shape,
-                          const std::vector<size_t>& order) {
+                          const std::vector<uint32_t>& sigs,
+                          const std::vector<size_t>& order,
+                          KeyTable* prefix_keys, KeyTable* build_keys) {
   const size_t n = block.tables.size();
   BlockProgram prog;
   prog.row_template = block.row_template;
@@ -230,7 +275,7 @@ BlockProgram CompileBlock(const ResolvedBlock& block, const BlockShape& shape,
     pos_of[order[s]] = s;
     if (order[s] != s) prog.reordered = true;
   }
-  std::string key;
+  SlotKey key;
   for (size_t s = 0; s < n; ++s) {
     const size_t t = order[s];
     Step step;
@@ -254,17 +299,27 @@ BlockProgram CompileBlock(const ResolvedBlock& block, const BlockShape& shape,
                   return x.prefix_col < y.prefix_col;
                 return x.col < y.col;
               });
-    // Cumulative canonical key: table + filters + self-equalities + join
-    // structure in purely positional terms — equal keys ⇒ equal
-    // intermediates, regardless of which block the prefix came from.
-    key += TableSignature(block, shape, t);
-    key += "|J:";
+    // Canonical prefix key: the previous step's prefix id, then table
+    // signature + join structure in purely positional terms — equal keys
+    // ⇒ equal intermediates, regardless of which block the prefix came
+    // from.
+    key.assign({s == 0 ? kNoSlot : prog.steps.back().prefix_slot,
+                sigs[t]});
     for (const JoinPred& j : step.joins) {
-      key += std::to_string(j.prefix_pos) + "." + std::to_string(j.prefix_col) +
-             "=" + std::to_string(j.col) + ",";
+      key.insert(key.end(), {static_cast<uint32_t>(j.prefix_pos),
+                             static_cast<uint32_t>(j.prefix_col),
+                             static_cast<uint32_t>(j.col)});
     }
-    key += ";";
-    step.prefix_key = key;
+    step.prefix_slot = prefix_keys->Intern(key);
+    // Build key: table signature + build columns — equal keys ⇒ equal
+    // hash tables, whatever prefix probes them.
+    if (s > 0 && !step.joins.empty()) {
+      key.assign({sigs[t]});
+      for (const JoinPred& j : step.joins) {
+        key.push_back(static_cast<uint32_t>(j.col));
+      }
+      step.build_slot = build_keys->Intern(key);
+    }
     prog.steps.push_back(std::move(step));
   }
   for (size_t i = 0; i < block.select.size(); ++i) {
@@ -273,6 +328,38 @@ BlockProgram CompileBlock(const ResolvedBlock& block, const BlockShape& shape,
                             block.select_positions[i]});
   }
   return prog;
+}
+
+// Rewrites the key ids `CompileBlock` left in `Step::*field` as slots: a key
+// that two or more steps use gets a slot (in first-use order), any other
+// key kNoSlot. Lists each slot under `BlockProgram::*last` of the last
+// program that uses it. Returns the number of slots.
+uint32_t AssignSlots(const KeyTable& keys, uint32_t Step::*field,
+                     std::vector<uint32_t> BlockProgram::*last,
+                     std::vector<BlockProgram>* programs) {
+  std::vector<uint32_t> slot_of(keys.size(), kNoSlot);
+  std::vector<size_t> last_program;
+  for (size_t b = 0; b < programs->size(); ++b) {
+    for (Step& step : (*programs)[b].steps) {
+      uint32_t& id = step.*field;
+      if (id == kNoSlot) continue;
+      if (!keys.shared(id)) {
+        id = kNoSlot;
+        continue;
+      }
+      uint32_t& slot = slot_of[id];
+      if (slot == kNoSlot) {
+        slot = static_cast<uint32_t>(last_program.size());
+        last_program.push_back(b);
+      }
+      last_program[slot] = b;
+      id = slot;
+    }
+  }
+  for (uint32_t slot = 0; slot < last_program.size(); ++slot) {
+    ((*programs)[last_program[slot]].*last).push_back(slot);
+  }
+  return static_cast<uint32_t>(last_program.size());
 }
 
 bool RowPasses(const Step& step, const Row& row) {
@@ -319,18 +406,53 @@ void AppendTuple(const Chunk& prefix, size_t i, uint32_t r, Chunk* next) {
   ++next->rows;
 }
 
-// One join step: filtered scan of the new table, hash build keyed on its
-// join columns, batched probe over the prefix tuples (cross product when no
-// join predicate connects the step).
-Status JoinStep(const std::vector<Step>& steps, size_t k, const Chunk& prefix,
-                EvalSink* sink, EvalStats* stats, Chunk* next, bool* aborted) {
-  const Step& step = steps[k];
-  if (prefix.rows == 0) return Status::Ok();  // short-circuit: stays empty
+// A step's hash build: its filtered rows keyed on their `joins[*].col`
+// values. Insertion order keeps each bucket in table row order, so probe
+// output is deterministic.
+using HashBuild =
+    std::unordered_map<std::vector<Value>, std::vector<uint32_t>,
+                       ValueVecHasher>;
+
+// Filtered scan of `step` built into `*out`. When the sink stops
+// evaluation mid-scan, *aborted is set, OK returned and `*out` left empty:
+// a partial build is never stored.
+Status Build(const Step& step, EvalSink* sink, EvalStats* stats,
+             std::optional<HashBuild>* out, bool* aborted) {
   std::vector<uint32_t> matches;
   OLITE_RETURN_IF_ERROR(FilterScan(step, sink, stats, &matches, aborted));
-  if (*aborted || matches.empty()) return Status::Ok();
+  if (*aborted) return Status::Ok();
+  HashBuild& ht = out->emplace();
+  ht.reserve(matches.size());
+  std::vector<Value> key;
+  key.reserve(step.joins.size());
+  for (uint32_t r : matches) {
+    const Row& row = step.table->rows()[r];
+    key.clear();
+    for (const JoinPred& j : step.joins) key.push_back(row[j.col]);
+    ht[key].push_back(r);
+  }
+  return Status::Ok();
+}
+
+// One call's materialised slots: shared prefixes and shared hash builds.
+struct SlotState {
+  std::vector<std::shared_ptr<const Chunk>> prefixes;
+  std::vector<std::optional<HashBuild>> builds;
+};
+
+// One join step: the new table's hash build (read from its build slot when
+// an earlier step of the call built it), batched probe over the prefix
+// tuples; cross product when no join predicate connects the step.
+Status JoinStep(const std::vector<Step>& steps, size_t k, const Chunk& prefix,
+                SlotState* slots, EvalSink* sink, EvalStats* stats,
+                Chunk* next, bool* aborted) {
+  const Step& step = steps[k];
+  if (prefix.rows == 0) return Status::Ok();  // short-circuit: stays empty
   if (step.joins.empty()) {
     // Cross product (rare: a disconnected FROM entry).
+    std::vector<uint32_t> matches;
+    OLITE_RETURN_IF_ERROR(FilterScan(step, sink, stats, &matches, aborted));
+    if (*aborted || matches.empty()) return Status::Ok();
     for (size_t base = 0; base < prefix.rows; base += kBatchRows) {
       OLITE_RETURN_IF_ERROR(fault::InjectAt(fault::Site::kRdbExecute));
       if (stats != nullptr) ++stats->batches;
@@ -345,20 +467,21 @@ Status JoinStep(const std::vector<Step>& steps, size_t k, const Chunk& prefix,
     }
     return Status::Ok();
   }
-  // Build on the (filtered) new side; insertion order keeps each bucket in
-  // table row order, so probe output is deterministic.
-  std::unordered_map<std::vector<Value>, std::vector<uint32_t>, ValueVecHasher>
-      ht;
-  ht.reserve(matches.size());
+  std::optional<HashBuild> local;
+  std::optional<HashBuild>& build = step.build_slot == kNoSlot
+                                        ? local
+                                        : slots->builds[step.build_slot];
+  if (!build) {
+    OLITE_RETURN_IF_ERROR(Build(step, sink, stats, &build, aborted));
+    if (*aborted) return Status::Ok();
+  } else if (stats != nullptr) {
+    ++stats->shared_build_hits;
+  }
+  const HashBuild& ht = *build;
+  if (ht.empty()) return Status::Ok();
+  // Probe the prefix tuples in order, in batches.
   std::vector<Value> key;
   key.reserve(step.joins.size());
-  for (uint32_t r : matches) {
-    const Row& row = step.table->rows()[r];
-    key.clear();
-    for (const JoinPred& j : step.joins) key.push_back(row[j.col]);
-    ht[key].push_back(r);
-  }
-  // Probe the prefix tuples in order, in batches.
   for (size_t base = 0; base < prefix.rows; base += kBatchRows) {
     OLITE_RETURN_IF_ERROR(fault::InjectAt(fault::Site::kRdbExecute));
     if (stats != nullptr) ++stats->batches;
@@ -384,25 +507,35 @@ Status JoinStep(const std::vector<Step>& steps, size_t k, const Chunk& prefix,
 
 }  // namespace
 
-std::vector<BlockProgram> CompilePlan(const std::vector<ResolvedBlock>& blocks,
-                                      const DatabaseStats* stats,
-                                      uint64_t shuffle_seed) {
+Plan CompilePlan(const std::vector<ResolvedBlock>& blocks,
+                 const DatabaseStats* stats, uint64_t shuffle_seed) {
   std::vector<BlockShape> shapes;
   shapes.reserve(blocks.size());
   for (const auto& block : blocks) shapes.push_back(ShapeOf(block));
-  // Pass 1: cross-block signature frequencies (each block counts a
-  // signature once) — the raw material of the sharing-aware tie-break.
-  std::unordered_map<std::string, size_t> sig_freq;
+  // Pass 1: each FROM entry's table signature, rendered once and interned
+  // (`sigs[b][t]`), and cross-block signature frequencies (each block
+  // counts a signature once) — the raw material of the sharing-aware
+  // tie-break.
+  std::unordered_map<std::string, uint32_t> sig_ids;
+  std::vector<std::vector<uint32_t>> sigs(blocks.size());
+  std::vector<size_t> sig_freq;
   for (size_t b = 0; b < blocks.size(); ++b) {
-    std::unordered_set<std::string> seen;
     for (size_t t = 0; t < blocks[b].tables.size(); ++t) {
-      seen.insert(TableSignature(blocks[b], shapes[b], t));
+      auto [it, fresh] = sig_ids.try_emplace(
+          TableSignature(blocks[b], shapes[b], t),
+          static_cast<uint32_t>(sig_freq.size()));
+      if (fresh) sig_freq.push_back(0);
+      sigs[b].push_back(it->second);
     }
-    for (const auto& sig : seen) ++sig_freq[sig];
+    std::vector<uint32_t> seen = sigs[b];
+    std::sort(seen.begin(), seen.end());
+    seen.erase(std::unique(seen.begin(), seen.end()), seen.end());
+    for (uint32_t sig : seen) ++sig_freq[sig];
   }
   // Pass 2: order and compile each block.
-  std::vector<BlockProgram> programs;
-  programs.reserve(blocks.size());
+  Plan plan;
+  plan.programs.reserve(blocks.size());
+  KeyTable prefix_keys, build_keys;
   for (size_t b = 0; b < blocks.size(); ++b) {
     const size_t n = blocks[b].tables.size();
     std::vector<size_t> order;
@@ -412,38 +545,42 @@ std::vector<BlockProgram> CompilePlan(const std::vector<ResolvedBlock>& blocks,
       std::mt19937_64 rng(shuffle_seed * 0x9e3779b97f4a7c15ULL + b);
       std::shuffle(order.begin(), order.end(), rng);
     } else if (stats != nullptr) {
-      order = GreedyOrder(blocks[b], shapes[b], stats, sig_freq);
+      order = GreedyOrder(blocks[b], shapes[b], stats, sigs[b], sig_freq);
     } else {
       // No statistics (ad-hoc execution): keep the written order.
       order.resize(n);
       for (size_t i = 0; i < n; ++i) order[i] = i;
     }
-    programs.push_back(CompileBlock(blocks[b], shapes[b], order));
+    plan.programs.push_back(CompileBlock(blocks[b], shapes[b], sigs[b], order,
+                                         &prefix_keys, &build_keys));
   }
-  return programs;
+  // Pass 3: slots for the prefixes and builds two or more steps share.
+  plan.prefix_slots =
+      AssignSlots(prefix_keys, &Step::prefix_slot,
+                  &BlockProgram::last_prefix_slots, &plan.programs);
+  plan.build_slots =
+      AssignSlots(build_keys, &Step::build_slot,
+                  &BlockProgram::last_build_slots, &plan.programs);
+  return plan;
 }
 
-Status EvalPlan(const std::vector<BlockProgram>& programs, EvalSink* sink,
-                EvalStats* stats, size_t* blocks_done) {
-  // Only prefixes appearing in ≥2 blocks are worth materialising in the
-  // shared cache.
-  std::unordered_map<std::string, size_t> key_blocks;
-  for (const auto& prog : programs) {
-    for (const auto& step : prog.steps) ++key_blocks[step.prefix_key];
-  }
-  PrefixCache cache;
-  for (const auto& prog : programs) {
+Status EvalPlan(const Plan& plan, EvalSink* sink, EvalStats* stats,
+                size_t* blocks_done) {
+  SlotState slots;
+  slots.prefixes.resize(plan.prefix_slots);
+  slots.builds.resize(plan.build_slots);
+  for (const auto& prog : plan.programs) {
     if (sink->stopped()) break;
     OLITE_RETURN_IF_ERROR(fault::InjectAt(fault::Site::kRdbExecute));
     Stopwatch block_sw;
     if (stats != nullptr && prog.reordered) ++stats->join_reorders;
-    // Resume from the deepest already-materialised shared prefix.
+    // Resume from the deepest prefix already materialised in this call.
     size_t start = 0;
     std::shared_ptr<const Chunk> cur;
     for (size_t k = prog.steps.size(); k > 0; --k) {
-      auto it = cache.find(prog.steps[k - 1].prefix_key);
-      if (it != cache.end()) {
-        cur = it->second;
+      const uint32_t slot = prog.steps[k - 1].prefix_slot;
+      if (slot != kNoSlot && slots.prefixes[slot] != nullptr) {
+        cur = slots.prefixes[slot];
         start = k;
         break;
       }
@@ -459,14 +596,14 @@ Status EvalPlan(const std::vector<BlockProgram>& programs, EvalSink* sink,
             FilterScan(step, sink, stats, &next->cols[0], &aborted));
         next->rows = next->cols[0].size();
       } else {
-        OLITE_RETURN_IF_ERROR(JoinStep(prog.steps, k, *cur, sink, stats,
-                                       next.get(), &aborted));
+        OLITE_RETURN_IF_ERROR(JoinStep(prog.steps, k, *cur, &slots, sink,
+                                       stats, next.get(), &aborted));
       }
-      if (aborted) break;  // partial intermediate: never cache it
+      if (aborted) break;  // partial intermediate: never store it
       cur = std::move(next);
-      if (key_blocks[step.prefix_key] > 1 &&
-          cache.find(step.prefix_key) == cache.end()) {
-        cache.emplace(step.prefix_key, cur);
+      if (step.prefix_slot != kNoSlot &&
+          slots.prefixes[step.prefix_slot] == nullptr) {
+        slots.prefixes[step.prefix_slot] = cur;
         if (stats != nullptr) ++stats->shared_nodes;
       }
     }
@@ -474,6 +611,9 @@ Status EvalPlan(const std::vector<BlockProgram>& programs, EvalSink* sink,
       if (stats != nullptr) stats->block_us.push_back(block_sw.ElapsedMicros());
       break;
     }
+    // No later program reads these slots.
+    for (uint32_t slot : prog.last_prefix_slots) slots.prefixes[slot].reset();
+    for (uint32_t slot : prog.last_build_slots) slots.builds[slot].reset();
     // Projection: batched emit into the hashed distinct union.
     bool stopped = false;
     for (size_t base = 0; base < cur->rows && !stopped; base += kBatchRows) {

@@ -2,11 +2,8 @@
 #define OLITE_RDB_COLUMNAR_H_
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
-#include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -97,22 +94,35 @@ struct JoinPred {
   size_t col;
 };
 
+/// Slot sentinel: the step's prefix or build is not shared with any other
+/// step of the plan.
+inline constexpr uint32_t kNoSlot = UINT32_MAX;
+
 /// One step of a block program: bind `table` (the `orig_index`-th FROM
 /// entry) by reading `range` (every row when nullopt), apply its local
-/// filters/self-equalities to each row read, and hash-join it to
-/// the prefix via `joins` (empty joins on a non-first step = cross
-/// product). `prefix_key` canonically identifies the sub-join computed by
-/// the plan prefix ending at this step — two blocks whose prefixes render
-/// the same key compute the same intermediate, which the shared-subplan
-/// cache materialises once.
+/// filters/self-equalities to each row read, and hash-join it to the
+/// prefix via `joins` (empty joins on a non-first step = cross product):
+/// the step's filtered rows are built into a hash table keyed on their
+/// `joins[*].col` values, and the prefix tuples probe it.
+///
+/// Sharing is decided once, by `CompilePlan`, and read by `EvalPlan`
+/// through integer slots, so no key is rendered or hashed per call.
+/// `prefix_slot` names the sub-join computed by the plan prefix ending at
+/// this step when two or more steps of the plan compute the same one (same
+/// tables, filters, self-equalities and join structure, in purely
+/// positional terms); the call materialises it once. `build_slot` names the
+/// step's hash build when two or more join steps of the plan build the same
+/// one (same table, filters, self-equalities and build columns); the first
+/// step to need it builds it, later ones only probe. kNoSlot: not shared.
 struct Step {
   const Table* table = nullptr;
   size_t orig_index = 0;
   std::vector<std::pair<size_t, Value>> filters;
   std::vector<std::pair<size_t, size_t>> self_eq;
   std::vector<JoinPred> joins;
-  std::string prefix_key;
   std::optional<std::span<const uint32_t>> range;
+  uint32_t prefix_slot = kNoSlot;
+  uint32_t build_slot = kNoSlot;
 };
 
 /// Where a projected output column comes from: step `step_pos`, column
@@ -130,42 +140,53 @@ struct BlockProgram {
   std::vector<Output> outputs;
   /// True when cost-based ordering changed the original FROM order.
   bool reordered = false;
+  /// Prefix and build slots no later program uses: `EvalPlan` frees them
+  /// once this program has run.
+  std::vector<uint32_t> last_prefix_slots;
+  std::vector<uint32_t> last_build_slots;
+};
+
+/// The programs of one union plus the number of slots their steps share.
+/// Immutable once compiled: every call keeps its own slot contents, so a
+/// cached plan executes concurrently without locking.
+struct Plan {
+  std::vector<BlockProgram> programs;
+  uint32_t prefix_slots = 0;
+  uint32_t build_slots = 0;
 };
 
 /// A materialised intermediate: column-major tuple store over the first
 /// `cols.size()` steps of a program — `cols[k][i]` is the row index (into
-/// step k's table) bound by tuple `i`. Shared between blocks via the
-/// prefix cache, so it stores indices, never copies of `Value`s.
+/// step k's table) bound by tuple `i`. Shared between blocks through a
+/// prefix slot, so it stores indices, never copies of `Value`s.
 struct Chunk {
   std::vector<std::vector<uint32_t>> cols;
   size_t rows = 0;
 };
 
-/// The per-execution shared-subplan cache: canonical prefix key → the
-/// materialised intermediate. Call-local (one per `Execute`), so plan
-/// sharing needs no synchronisation.
-using PrefixCache =
-    std::unordered_map<std::string, std::shared_ptr<const Chunk>>;
-
 /// Compiles every block: cost-based greedy join ordering (when `stats` is
 /// non-null), sharing-aware tie-breaking that clusters structure common to
-/// many blocks at the front of the order, and canonical prefix keys. With
-/// `shuffle_seed != 0` the order of every block is instead a seeded random
-/// permutation — a test hook for the join-order metamorphic check.
-std::vector<BlockProgram> CompilePlan(const std::vector<ResolvedBlock>& blocks,
-                                      const DatabaseStats* stats,
-                                      uint64_t shuffle_seed = 0);
+/// many blocks at the front of the order, and the prefix and build slots
+/// of the steps that share. With `shuffle_seed != 0` the order of every
+/// block is instead a seeded random permutation — a test hook for the
+/// join-order metamorphic check.
+Plan CompilePlan(const std::vector<ResolvedBlock>& blocks,
+                 const DatabaseStats* stats, uint64_t shuffle_seed = 0);
 
 /// Evaluates the compiled plan into `sink`: batched scans of each step's
 /// bound index range (of every row when it has none), hash joins and
 /// projection, with the fault site `kRdbExecute` firing once per block and
-/// once per batch of rows read, and the budget polled per row read. Returns
-/// non-OK only for an injected fault; budget exhaustion latches in the
-/// sink.
+/// once per batch of rows read or probed, and the budget polled per row
+/// read or probed. Each program resumes from its deepest prefix slot
+/// already materialised in this call and probes a build slot already built
+/// in this call instead of scanning and building again; a prefix or build
+/// cut short by the budget is never stored, and each slot is freed after
+/// the last program that uses it. Returns non-OK only for an injected
+/// fault; budget exhaustion latches in the sink.
 /// `blocks_done` (optional) counts fully evaluated blocks; `stats`
 /// (optional) accumulates evaluator counters.
-Status EvalPlan(const std::vector<BlockProgram>& programs, EvalSink* sink,
-                EvalStats* stats, size_t* blocks_done);
+Status EvalPlan(const Plan& plan, EvalSink* sink, EvalStats* stats,
+                size_t* blocks_done);
 
 }  // namespace columnar
 }  // namespace olite::rdb

@@ -246,12 +246,12 @@ void BindRanges(const SourceIndex& index, ResolvedBlock* block) {
 
 // Shared evaluation core of both Execute overloads: dispatch to the
 // selected engine, then apply the common truncation/degradation protocol.
-// `programs` may be null (ad-hoc path under the nested-loop engine, or a
+// `plan` may be null (ad-hoc path under the nested-loop engine, or a
 // join_order_seed recompilation below, which reads the blocks' bound
-// ranges like the prepared programs do).
+// ranges like the prepared plan does).
 Result<std::vector<Row>> EvalResolvedBlocks(
     const std::vector<ResolvedBlock>& blocks,
-    const std::vector<columnar::BlockProgram>* programs,
+    const columnar::Plan* plan,
     const EvalOptions& options) {
   const EvalEngine engine = ResolveEvalEngine(options.engine);
   EvalSink sink(options.budget);
@@ -262,14 +262,14 @@ Result<std::vector<Row>> EvalResolvedBlocks(
   stats->engine = EvalEngineName(engine);
   size_t blocks_done = 0;
   if (engine == EvalEngine::kColumnar) {
-    std::vector<columnar::BlockProgram> recompiled;
-    if (programs == nullptr || options.join_order_seed != 0) {
+    columnar::Plan recompiled;
+    if (plan == nullptr || options.join_order_seed != 0) {
       recompiled =
           columnar::CompilePlan(blocks, nullptr, options.join_order_seed);
-      programs = &recompiled;
+      plan = &recompiled;
     }
     OLITE_RETURN_IF_ERROR(
-        columnar::EvalPlan(*programs, &sink, stats, &blocks_done));
+        columnar::EvalPlan(*plan, &sink, stats, &blocks_done));
   } else {
     OLITE_RETURN_IF_ERROR(EvalNestedLoop(blocks, &sink, stats, &blocks_done));
   }
@@ -297,7 +297,7 @@ struct PreparedPlan::Resolved {
   /// Columnar programs compiled once at preparation time (with statistics
   /// when the caller supplied them). The nested-loop engine and the
   /// join_order_seed test hook ignore them.
-  std::vector<columnar::BlockProgram> programs;
+  columnar::Plan programs;
 };
 
 Result<PreparedPlan> PreparedPlan::Prepare(const Database& db, SqlQuery query,

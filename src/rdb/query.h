@@ -102,6 +102,10 @@ struct EvalStats {
   /// Times a block resumed from an already-materialised shared prefix
   /// instead of recomputing it.
   uint64_t shared_node_hits = 0;
+  /// Join steps that probed a hash build an earlier step of the same call
+  /// already built (same table, filters and build columns) instead of
+  /// scanning and building it again.
+  uint64_t shared_build_hits = 0;
   /// Blocks whose cost-based join order differs from the written order.
   uint64_t join_reorders = 0;
   /// Wall-clock per executed union block, in execution order (microseconds).

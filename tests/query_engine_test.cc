@@ -818,5 +818,185 @@ TEST(QueryEngineTest, InheritedPlanStillReadsItsIndexRange) {
   EXPECT_EQ(Sorted(*after), Sorted(*before));
 }
 
+// ---- shared hash builds ---------------------------------------------------
+
+// Red, Green and Blue, the subclasses of Colour, map onto `facts` as above;
+// `link` maps onto the unfiltered `links` table, three links per fact. So
+// `Colour(x), link(x, y)` unfolds to three blocks that each join their own
+// `facts` range to `links` on one column: one hash build serves them all.
+struct LinkedColoursFixture {
+  static constexpr uint64_t kFacts = 300;
+  static constexpr uint64_t kKindFacts = 100;
+  static constexpr uint64_t kLinks = 900;
+  static constexpr const char* kQuery = "q(x, y) :- Colour(x), link(x, y)";
+  Ontology onto;
+  Database db;
+  MappingSet mappings;
+
+  LinkedColoursFixture() {
+    auto r = dllite::ParseOntology(R"(
+concept Red Green Blue Colour Tall Short
+role link
+Red <= Colour
+Green <= Colour
+Blue <= Colour
+)");
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    onto = std::move(r).value();
+    EXPECT_TRUE(db.CreateTable({"facts",
+                                {{"kind", ValueType::kString},
+                                 {"id", ValueType::kString}}})
+                    .ok());
+    EXPECT_TRUE(db.CreateTable({"links",
+                                {{"src", ValueType::kString},
+                                 {"dst", ValueType::kString}}})
+                    .ok());
+    const char* kinds[] = {"red", "green", "blue"};
+    for (uint64_t row = 0; row < kFacts; ++row) {
+      EXPECT_TRUE(db.Insert("facts", {Value::Str(kinds[row % 3]),
+                                      Value::Str("i" + std::to_string(row))})
+                      .ok());
+    }
+    for (uint64_t row = 0; row < kLinks; ++row) {
+      EXPECT_TRUE(
+          db.Insert("links", {Value::Str("i" + std::to_string(row % kFacts)),
+                              Value::Str("j" + std::to_string(row))})
+              .ok());
+    }
+    const char* concepts[] = {"Red", "Green", "Blue"};
+    for (size_t k = 0; k < 3; ++k) {
+      SelectBlock view;
+      view.from_tables = {"facts"};
+      view.select = {{0, "id"}};
+      view.filters = {{{0, "kind"}, Value::Str(kinds[k])}};
+      EXPECT_TRUE(mappings
+                      .Add(MappingAssertion::ForConcept(
+                          onto.vocab().FindConcept(concepts[k]).value(),
+                          view))
+                      .ok());
+    }
+    SelectBlock links;
+    links.from_tables = {"links"};
+    links.select = {{0, "src"}, {0, "dst"}};
+    EXPECT_TRUE(mappings
+                    .Add(MappingAssertion::ForRole(
+                        onto.vocab().FindRole("link").value(), links))
+                    .ok());
+  }
+
+  std::shared_ptr<const CompiledOntology> Compile() {
+    auto c = CompiledOntology::Compile(std::move(onto), std::move(mappings),
+                                       std::move(db),
+                                       query::RewriteMode::kClassified);
+    EXPECT_TRUE(c.ok()) << c.status().ToString();
+    return std::move(c).value();
+  }
+
+  // Under the columnar engine two of the three blocks probe the first
+  // one's build, and the call reads each kind's range, `links` once and
+  // the probes; the nested-loop referee shares nothing.
+  static void ExpectShared(const AnswerStats& stats) {
+    ASSERT_EQ(stats.sql_blocks, 3u);
+    if (std::string(stats.eval.engine) == "columnar") {
+      EXPECT_EQ(stats.eval.shared_build_hits, 2u);
+      EXPECT_EQ(stats.eval.rows_scanned, 3 * kKindFacts + kLinks + kFacts);
+    } else {
+      EXPECT_EQ(stats.eval.shared_build_hits, 0u);
+    }
+  }
+};
+
+TEST(QueryEngineTest, UnionBlocksShareOneHashBuild) {
+  LinkedColoursFixture fx;
+  Ontology chase_onto = fx.onto;
+  auto abox = mapping::MaterializeABox(fx.mappings, fx.db, &chase_onto.vocab());
+  ASSERT_TRUE(abox.ok()) << abox.status().ToString();
+  const testkit::ChaseOracle chase(chase_onto.tbox(), chase_onto.vocab(),
+                                   *abox, 2);
+  auto cq = query::ParseQuery(LinkedColoursFixture::kQuery, chase_onto.vocab());
+  ASSERT_TRUE(cq.ok());
+  const auto snapshot = fx.Compile();
+  QueryEngine engine(snapshot);  // the OLITE_EVAL_ENGINE default
+  QueryEngineOptions nested_opts;
+  nested_opts.engine = rdb::EvalEngine::kNestedLoop;
+  QueryEngine nested(snapshot, nested_opts);
+  auto referee = nested.Answer(LinkedColoursFixture::kQuery);
+  ASSERT_TRUE(referee.ok()) << referee.status().ToString();
+  for (bool hot : {false, true}) {
+    AnswerStats stats;
+    auto got = engine.Answer(LinkedColoursFixture::kQuery, &stats);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(stats.cache.hit, hot);
+    LinkedColoursFixture::ExpectShared(stats);
+    EXPECT_EQ(got->size(), LinkedColoursFixture::kLinks);
+    EXPECT_EQ(Sorted(*got), Sorted(*referee));
+    EXPECT_EQ(Sorted(*got), chase.CertainAnswers(*cq));
+  }
+}
+
+// One cached plan with a shared build, executed from 4 threads at once:
+// each call keeps its own builds (TSan in CI), shares within itself and
+// answers alike.
+TEST(QueryEngineTest, ConcurrentCallsOfOneCachedPlanShareBuildsPerCall) {
+  const auto snapshot = LinkedColoursFixture().Compile();
+  QueryEngine engine(snapshot);
+  auto want = engine.Answer(LinkedColoursFixture::kQuery);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  const std::vector<AnswerTuple> expected = Sorted(*want);
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < 20; ++i) {
+        AnswerStats stats;
+        auto r = engine.Answer(LinkedColoursFixture::kQuery, &stats);
+        const bool columnar = std::string(stats.eval.engine) == "columnar";
+        if (!r.ok() || !stats.cache.hit || Sorted(*r) != expected ||
+            stats.eval.shared_build_hits != (columnar ? 2u : 0u)) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(engine.cache_metrics().entries, 1u);
+}
+
+// A plan that `InheritPlans` carries across `RefreshAndSwap` still shares
+// its build on the new epoch.
+TEST(QueryEngineTest, InheritedPlanStillSharesItsBuild) {
+  LinkedColoursFixture fx;
+  const auto tall = fx.onto.vocab().FindConcept("Tall").value();
+  const auto short_ = fx.onto.vocab().FindConcept("Short").value();
+  auto snapshot = fx.Compile();
+  ServingEngineOptions opts;
+  opts.engine.enable_metrics = false;
+  ServingEngine serving(snapshot, opts);
+  auto before = serving.Answer(LinkedColoursFixture::kQuery);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+
+  // `Short <= Tall` leaves Colour and link alone.
+  dllite::ConceptInclusion ax;
+  ax.lhs = dllite::BasicConcept::Atomic(short_);
+  ax.rhs = dllite::RhsConcept::Positive(dllite::BasicConcept::Atomic(tall));
+  OntologyDelta delta;
+  delta.add_concept_inclusions.push_back(ax);
+  DeltaSwapStats ds;
+  auto epoch = serving.RefreshAndSwap(delta, &ds);
+  ASSERT_TRUE(epoch.ok()) << epoch.status().ToString();
+  ASSERT_EQ(ds.plans_migrated, 1u);
+  snapshot.reset();
+
+  AnswerStats stats;
+  auto after =
+      serving.Answer(LinkedColoursFixture::kQuery, AnswerOptions{}, &stats);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_TRUE(stats.cache.hit);
+  EXPECT_EQ(stats.serve.epoch, *epoch);
+  LinkedColoursFixture::ExpectShared(stats);
+  EXPECT_EQ(Sorted(*after), Sorted(*before));
+}
+
 }  // namespace
 }  // namespace olite::obda

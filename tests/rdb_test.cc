@@ -595,6 +595,216 @@ TEST(ColumnarTest, CrossProductBlockAgreesAcrossEngines) {
 
 
 // ---------------------------------------------------------------------------
+// Shared hash builds
+// ---------------------------------------------------------------------------
+
+// `node` holds 40 keys in 4 tags of 10; `edge` holds 1 200 rows, 30 per
+// key, so its build scan spans two batches. Block b of the union joins the
+// tag-b nodes to `edge` on one column with no filter on `edge`: every
+// block builds the same hash table.
+constexpr uint64_t kNodes = 40, kTagNodes = 10, kEdges = 1200, kTags = 4;
+
+Database NodeEdgeDb() {
+  Database db;
+  EXPECT_TRUE(db.CreateTable({"node",
+                              {{"k", ValueType::kInt},
+                               {"tag", ValueType::kString}}})
+                  .ok());
+  EXPECT_TRUE(db.CreateTable({"edge",
+                              {{"s", ValueType::kInt},
+                               {"d", ValueType::kInt}}})
+                  .ok());
+  for (uint64_t k = 0; k < kNodes; ++k) {
+    EXPECT_TRUE(db.Insert("node", {Value::Int(static_cast<int64_t>(k)),
+                                   Value::Str("t" + std::to_string(k % kTags))})
+                    .ok());
+  }
+  for (uint64_t r = 0; r < kEdges; ++r) {
+    EXPECT_TRUE(db.Insert("edge", {Value::Int(static_cast<int64_t>(r % kNodes)),
+                                   Value::Int(static_cast<int64_t>(r))})
+                    .ok());
+  }
+  return db;
+}
+
+SqlQuery TaggedEdgesQuery() {
+  SqlQuery q;
+  for (uint64_t t = 0; t < kTags; ++t) {
+    SelectBlock b;
+    b.from_tables = {"node", "edge"};
+    b.select = {{0, "k"}, {1, "d"}};
+    b.joins = {{{0, "k"}, {1, "s"}}};
+    b.filters = {{{0, "tag"}, Value::Str("t" + std::to_string(t))}};
+    q.blocks.push_back(b);
+  }
+  return q;
+}
+
+Result<std::vector<Row>> RunPlan(const PreparedPlan& plan,
+                                 EvalStats* stats = nullptr,
+                                 uint64_t seed = 0) {
+  EvalOptions opts;
+  opts.engine = EvalEngine::kColumnar;
+  opts.eval_stats = stats;
+  opts.join_order_seed = seed;
+  return Execute(plan, opts);
+}
+
+// The union builds `edge` once: the other blocks probe that build, so the
+// call reads each block's node range, one scan of `edge` and the probes.
+TEST(SharedBuildTest, UnionBlocksJoiningOneTableBuildItOnce) {
+  Database db = NodeEdgeDb();
+  const DatabaseStats stats = DatabaseStats::Collect(db);
+  const SqlQuery q = TaggedEdgesQuery();
+  auto indexed = PreparedPlan::Prepare(db, q, {.stats = &stats});
+  auto unindexed = PreparedPlan::Prepare(db, q);
+  ASSERT_TRUE(indexed.ok() && unindexed.ok());
+  EvalStats with_stats, without_stats;
+  auto got = RunPlan(*indexed, &with_stats);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got->size(), kEdges);
+  EXPECT_EQ(with_stats.shared_build_hits, kTags - 1);
+  EXPECT_EQ(with_stats.rows_scanned, kTags * kTagNodes + kEdges +
+                                         kTags * kTagNodes);
+  // Written order without statistics: each block scans every node.
+  auto full = RunPlan(*unindexed, &without_stats);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  EXPECT_EQ(without_stats.shared_build_hits, kTags - 1);
+  EXPECT_EQ(without_stats.rows_scanned,
+            kTags * kNodes + kEdges + kTags * kTagNodes);
+  auto nested = RunWith(db, q, EvalEngine::kNestedLoop);
+  ASSERT_TRUE(nested.ok());
+  EXPECT_EQ(*got, *full);
+  EXPECT_EQ(*got, *nested);
+  // A second call on the same plan builds afresh and answers alike.
+  EvalStats again;
+  auto repeat = RunPlan(*indexed, &again);
+  ASSERT_TRUE(repeat.ok());
+  EXPECT_EQ(*repeat, *got);
+  EXPECT_EQ(again.shared_build_hits, kTags - 1);
+  EXPECT_EQ(again.rows_scanned, with_stats.rows_scanned);
+}
+
+// Seeded join orders share too: a block that binds `edge` second probes
+// the shared build, one that binds it first resumes from the shared `edge`
+// scan; either way every block but the first of its order reuses work.
+TEST(SharedBuildTest, SeededJoinOrdersShareAndAgree) {
+  Database db = NodeEdgeDb();
+  const DatabaseStats stats = DatabaseStats::Collect(db);
+  const SqlQuery q = TaggedEdgesQuery();
+  auto plan = PreparedPlan::Prepare(db, q, {.stats = &stats});
+  ASSERT_TRUE(plan.ok());
+  auto baseline = RunPlan(*plan);
+  ASSERT_TRUE(baseline.ok());
+  uint64_t build_hits = 0;
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    EvalStats seeded;
+    auto got = RunPlan(*plan, &seeded, seed);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, *baseline) << "seed " << seed;
+    // Two orders over four blocks: at least two blocks reuse.
+    EXPECT_GE(seeded.shared_build_hits + seeded.shared_node_hits, kTags - 2)
+        << "seed " << seed;
+    build_hits += seeded.shared_build_hits;
+  }
+  EXPECT_GT(build_hits, 0u);
+}
+
+// A failure planted at any hit of the fault site, the probes of the shared
+// build included, fails the call; the plan keeps no state of it, so the
+// next call answers in full and shares again.
+TEST(SharedBuildTest, FaultAtEveryHitFailsTheCallAndLeavesThePlanWhole) {
+  Database db = NodeEdgeDb();
+  const DatabaseStats stats = DatabaseStats::Collect(db);
+  auto plan = PreparedPlan::Prepare(db, TaggedEdgesQuery(), {.stats = &stats});
+  ASSERT_TRUE(plan.ok());
+  auto& injector = fault::Injector::Global();
+  injector.Arm(fault::Site::kRdbExecute, {});
+  auto clean = RunPlan(*plan);
+  const uint64_t hits = injector.hits(fault::Site::kRdbExecute);
+  injector.DisarmAll();
+  ASSERT_TRUE(clean.ok());
+  // Per block: the block, one node-range batch, one probe batch and one
+  // projection batch; plus the two batches of the one `edge` build.
+  EXPECT_EQ(hits, kTags * 4 + 2);
+  for (uint64_t n = 1; n <= hits; ++n) {
+    fault::FaultPlan fail;
+    fail.fail_every = n;
+    injector.Arm(fault::Site::kRdbExecute, fail);
+    auto failed = RunPlan(*plan);
+    injector.DisarmAll();
+    EXPECT_EQ(failed.status().code(), StatusCode::kInternal) << "hit " << n;
+    EvalStats after;
+    auto again = RunPlan(*plan, &after);
+    ASSERT_TRUE(again.ok()) << "hit " << n;
+    EXPECT_EQ(*again, *clean) << "hit " << n;
+    EXPECT_EQ(after.shared_build_hits, kTags - 1) << "hit " << n;
+  }
+}
+
+// A deadline that expires inside the first `edge` build stops the call
+// there: the partial build is never probed (no later block runs, no build
+// hit), and the result is empty. A row cap that stops the second block
+// after it probed the shared build keeps a subset of the answers.
+TEST(SharedBuildTest, BudgetStopsNeverProbeAPartialBuild) {
+  Database db = NodeEdgeDb();
+  const DatabaseStats stats = DatabaseStats::Collect(db);
+  auto plan = PreparedPlan::Prepare(db, TaggedEdgesQuery(), {.stats = &stats});
+  ASSERT_TRUE(plan.ok());
+  auto full = RunPlan(*plan);
+  ASSERT_TRUE(full.ok());
+  auto& injector = fault::Injector::Global();
+  {
+    // Hit 3 is the first batch of the `edge` build (after the block and
+    // its node range): sleep past the deadline there, so the next budget
+    // poll, 256 rows into the build, stops it.
+    fault::FaultPlan slow;
+    slow.latency_every = 3;
+    slow.latency_ms = 60;
+    injector.Arm(fault::Site::kRdbExecute, slow);
+    const ExecBudget budget({.deadline_ms = 20});
+    Degradation degradation;
+    EvalStats estats;
+    EvalOptions opts;
+    opts.engine = EvalEngine::kColumnar;
+    opts.budget = &budget;
+    opts.allow_partial = true;
+    opts.degradation = &degradation;
+    opts.eval_stats = &estats;
+    auto got = Execute(*plan, opts);
+    injector.DisarmAll();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_TRUE(got->empty());
+    EXPECT_FALSE(degradation.events.empty());
+    EXPECT_EQ(estats.shared_build_hits, 0u);
+    EXPECT_EQ(estats.block_us.size(), 1u);
+    EXPECT_LT(estats.rows_scanned, kTagNodes + kEdges);
+  }
+  {
+    const ExecBudget budget({.max_rows = kEdges / kTags + 50});
+    EvalStats estats;
+    EvalOptions opts;
+    opts.engine = EvalEngine::kColumnar;
+    opts.budget = &budget;
+    opts.allow_partial = true;
+    opts.eval_stats = &estats;
+    auto got = Execute(*plan, opts);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got->size(), kEdges / kTags + 50);
+    EXPECT_EQ(estats.shared_build_hits, 1u);
+    for (const Row& row : *got) {
+      EXPECT_TRUE(std::binary_search(full->begin(), full->end(), row));
+    }
+  }
+  // The plan itself is untouched by either stop.
+  EvalStats after;
+  auto again = RunPlan(*plan, &after);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(*again, *full);
+  EXPECT_EQ(after.shared_build_hits, kTags - 1);
+}
+
+// ---------------------------------------------------------------------------
 // SourceIndex and indexed equality scans
 // ---------------------------------------------------------------------------
 
